@@ -10,6 +10,7 @@ fuzzy look-up table. Failures exit with a stable per-category code and an
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one scenario")
     _add_scenario_options(run)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 1)")
+    run.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, help="random seed (default 1)")
     run.add_argument("--out", help="directory for trace.csv and summary.txt")
     run.add_argument("--trace", action="store_true", help="print the CSV trace to stdout")
     run.set_defaults(handler=_cmd_run)
@@ -60,11 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(sweep)
     sweep.add_argument(
         "--noise",
+        type=_noise_grid,
         default=",".join(str(r) for r in DEFAULT_NOISE_GRID),
         help="comma-separated utilization-noise levels (default %(default)s)",
     )
     sweep.add_argument(
-        "--seeds", type=int, default=DEFAULT_SWEEP_SEEDS, help="seeds 1..N per level (default %(default)s)"
+        "--seeds",
+        type=_int_at_least(1),
+        default=DEFAULT_SWEEP_SEEDS,
+        help="seeds 1..N per level (default %(default)s)",
     )
     sweep.add_argument("--out", help="directory for sweep_summary.csv")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -116,15 +121,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    levels = _parse_noise_grid(args.noise)
-    if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
     header = (
         "mode,noise_std,seed,mean_tracking_error,max_tracking_error,"
         "mean_utilization,mean_utilization_final,missed_total"
     )
     lines = [header]
-    for level in levels:
+    for level in args.noise:
         level_cfg = replace(cfg, util_std=level)
         for seed in range(1, args.seeds + 1):
             summary = run_experiment(level_cfg, seed).summary
@@ -159,14 +161,31 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _parse_noise_grid(text: str) -> tuple[float, ...]:
+def _noise_grid(text: str) -> tuple[float, ...]:
+    """argparse type of `sweep --noise`: a bad grid is a usage error (exit 2)."""
+
     try:
         levels = tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(f"--noise expects comma-separated numbers, got {text!r}")
-    if not levels or any(level < 0 for level in levels):
-        raise SystemExit("--noise levels must be non-negative")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(0 <= level < math.inf for level in levels):
+        raise argparse.ArgumentTypeError(f"levels must be finite and non-negative, got {text!r}")
     return levels
+
+
+def _int_at_least(minimum: int):
+    """argparse type of an integer option: a smaller value is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _write_text(path: str, text: str, mkdir: str | None = None) -> None:

@@ -42,12 +42,22 @@ def plant_step(
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
+    position, velocity = plant_advance(state.position, state.velocity, u, dt, params)
+    return PlantState(position=position, velocity=velocity, command=u)
+
+
+def plant_advance(
+    position: float, velocity: float, u: float, dt: float, params: PlantParams
+) -> tuple[float, float]:
+    """The arithmetic of `plant_step` on bare floats: (position, velocity)
+    after `dt >= 0` seconds, for callers that keep the state themselves."""
     a = params.pole_rate
     v_inf = params.input_gain * u / a
     ramp = -math.expm1(-a * dt)  # 1 - exp(-a dt), accurate for small dt
-    velocity = v_inf + (state.velocity - v_inf) * (1.0 - ramp)
-    position = state.position + (state.velocity - v_inf) * ramp / a + v_inf * dt
-    return PlantState(position=position, velocity=velocity, command=u)
+    return (
+        position + (velocity - v_inf) * ramp / a + v_inf * dt,
+        v_inf + (velocity - v_inf) * (1.0 - ramp),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,19 +102,35 @@ def pid_compute(pid: PidState, ref: float, meas: float) -> tuple[float, PidState
     kicks: the integrator carries over unchanged and the derivative acts on
     the measurement, not the error.
     """
-    g = pid.gains
     if pid.period <= 0:
         raise ValueError("sampling period must be positive")
+    u, integrator, deriv = pid_update(
+        pid.gains, pid.period, pid.integrator, pid.deriv, pid.last_meas, ref, meas
+    )
+    return u, replace(pid, integrator=integrator, deriv=deriv, last_meas=meas)
+
+
+def pid_update(
+    g: PidGains,
+    period: float,
+    integrator: float,
+    deriv: float,
+    last_meas: float | None,
+    ref: float,
+    meas: float,
+) -> tuple[float, float, float]:
+    """The arithmetic of `pid_compute` on bare floats: (command, integrator,
+    filtered derivative) after one update with a positive `period`; the new
+    last measurement is `meas`."""
     error = ref - meas
-    integrator = pid.integrator + g.ki * pid.period * error
-    if g.kd == 0.0 or pid.last_meas is None:
+    integrator = integrator + g.ki * period * error
+    if g.kd == 0.0 or last_meas is None:
         deriv = 0.0
     else:
         # first-order filter with time constant Td/N, backward-difference
         tf = g.kd / ((g.kp if g.kp > 0 else 1.0) * g.deriv_filter)
-        deriv = (tf * pid.deriv - g.kd * (meas - pid.last_meas)) / (tf + pid.period)
-    u = g.kp * error + integrator + deriv
-    return u, replace(pid, integrator=integrator, deriv=deriv, last_meas=meas)
+        deriv = (tf * deriv - g.kd * (meas - last_meas)) / (tf + period)
+    return g.kp * error + integrator + deriv, integrator, deriv
 
 
 @dataclass(frozen=True)

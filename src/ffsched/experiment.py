@@ -23,40 +23,36 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Mapping
 
 import numpy as np
 
 from .control import (
-    PidState,
-    PlantState,
     ReferencePath,
-    pid_compute,
-    plant_step,
+    pid_compute,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
+    pid_update,
+    plant_advance,
+    plant_step,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
     reference_at,
     tracking_error,
 )
 from .errors import EmitError
 from .rtsim import (
+    NS,
     ExecSchedule,
     Kernel,
+    NormalStream,
     TaskKind,
     TaskSpec,
     TaskStats,
     measure_utilization,
     sample_execution_time,
+    seconds_to_ns,
 )
 from .scenario import SCHEDULER_TASK, ScenarioConfig
 from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta, open_loop_step
-
-NS = 1_000_000_000
-
-
-def _ns(seconds: float) -> int:
-    return int(round(seconds * NS))
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -95,7 +91,16 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
-    """Simulate one scenario to its horizon and return trace plus summary."""
+    """Simulate one scenario to its horizon and return trace plus summary.
+
+    The per-axis loop state lives in plain lists local to this call, indexed
+    by axis (0 = x, 1 = y): plant position, velocity and held command, the
+    instant the plant was last advanced to, the PID integrator, filtered
+    derivative and last measurement, the command computed but not yet
+    actuated, and the FIFO of samples latched at release. The kernel hooks
+    below update them in place, calling the float-level formulas of
+    `plant_advance` and `pid_update`.
+    """
 
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -105,21 +110,21 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
     axis_of = {ctrl_names[0]: 0, ctrl_names[1]: 1}
     load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
-    h_min_ns, h_max_ns = _ns(cfg.h_min_s), _ns(cfg.h_max_s)
-    horizon_ns = _ns(cfg.horizon_s)
+    h_min_ns, h_max_ns = seconds_to_ns(cfg.h_min_s), seconds_to_ns(cfg.h_max_s)
+    horizon_ns = seconds_to_ns(cfg.horizon_s)
 
     specs = {t.name: _spec_of(t) for t in cfg.tasks}
     fs_spec = TaskSpec(
         name=SCHEDULER_TASK,
         kind=TaskKind.SCHEDULER,
         priority=1,
-        period_ns=_ns(cfg.fs_period_s),
-        exec_schedule=ExecSchedule.constant(_ns(cfg.fs_exec_s)),
+        period_ns=seconds_to_ns(cfg.fs_period_s),
+        exec_schedule=ExecSchedule.constant(seconds_to_ns(cfg.fs_exec_s)),
     )
 
     # one private noise stream per user task, one more for the measurement
-    exec_rngs = {
-        t.name: np.random.default_rng(np.random.SeedSequence([seed, i]))
+    exec_noise = {
+        t.name: NormalStream(np.random.default_rng(np.random.SeedSequence([seed, i])))
         for i, t in enumerate(cfg.tasks)
     }
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
@@ -128,13 +133,18 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         mean = spec.exec_schedule.mean_at(release_ns)
         if spec.name == SCHEDULER_TASK:
             return mean  # the scheduler's own cost is fixed by assumption
-        return sample_execution_time(mean, exec_rngs[spec.name], cfg.exec_std)
+        return sample_execution_time(mean, exec_noise[spec.name], cfg.exec_std)
 
     path = ReferencePath(duration=cfg.ref_duration_s)
-    plants = [PlantState(), PlantState()]
+    plant, gains = cfg.plant, cfg.pid
+    position = [0.0, 0.0]
+    velocity = [0.0, 0.0]
+    command = [0.0, 0.0]
     plant_clock = [0, 0]
-    pids = [PidState(gains=cfg.pid, period=t.period_s) for t in ctrl]
-    pending_u: list[float] = [0.0, 0.0]
+    integrator = [0.0, 0.0]
+    deriv = [0.0, 0.0]
+    last_meas: list[float | None] = [None, None]
+    pending_u = [0.0, 0.0]
     latched: list[deque[tuple[float, float, float]]] = [deque(), deque()]
     prev_release: list[int | None] = [None, None]
 
@@ -145,7 +155,9 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     def advance_plant(axis: int, t_ns: int) -> None:
         dt_ns = t_ns - plant_clock[axis]
         if dt_ns > 0:
-            plants[axis] = plant_step(plants[axis], plants[axis].command, dt_ns / NS, cfg.plant)
+            position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+            )
         plant_clock[axis] = t_ns
 
     def schedule_step(t_inv_ns: int) -> None:
@@ -175,7 +187,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         advance_plant(1, t_inv_ns)
         t_s = t_inv_ns / NS
         ref = reference_at(path, t_s)
-        act = (plants[0].position, plants[1].position)
+        act = (position[0], position[1])
         records.append(
             TraceRecord(
                 t_s=t_s,
@@ -200,7 +212,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             spacing_ns = release_ns - prev_release[axis]
         prev_release[axis] = release_ns
         ref = reference_at(path, release_ns / NS)[axis]
-        latched[axis].append((ref, plants[axis].position, spacing_ns / NS))
+        latched[axis].append((ref, position[axis], spacing_ns / NS))
 
     def on_start(name: str, release_ns: int, start_ns: int) -> None:
         if name == SCHEDULER_TASK:
@@ -212,15 +224,17 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         # consume the sample latched at this job's release (queues are FIFO,
         # so under backlog the computation runs on proportionally stale data)
         ref, meas, spacing_s = latched[axis].popleft()
-        u, pids[axis] = pid_compute(pids[axis].with_period(spacing_s), ref, meas)
-        pending_u[axis] = u
+        pending_u[axis], integrator[axis], deriv[axis] = pid_update(
+            gains, spacing_s, integrator[axis], deriv[axis], last_meas[axis], ref, meas
+        )
+        last_meas[axis] = meas
 
     def on_finish(rec) -> None:
         axis = axis_of.get(rec.task)
         if axis is None:
             return
         advance_plant(axis, rec.finish_ns)
-        plants[axis] = replace(plants[axis], command=pending_u[axis])
+        command[axis] = pending_u[axis]
 
     kernel = Kernel(
         list(specs.values()) + [fs_spec],
@@ -244,13 +258,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
 def _spec_of(task) -> TaskSpec:
     segments = []
     for start_s, end_s, mean_s in task.exec_segments:
-        end_ns = ExecSchedule.FOREVER if math.isinf(end_s) else _ns(end_s)
-        segments.append((_ns(start_s), end_ns, _ns(mean_s)))
+        end_ns = ExecSchedule.FOREVER if math.isinf(end_s) else seconds_to_ns(end_s)
+        segments.append((seconds_to_ns(start_s), end_ns, seconds_to_ns(mean_s)))
     return TaskSpec(
         name=task.name,
         kind=task.kind,
         priority=task.priority,
-        period_ns=_ns(task.period_s),
+        period_ns=seconds_to_ns(task.period_s),
         exec_schedule=ExecSchedule(tuple(segments)),
     )
 

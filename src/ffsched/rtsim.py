@@ -11,12 +11,22 @@ take effect at the task's next release.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
+
+
+NS = 1_000_000_000  # nanoseconds per second
+
+
+def seconds_to_ns(seconds: float) -> int:
+    """The integer-nanosecond instant nearest to `seconds`, as the kernel counts time."""
+
+    return int(round(seconds * NS))
 
 
 class TaskKind(enum.Enum):
@@ -32,10 +42,11 @@ class ExecSchedule:
     """Piecewise-constant mean execution time over simulated time.
 
     Segments are (start_ns, end_ns, mean_ns), contiguous from t = 0. Releases
-    past the final segment hold its value.
+    past the final segment hold its value, and so do times before 0.
     """
 
     segments: tuple[tuple[int, int, int], ...]
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -49,6 +60,7 @@ class ExecSchedule:
             if mean <= 0:
                 raise ValueError("mean execution time must be positive")
             expected_start = end
+        object.__setattr__(self, "_ends", tuple(end for _, end, _ in self.segments))
 
     FOREVER = 2**63 - 1
 
@@ -57,10 +69,10 @@ class ExecSchedule:
         return cls(((0, cls.FOREVER, int(mean_ns)),))
 
     def mean_at(self, t_ns: int) -> int:
-        for start, end, mean in self.segments:
-            if start <= t_ns < end:
-                return mean
-        return self.segments[-1][2]
+        i = bisect_right(self._ends, t_ns)  # the first segment ending after t_ns
+        if t_ns < 0 or i == len(self._ends):
+            return self.segments[-1][2]
+        return self.segments[i][2]
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,7 @@ class TaskSpec:
             raise ValueError(f"task {self.name}: priority must be a positive integer")
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """One completed job, as handed to the finish hook."""
 
     task: str
@@ -131,9 +142,37 @@ class UtilizationSample:
             raise ValueError(f"clamped utilization out of range: {self.value}")
 
 
+NOISE_BLOCK = 256  # standard-normal draws fetched per refill of a NormalStream
+
+
+class NormalStream:
+    """Scalar standard-normal draws served from blocks of a generator.
+
+    Each refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
+    which for numpy's Generator is the same sequence that repeated scalar
+    `rng.standard_normal()` calls yield; the stream only saves the per-call
+    overhead. Nothing is drawn until the first value is asked for.
+    """
+
+    __slots__ = ("_rng", "_block", "_next")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block: list[float] = []
+        self._next = 0
+
+    def standard_normal(self) -> float:
+        i = self._next
+        if i == len(self._block):
+            self._block = self._rng.standard_normal(NOISE_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return self._block[i]
+
+
 def sample_execution_time(
     mean_ns: int,
-    rng: np.random.Generator,
+    rng,
     rel_std: float,
     floor_frac: float = 0.01,
 ) -> int:
@@ -142,7 +181,9 @@ def sample_execution_time(
     The draw is Gaussian with standard deviation `rel_std * mean_ns` and is
     floored at `floor_frac * mean_ns` so a job can never run backwards or for
     free. With `rel_std == 0` the mean is returned without consuming a draw,
-    keeping noise-free runs aligned with the noisy stream layout.
+    keeping noise-free runs aligned with the noisy stream layout. `rng` is
+    any object with a scalar `standard_normal()`: a numpy Generator or a
+    NormalStream over one.
     """
 
     if mean_ns <= 0:
@@ -185,7 +226,7 @@ def measure_utilization(
     return UtilizationSample(value=min(1.0, max(0.0, raw)), raw=raw)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     index: int
     release_ns: int
@@ -254,13 +295,18 @@ class Kernel:
         self._record_segments = record_segments
         self.segments: list[Segment] = []
         self._running: _TaskRuntime | None = None
+        self._next_release_ns = 0  # earliest pending release over all tasks
         self.now_ns = 0
 
     def period_of(self, name: str) -> int:
         return self._tasks[name].period_ns
 
     def set_period(self, name: str, period_ns: int) -> None:
-        """Change a task's period, effective from its next release on."""
+        """Change a task's period, effective from its next release on.
+
+        The next release instant itself stays put, so this is safe to call
+        from any hook while `run` is in progress.
+        """
         if period_ns <= 0:
             raise ValueError(f"task {name}: period must be positive")
         self._tasks[name].period_ns = int(period_ns)
@@ -292,14 +338,21 @@ class Kernel:
 
         if until_ns < self.now_ns:
             raise ValueError("cannot run backwards")
+        by_priority = self._by_priority
+        on_job_start = self._on_job_start
+        record_segments = self._record_segments
         while True:
-            self._drain_releases()
-            if self.now_ns >= until_ns:
+            now = self.now_ns
+            if now >= self._next_release_ns:
+                self._drain_releases()
+            if now >= until_ns:
                 return
-            rt = self._pick_ready()
-            if rt is None:
+            for rt in by_priority:
+                if rt.queue:
+                    break
+            else:
                 self._running = None
-                self.now_ns = min(self._next_release(), until_ns)
+                self.now_ns = min(self._next_release_ns, until_ns)
                 continue
             job = rt.queue[0]
             prev = self._running
@@ -310,51 +363,38 @@ class Kernel:
             self._running = rt
             if not job.started:
                 job.started = True
-                job.start_ns = self.now_ns
-                if self._on_job_start is not None:
-                    self._on_job_start(rt.spec.name, job.release_ns, self.now_ns)
-            slice_end = min(self.now_ns + job.remaining_ns, self._next_release(), until_ns)
-            if self._record_segments and slice_end > self.now_ns:
-                self._append_segment(rt.spec.name, job.index, self.now_ns, slice_end)
-            job.remaining_ns -= slice_end - self.now_ns
+                job.start_ns = now
+                if on_job_start is not None:
+                    on_job_start(rt.spec.name, job.release_ns, now)
+            slice_end = min(now + job.remaining_ns, self._next_release_ns, until_ns)
+            if record_segments and slice_end > now:
+                self._append_segment(rt.spec.name, job.index, now, slice_end)
+            job.remaining_ns -= slice_end - now
             self.now_ns = slice_end
             if job.remaining_ns == 0:
                 self._complete(rt, job)
                 self._running = None
 
     def _drain_releases(self) -> None:
+        """Release every job due by now, in priority order, and refresh the
+        cached earliest pending release."""
+        now = self.now_ns
         for rt in self._by_priority:
-            while rt.next_release_ns <= self.now_ns:
+            while rt.next_release_ns <= now:
                 self._release(rt, rt.next_release_ns)
+        self._next_release_ns = min(rt.next_release_ns for rt in self._by_priority)
 
     def _release(self, rt: _TaskRuntime, release_ns: int) -> None:
         period = rt.period_ns  # the period in force at release fixes deadline and successor
         exec_ns = int(self._exec_time_of(rt.spec, release_ns))
         if exec_ns <= 0:
             raise ValueError(f"task {rt.spec.name}: sampled execution time must be positive")
-        rt.queue.append(
-            _Job(
-                index=rt.released,
-                release_ns=release_ns,
-                deadline_ns=release_ns + period,
-                exec_ns=exec_ns,
-                remaining_ns=exec_ns,
-            )
-        )
+        rt.queue.append(_Job(rt.released, release_ns, release_ns + period, exec_ns, exec_ns))
         rt.released += 1
         rt.pending_samples.append((release_ns, exec_ns))
         rt.next_release_ns = release_ns + period
         if self._on_job_release is not None:
             self._on_job_release(rt.spec.name, release_ns)
-
-    def _pick_ready(self) -> _TaskRuntime | None:
-        for rt in self._by_priority:
-            if rt.queue:
-                return rt
-        return None
-
-    def _next_release(self) -> int:
-        return min(rt.next_release_ns for rt in self._by_priority)
 
     def _complete(self, rt: _TaskRuntime, job: _Job) -> None:
         rt.queue.popleft()
@@ -365,14 +405,8 @@ class Kernel:
         if self._on_job_finish is not None:
             self._on_job_finish(
                 JobRecord(
-                    task=rt.spec.name,
-                    index=job.index,
-                    release_ns=job.release_ns,
-                    deadline_ns=job.deadline_ns,
-                    exec_ns=job.exec_ns,
-                    start_ns=job.start_ns,
-                    finish_ns=self.now_ns,
-                    missed=missed,
+                    rt.spec.name, job.index, job.release_ns, job.deadline_ns,
+                    job.exec_ns, job.start_ns, self.now_ns, missed,
                 )
             )
 

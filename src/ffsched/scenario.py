@@ -27,12 +27,13 @@ breaking a configuration rule raises ScenarioSemanticError.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
-from .rtsim import TaskKind
+from .rtsim import TaskKind, seconds_to_ns
 
 MODES = ("fuzzy", "ideal", "open")
 SCHEDULER_TASK = "sched"  # implicit highest-priority task; not declarable
@@ -324,6 +325,33 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             if mean >= task.period_s:
                 raise ScenarioSemanticError(
                     f"task {task.name}: mean execution time {mean:g} not below period {task.period_s:g}"
+                )
+    _check_kernel_times(cfg)
+
+
+def _check_kernel_times(cfg: ScenarioConfig) -> None:
+    """The kernel counts whole nanoseconds: every time it is given must be
+    finite and at least 1 ns once rounded, and no execution segment may
+    round to nothing. Command-line overrides reach here unparsed."""
+
+    times = [
+        ("horizon", cfg.horizon_s),
+        ("scheduler period", cfg.fs_period_s),
+        ("scheduler exec", cfg.fs_exec_s),
+        ("h_min", cfg.h_min_s),
+        ("h_max", cfg.h_max_s),
+    ]
+    for task in cfg.tasks:
+        times.append((f"task {task.name} period", task.period_s))
+        times.extend((f"task {task.name} exec", mean) for _, _, mean in task.exec_segments)
+    for name, value in times:
+        if not math.isfinite(value) or seconds_to_ns(value) < 1:
+            raise ScenarioSemanticError(f"{name} must be a finite time of at least 1 ns, got {value!r}")
+    for task in cfg.tasks:
+        for start, end, _ in task.exec_segments:
+            if not math.isinf(end) and seconds_to_ns(end) <= seconds_to_ns(start):
+                raise ScenarioSemanticError(
+                    f"task {task.name}: execution segment {start:g}-{end:g} is shorter than 1 ns"
                 )
 
 

@@ -101,6 +101,35 @@ class TestExitCodes:
         assert main(["run", "--target", "1.5"]) == 4
         assert capsys.readouterr().err.startswith("error[scenario-semantic]:")
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--seeds", "0"], ["sweep", "--noise", "x"], ["run", "--seed", "-1"]]
+    )
+    def test_bad_seed_or_grid_is_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [["--horizon", "nan"], ["--horizon", "inf"], ["--fs-period", "nan"]])
+    def test_non_finite_override_is_4(self, override, capsys):
+        assert main(["run", *override]) == 4
+        assert capsys.readouterr().err.startswith("error[scenario-semantic]:")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scheduler]\nh_min = 1e-10\n",
+            HEAVY_LOAD.replace("exec = 0.0028", "exec = 0-0.0000000001: 0.0028, 0.0000000001-4: 0.0028"),
+        ],
+        ids=["h_min", "exec-segment"],
+    )
+    def test_sub_nanosecond_time_is_4(self, text, tmp_path, capsys):
+        scenario = tmp_path / "tiny.cfg"
+        scenario.write_text(text)  # a time that rounds to 0 ns
+        assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[scenario-semantic]:") and "1 ns" in err
+
     def test_infeasible_load_is_5(self, tmp_path, capsys):
         scenario = tmp_path / "heavy.cfg"
         scenario.write_text(HEAVY_LOAD)

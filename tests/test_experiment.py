@@ -1,9 +1,11 @@
 """End-to-end runs: determinism, trace round-trips, per-mode behaviour."""
 
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
 
+import ffsched.experiment as experiment
 from ffsched.experiment import (
     emit_traces,
     format_summary,
@@ -12,7 +14,9 @@ from ffsched.experiment import (
     run_experiment,
     trace_header,
 )
-from ffsched.scenario import default_scenario
+from ffsched.rtsim import Kernel, NormalStream, seconds_to_ns
+from ffsched.scenario import SCHEDULER_TASK, default_scenario
+from invariants import _verify_case
 
 H_MIN, H_MAX = 0.001, 0.007
 
@@ -141,3 +145,72 @@ class TestSummaryNumbers:
         tail = [r.u_meas for r in fuzzy_result.records if r.t_s > 3.0]
         assert len(tail) == 49
         assert fuzzy_result.summary.mean_utilization_final == pytest.approx(fmean(tail))
+
+
+class TestKernelInvariantsInTheLoop:
+    """The kernel invariants of the synthetic suites, checked on the real
+    co-simulation, where the scheduler re-periods tasks from inside the
+    kernel's job-start hook."""
+
+    @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
+    def test_invariants_hold(self, mode, monkeypatch):
+        kernels = []
+
+        class RecordingKernel(Kernel):
+            def __init__(self, tasks, *, on_job_release, on_job_finish, **kwargs):
+                self.specs = list(tasks)
+                self.releases = defaultdict(list)
+                self.finishes = defaultdict(list)
+
+                def release(name, release_ns):
+                    self.releases[name].append(release_ns)
+                    on_job_release(name, release_ns)
+
+                def finish(rec):
+                    self.finishes[rec.task].append(rec)
+                    on_job_finish(rec)
+
+                super().__init__(
+                    self.specs, on_job_release=release, on_job_finish=finish, record_segments=True, **kwargs
+                )
+                kernels.append(self)
+
+        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+        horizon_s = 0.5  # the check is O(segments x jobs)
+        run_experiment(replace(default_scenario(), mode=mode, horizon_s=horizon_s), seed=1)
+        (kernel,) = kernels
+        _verify_case(kernel.specs, kernel, kernel.releases, kernel.finishes, seconds_to_ns(horizon_s))
+        # a job's deadline is its release plus the period in force then, and a
+        # period change moves only the releases after the next one
+        for name, recs in kernel.finishes.items():
+            rels = kernel.releases[name]
+            for rec in recs[:-1]:  # the successor of the last one may lie past the horizon
+                assert rels[rec.index + 1] == rec.deadline_ns, (name, rec)
+        periods_seen = {r.deadline_ns - r.release_ns for r in kernel.finishes["tau1"]}
+        assert (len(periods_seen) > 1) == (mode != "open")
+
+
+class TestNoiseDraws:
+    def _count_draws(self, cfg, monkeypatch):
+        draws = [0]
+
+        class CountingStream(NormalStream):
+            __slots__ = ()
+
+            def standard_normal(self):
+                draws[0] += 1
+                return super().standard_normal()
+
+        monkeypatch.setattr(experiment, "NormalStream", CountingStream)
+        result = run_experiment(cfg, seed=1)
+        return draws[0], result
+
+    def test_one_draw_per_user_job(self, monkeypatch):
+        draws, result = self._count_draws(replace(default_scenario(), horizon_s=0.5), monkeypatch)
+        stats = result.summary.task_stats
+        assert draws == sum(s.released for name, s in stats.items() if name != SCHEDULER_TASK)
+
+    def test_noise_free_runs_draw_nothing(self, monkeypatch):
+        cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)
+        draws, _ = self._count_draws(cfg, monkeypatch)
+        assert draws == 0

@@ -1,10 +1,13 @@
 """Discrete-event kernel: hand-checked timelines, hooks, noise helpers."""
 
+import numpy as np
 import pytest
 
 from ffsched.rtsim import (
+    NOISE_BLOCK,
     ExecSchedule,
     Kernel,
+    NormalStream,
     Segment,
     TaskKind,
     TaskSpec,
@@ -40,6 +43,14 @@ class _StubRng:
         return self.z
 
 
+def _scan_mean_at(schedule: ExecSchedule, t_ns: int) -> int:
+    """Reference lookup: a linear scan over the segments."""
+    for start, end, mean in schedule.segments:
+        if start <= t_ns < end:
+            return mean
+    return schedule.segments[-1][2]
+
+
 class TestExecSchedule:
     def test_constant_holds_forever(self):
         sched = ExecSchedule.constant(250)
@@ -53,6 +64,14 @@ class TestExecSchedule:
         assert sched.mean_at(5 * MS) == 200
         assert sched.mean_at(9 * MS) == 200  # holds the last mean beyond the end
         assert sched.mean_at(10**15) == 200
+
+    def test_lookup_matches_linear_scan(self):
+        sched = ExecSchedule(segments=((0, 5 * MS, 100), (5 * MS, 9 * MS, 200), (9 * MS, 12 * MS, 300)))
+        probes = (-(10**12), -1, 0, 1, 5 * MS - 1, 5 * MS, 9 * MS - 1, 9 * MS, 12 * MS - 1, 12 * MS, 10**15)
+        for t in probes:
+            assert sched.mean_at(t) == _scan_mean_at(sched, t), t
+        assert sched.mean_at(-1) == 300  # before 0 holds the last mean, as the scan does
+        assert sched.mean_at(12 * MS) == 300  # exactly the last segment end
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +210,19 @@ class TestNoiseHelpers:
     def test_sample_execution_time_floor(self):
         got = sample_execution_time(1_000_000, _StubRng(-50.0), 0.1)
         assert got == 10_000  # floored at 1% of the mean
+
+    def test_normal_stream_matches_scalar_draws(self):
+        n = 2 * NOISE_BLOCK + 17  # three refills, the last one partly used
+        scalar = np.random.default_rng(7)
+        stream = NormalStream(np.random.default_rng(7))
+        assert [stream.standard_normal() for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+
+    def test_normal_stream_draws_nothing_until_asked(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        stream = NormalStream(rng)
+        assert sample_execution_time(1_000_000, stream, 0.0) == 1_000_000
+        assert rng.bit_generator.state == state
 
     def test_sample_execution_time_validation(self):
         with pytest.raises(ValueError):
