@@ -41,6 +41,9 @@ def main(argv: list[str] | None = None) -> int:
     except FfschedError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, INTERNAL_EXIT)
+    except Exception as exc:  # a defect; the exit-code contract still holds
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 def _build_parser() -> argparse.ArgumentParser:

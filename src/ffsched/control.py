@@ -90,9 +90,6 @@ class PidState:
     deriv: float = 0.0  # filtered derivative term as last added to the output
     last_meas: float | None = None
 
-    def with_period(self, period: float) -> "PidState":
-        return replace(self, period=period)
-
 
 def pid_compute(pid: PidState, ref: float, meas: float) -> tuple[float, PidState]:
     """One controller update; returns the command and the advanced state.

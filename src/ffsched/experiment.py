@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 from typing import Mapping
 
@@ -52,7 +51,7 @@ from .rtsim import (
     seconds_to_ns,
 )
 from .scenario import SCHEDULER_TASK, ScenarioConfig
-from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta, open_loop_step
+from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -80,7 +79,6 @@ class RunSummary:
     mean_utilization_final: float  # over invocations in the last simulated second
     final_periods_s: tuple[float, float]
     task_stats: Mapping[str, TaskStats]
-    wall_clock_s: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
 
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    started = time.perf_counter()
 
     ctrl = cfg.control_tasks()
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
@@ -172,7 +169,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         if cfg.mode == "fuzzy":
             eta = fuzzy.step(sample.value)
         elif cfg.mode == "open":
-            eta = open_loop_step()
+            eta = 1.0
         else:
             true_means = tuple(float(specs[name].exec_schedule.mean_at(t_inv_ns)) for name in ctrl_names)
             u_others = sum(
@@ -180,8 +177,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                 for name in load_names
             )
             eta = ideal_eta(true_means, tuple(float(h) for h in current), u_others, cfg.target)
-        decision = apply_periods(eta, current, h_min_ns, h_max_ns)
-        for name, h_ns in zip(ctrl_names, decision.periods_ns):
+        periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
+        for name, h_ns in zip(ctrl_names, periods_ns):
             kernel.set_period(name, h_ns)
         advance_plant(0, t_inv_ns)
         advance_plant(1, t_inv_ns)
@@ -194,7 +191,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                 u_meas=sample.value,
                 u_raw=sample.raw,
                 eta=eta,
-                periods_s=(decision.periods_ns[0] / NS, decision.periods_ns[1] / NS),
+                periods_s=(periods_ns[0] / NS, periods_ns[1] / NS),
                 ref=ref,
                 act=act,
                 err=tracking_error(act, ref),
@@ -250,7 +247,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         cfg,
         seed,
         task_stats={name: kernel.stats(name) for name in [*specs, SCHEDULER_TASK]},
-        wall_clock_s=time.perf_counter() - started,
     )
     return ExperimentResult(control_names=ctrl_names, records=tuple(records), summary=summary)
 
@@ -274,7 +270,6 @@ def summarize(
     cfg: ScenarioConfig,
     seed: int,
     task_stats: Mapping[str, TaskStats],
-    wall_clock_s: float = 0.0,
 ) -> RunSummary:
     """Aggregate a run's records; invocations fall on a uniform grid, so the
     time-weighted tracking-error mean reduces to the plain mean over records."""
@@ -295,7 +290,6 @@ def summarize(
         mean_utilization_final=fmean(finals),
         final_periods_s=records[-1].periods_s,
         task_stats=dict(task_stats),
-        wall_clock_s=wall_clock_s,
     )
 
 
@@ -360,45 +354,3 @@ def emit_traces(out_dir: str, result: ExperimentResult) -> tuple[str, str]:
     except OSError as exc:
         raise EmitError(f"cannot write traces under {out_dir}: {exc}") from exc
     return trace_path, summary_path
-
-
-def read_trace_csv(path: str) -> ExperimentResult:
-    """Parse a trace.csv written by emit_traces back into records.
-
-    The summary is not stored in the CSV, so the returned result carries the
-    records and control names only; summary-dependent fields must be
-    recomputed by the caller if needed.
-    """
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = lines[0].split(",")
-    a, b = header[4].removeprefix("h_"), header[5].removeprefix("h_")
-    records = []
-    for line in lines[1:]:
-        c = [float(x) for x in line.split(",")]
-        records.append(
-            TraceRecord(
-                t_s=c[0],
-                u_meas=c[1],
-                u_raw=c[2],
-                eta=c[3],
-                periods_s=(c[4], c[5]),
-                ref=(c[6], c[7]),
-                act=(c[8], c[9]),
-                err=c[10],
-            )
-        )
-    dummy = RunSummary(
-        mode="unknown",
-        seed=-1,
-        horizon_s=records[-1].t_s if records else 0.0,
-        invocations=len(records),
-        mean_tracking_error=float("nan"),
-        max_tracking_error=float("nan"),
-        mean_utilization=float("nan"),
-        mean_utilization_final=float("nan"),
-        final_periods_s=records[-1].periods_s if records else (0.0, 0.0),
-        task_stats={},
-    )
-    return ExperimentResult(control_names=(a, b), records=tuple(records), summary=dummy)

@@ -31,9 +31,6 @@ class MembershipFamily:
         if self.peaks[0] < -q or self.peaks[-1] > q:
             raise ValueError("peaks must lie inside the universe")
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def membership(self, label_index: int, x: float) -> float:
         p = self.peaks[label_index]
         if x < p:

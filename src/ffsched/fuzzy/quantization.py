@@ -47,8 +47,11 @@ class QuantizedUniverse:
         lo, hi = self.span
         return self.q_max / (0.5 * (hi - lo))
 
-    def value_of(self, level: float) -> float:
-        return self.centre + level / self.gain
+    def quantize(self, x: float) -> int:
+        """Scale `x` by `gain`, round half away from zero, and saturate to
+        the outermost levels."""
+        level = round_half_away(x * self.gain)
+        return max(-self.q_max, min(self.q_max, level))
 
     def check(self, x: float) -> None:
         if not -self.q_max <= x <= self.q_max:

@@ -14,11 +14,8 @@ from importlib import resources
 from ..errors import OutOfRangeError, TableError
 from .inference import defuzzify_centroid, infer
 from .membership import INPUT_FAMILY, OUTPUT_FAMILY, MembershipFamily, fuzzify
-from .quantization import round_half_away
+from .quantization import ERROR_UNIVERSE, RESCALE_UNIVERSE, round_half_away
 from .rules import DEFAULT_RULES, RuleBase
-
-IN_MAX = 6  # error and delta-error levels span -6..6
-OUT_MAX = 7  # table cells span -7..7
 
 
 @dataclass(frozen=True)
@@ -34,13 +31,14 @@ class LookupTable:
     provenance: str  # "golden" or "compiled"
 
     def __post_init__(self):
-        n = 2 * IN_MAX + 1
+        n = len(ERROR_UNIVERSE.levels)
         if len(self.cells) != n or any(len(row) != n for row in self.cells):
             raise TableError(f"table must be {n}x{n}")
+        q = RESCALE_UNIVERSE.q_max
         for row in self.cells:
             for v in row:
-                if not -OUT_MAX <= v <= OUT_MAX:
-                    raise TableError(f"cell value {v} outside -{OUT_MAX}..{OUT_MAX}")
+                if not -q <= v <= q:
+                    raise TableError(f"cell value {v} outside -{q}..{q}")
             if any(b > a for a, b in zip(row, row[1:])):
                 raise TableError("rows must be non-increasing in ec")
         for col in zip(*self.cells):
@@ -50,11 +48,12 @@ class LookupTable:
 
 def lookup(table: LookupTable, e_q: int, ec_q: int) -> int:
     """O(1) cell read; both indices must be quantized levels in -6..6."""
-    if not -IN_MAX <= e_q <= IN_MAX:
-        raise OutOfRangeError(f"error level {e_q} outside -{IN_MAX}..{IN_MAX}")
-    if not -IN_MAX <= ec_q <= IN_MAX:
-        raise OutOfRangeError(f"delta level {ec_q} outside -{IN_MAX}..{IN_MAX}")
-    return table.cells[e_q + IN_MAX][ec_q + IN_MAX]
+    q = ERROR_UNIVERSE.q_max
+    if not -q <= e_q <= q:
+        raise OutOfRangeError(f"error level {e_q} outside -{q}..{q}")
+    if not -q <= ec_q <= q:
+        raise OutOfRangeError(f"delta level {ec_q} outside -{q}..{q}")
+    return table.cells[e_q + q][ec_q + q]
 
 
 def compile_lookup_table(
@@ -67,10 +66,10 @@ def compile_lookup_table(
     Centroids are rounded half away from zero onto the output grid.
     """
     rows = []
-    for e_q in range(-IN_MAX, IN_MAX + 1):
+    for e_q in ERROR_UNIVERSE.levels:
         mu_e = fuzzify(e_q, in_family)
         row = []
-        for ec_q in range(-IN_MAX, IN_MAX + 1):
+        for ec_q in ERROR_UNIVERSE.levels:
             mu_ec = fuzzify(ec_q, in_family)
             agg = infer(mu_e, mu_ec, rules, out_family)
             row.append(round_half_away(defuzzify_centroid(agg, out_family)))
@@ -106,7 +105,7 @@ def format_table(table: LookupTable) -> str:
 
 def agreement_within(candidate: LookupTable, reference: LookupTable, tolerance: int = 1) -> float:
     """Fraction of cells where the two tables differ by at most `tolerance`."""
-    n = 2 * IN_MAX + 1
+    n = len(ERROR_UNIVERSE.levels)
     hits = sum(
         1
         for i in range(n)
@@ -118,7 +117,7 @@ def agreement_within(candidate: LookupTable, reference: LookupTable, tolerance: 
 
 def diff_report(candidate: LookupTable, reference: LookupTable) -> str:
     """Full per-cell difference grid plus agreement statistics."""
-    n = 2 * IN_MAX + 1
+    n = len(ERROR_UNIVERSE.levels)
     lines = [
         f"cell differences ({candidate.provenance} - {reference.provenance}),"
         " rows e=-6..6, columns ec=-6..6"

@@ -129,7 +129,7 @@ def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EmitError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text)
 

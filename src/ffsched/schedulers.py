@@ -4,8 +4,8 @@ Three interchangeable policies drive the co-simulation. The fuzzy feedback
 scheduler measures utilization and turns the error through a quantized
 look-up table into a rescaling factor. The omniscient variant reads the true
 mean execution times instead of measuring and solves for the factor exactly;
-it upper-bounds what any feedback policy could do. The open-loop policy never
-rescales and serves as the floor.
+it upper-bounds what any feedback policy could do. The open loop keeps the
+factor at 1 and serves as the floor.
 """
 
 from __future__ import annotations
@@ -13,28 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleLoadError
-from .fuzzy import LookupTable, load_golden_table, lookup
-from .fuzzy.quantization import round_half_away
-
-
-def quantize(value: float, gain: float, q_max: int) -> int:
-    """Scale, round half away from zero, and saturate to [-q_max, q_max]."""
-
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-    if q_max <= 0:
-        raise ValueError("q_max must be positive")
-    level = round_half_away(value * gain)
-    return max(-q_max, min(q_max, level))
-
-
-@dataclass(frozen=True)
-class RescaleDecision:
-    """Outcome of one scheduling step across the rescalable tasks."""
-
-    eta: float
-    periods_ns: tuple[int, ...]
-    clamped: tuple[bool, ...]
+from .fuzzy import ERROR_UNIVERSE, RESCALE_UNIVERSE, LookupTable, load_golden_table, lookup
 
 
 def apply_periods(
@@ -42,7 +21,7 @@ def apply_periods(
     periods_ns: tuple[int, ...],
     h_min_ns: int,
     h_max_ns: int,
-) -> RescaleDecision:
+) -> tuple[int, ...]:
     """Scale every period by `eta`, then clamp each into [h_min_ns, h_max_ns]."""
 
     if eta <= 0:
@@ -50,15 +29,11 @@ def apply_periods(
     if not 0 < h_min_ns <= h_max_ns:
         raise ValueError("need 0 < h_min_ns <= h_max_ns")
     new_periods = []
-    clamped = []
     for h in periods_ns:
         if h <= 0:
             raise ValueError("periods must be positive")
-        scaled = int(round(eta * h))
-        bounded = min(h_max_ns, max(h_min_ns, scaled))
-        new_periods.append(bounded)
-        clamped.append(bounded != scaled)
-    return RescaleDecision(eta=eta, periods_ns=tuple(new_periods), clamped=tuple(clamped))
+        new_periods.append(min(h_max_ns, max(h_min_ns, int(round(eta * h)))))
+    return tuple(new_periods)
 
 
 @dataclass
@@ -72,31 +47,24 @@ class FuzzyFeedbackScheduler:
     """
 
     target: float = 0.85
-    error_gain: float = 20.0
-    delta_gain: float = 20.0
-    output_gain: float = 1.0 / 14.0
     table: LookupTable = field(default_factory=load_golden_table)
     prev_error: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.target < 1.0:
             raise ValueError("utilization target must lie strictly inside (0, 1)")
-        if self.error_gain <= 0 or self.delta_gain <= 0:
-            raise ValueError("input gains must be positive")
-        # the extreme output level must keep the factor inside (0, 2)
-        if not 0.0 < self.output_gain * 7 <= 0.5:
-            raise ValueError("output gain must map level 7 into (0, 0.5]")
 
     def step(self, u_measured: float) -> float:
         """Consume one utilization measurement and return the rescaling factor."""
 
         error = self.target - u_measured
         delta = error - self.prev_error
-        e_q = quantize(error, self.error_gain, 6)
-        ec_q = quantize(delta, self.delta_gain, 6)
+        e_q = ERROR_UNIVERSE.quantize(error)
+        ec_q = ERROR_UNIVERSE.quantize(delta)
         level = lookup(self.table, e_q, ec_q)
         self.prev_error = error
-        return 1.0 + level * self.output_gain
+        # not RESCALE_UNIVERSE's centre + level / gain, which is 1 ulp lower at level -5
+        return 1.0 + level * (1.0 / RESCALE_UNIVERSE.gain)
 
 
 def ideal_eta(
@@ -129,9 +97,3 @@ def ideal_eta(
             raise ValueError("execution times and periods must be positive")
         u_ctrl += c / h
     return u_ctrl / (target - u_others)
-
-
-def open_loop_step() -> float:
-    """The no-feedback policy: periods are never rescaled."""
-
-    return 1.0

@@ -1,8 +1,16 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ffsched.cli import EXIT_CODES, INTERNAL_EXIT, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAST = ["--horizon", "0.5"]
 
@@ -84,6 +92,20 @@ class TestExitCodes:
         rc = main(["run", "--scenario", str(tmp_path / "absent.cfg")])
         assert rc == 6
         assert capsys.readouterr().err.startswith("error[io]:")
+
+    def test_non_utf8_scenario_is_io(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe[run]\n")
+        assert main(["run", "--scenario", str(bad)]) == 6
+        assert capsys.readouterr().err.startswith(f"error[io]: cannot read scenario {bad}")
+
+    def test_unexpected_exception_is_7(self, monkeypatch, capsys):
+        def broken(cfg, seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("ffsched.cli.run_experiment", broken)
+        assert main(["run", *FAST]) == INTERNAL_EXIT
+        assert capsys.readouterr().err == "error[internal]: RuntimeError: boom\n"
 
     def test_syntax_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -184,3 +206,37 @@ class TestTable:
         assert main(["table", "--out", str(target)]) == 0
         assert target.read_text().startswith("# provenance: golden")
         assert "wrote" in capsys.readouterr().out
+
+
+class TestBenchmarkContract:
+    """benchmark/tracing.py wraps names it looks up in ffsched.experiment and
+    ffsched.cli; a refactor that moves them must not silently break it."""
+
+    TRACED_RUN = """
+import contextlib, io, json
+from tracing import Tracer, install
+import ffsched.cli
+tracer = Tracer()
+install(tracer)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = ffsched.cli.main(["run", "--horizon", "0.2"])
+print(json.dumps({"rc": rc, "out": out.getvalue(), "calls": tracer.report()["calls"]}))
+"""
+
+    def test_traced_run_matches_untraced_run(self, capsys):
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmark")])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.TRACED_RUN],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout)
+        assert main(["run", "--horizon", "0.2"]) == 0
+        assert traced["rc"] == 0
+        assert traced["out"] == capsys.readouterr().out
+        assert traced["calls"]["schedulers.apply_periods"] > 0
+        assert traced["calls"]["fuzzy.load_golden_table"] > 0

@@ -1,6 +1,7 @@
 """Plant discretization, PID behaviour, and the reference path."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestPid:
         u2, pid = pid_compute(pid, ref=1.0, meas=0.5)
         assert u2 == pytest.approx(1.15 - 10.0 / 21.0, rel=1e-12)
 
-        pid = pid.with_period(0.2)  # rescale mid-flight
+        pid = replace(pid, period=0.2)  # rescale mid-flight
         u3, pid = pid_compute(pid, ref=1.0, meas=0.9)
         expected_deriv = (0.005 * (-10.0 / 21.0) - 0.1 * 0.4) / 0.205
         assert u3 == pytest.approx(0.2 + 0.17 + expected_deriv, rel=1e-12)

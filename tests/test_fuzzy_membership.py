@@ -38,19 +38,32 @@ class TestRoundHalfAway:
 class TestUniverses:
     def test_error_grid(self):
         assert list(ERROR_UNIVERSE.levels) == list(range(-6, 7))
-        assert ERROR_UNIVERSE.gain == pytest.approx(20.0)
+        assert ERROR_UNIVERSE.gain == 20.0
         assert ERROR_UNIVERSE.centre == 0.0
-        assert ERROR_UNIVERSE.value_of(6) == pytest.approx(0.3)
-        assert ERROR_UNIVERSE.value_of(-6) == pytest.approx(-0.3)
-        assert ERROR_UNIVERSE.value_of(1) == pytest.approx(0.05)
+        assert ERROR_UNIVERSE.quantize(0.3) == 6
+        assert ERROR_UNIVERSE.quantize(-0.3) == -6
+        assert ERROR_UNIVERSE.quantize(0.05) == 1
 
     def test_rescale_grid(self):
         assert list(RESCALE_UNIVERSE.levels) == list(range(-7, 8))
-        assert RESCALE_UNIVERSE.gain == pytest.approx(14.0)
+        assert 1.0 / RESCALE_UNIVERSE.gain == 1.0 / 14.0
         assert RESCALE_UNIVERSE.centre == pytest.approx(1.0)
-        assert RESCALE_UNIVERSE.value_of(0) == pytest.approx(1.0)
-        assert RESCALE_UNIVERSE.value_of(7) == pytest.approx(1.5)
-        assert RESCALE_UNIVERSE.value_of(-7) == pytest.approx(0.5)
+        assert RESCALE_UNIVERSE.quantize(0.5) == 7
+        assert RESCALE_UNIVERSE.quantize(-0.5) == -7
+
+    @pytest.mark.parametrize(
+        "x, level",
+        [
+            (0.0125, 0),
+            (0.122, 2),
+            (0.125, 3),  # tie rounds away from zero
+            (-0.125, -3),
+            (1.0, 6),  # saturates, never overflows
+            (-0.35, -6),
+        ],
+    )
+    def test_quantize(self, x, level):
+        assert ERROR_UNIVERSE.quantize(x) == level
 
     def test_check_rejects_out_of_range_levels(self):
         ERROR_UNIVERSE.check(6.0)
@@ -71,9 +84,9 @@ class TestUniverses:
 
 class TestMembership:
     def test_input_triangles_hand_values(self):
-        ze = INPUT_FAMILY.index_of("ZE")
-        ps = INPUT_FAMILY.index_of("PS")
-        ns = INPUT_FAMILY.index_of("NS")
+        ze = INPUT_FAMILY.labels.index("ZE")
+        ps = INPUT_FAMILY.labels.index("PS")
+        ns = INPUT_FAMILY.labels.index("NS")
         assert INPUT_FAMILY.membership(ze, 0.0) == 1.0
         assert INPUT_FAMILY.membership(ze, 1.5) == pytest.approx(0.5)
         assert INPUT_FAMILY.membership(ps, 1.5) == pytest.approx(0.5)
@@ -83,8 +96,8 @@ class TestMembership:
         assert INPUT_FAMILY.membership(ns, 0.0) == 0.0
 
     def test_extreme_labels_saturate_outward(self):
-        nb = OUTPUT_FAMILY.index_of("NB")
-        pb = OUTPUT_FAMILY.index_of("PB")
+        nb = OUTPUT_FAMILY.labels.index("NB")
+        pb = OUTPUT_FAMILY.labels.index("PB")
         # output peaks sit at +/-6 but the universe runs to +/-7
         assert OUTPUT_FAMILY.membership(pb, 6.0) == 1.0
         assert OUTPUT_FAMILY.membership(pb, 7.0) == 1.0

@@ -4,31 +4,11 @@ import numpy as np
 import pytest
 
 from ffsched.errors import InfeasibleLoadError
-from ffsched.schedulers import (
-    FuzzyFeedbackScheduler,
-    apply_periods,
-    ideal_eta,
-    open_loop_step,
-    quantize,
-)
+from ffsched.fuzzy import ERROR_UNIVERSE
+from ffsched.schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
+from oracle_tables import GOLDEN_CELLS
 
 MS = 1_000_000
-
-
-class TestQuantize:
-    def test_rounding_and_saturation(self):
-        assert quantize(0.0125, 20, 6) == 0
-        assert quantize(0.122, 20, 6) == 2
-        assert quantize(0.125, 20, 6) == 3  # tie rounds away from zero
-        assert quantize(-0.125, 20, 6) == -3
-        assert quantize(1.0, 20, 6) == 6  # saturates, never overflows
-        assert quantize(-0.35, 20, 6) == -6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            quantize(0.1, 0, 6)
-        with pytest.raises(ValueError):
-            quantize(0.1, 20, 0)
 
 
 class TestFuzzyFeedbackScheduler:
@@ -74,15 +54,24 @@ class TestFuzzyFeedbackScheduler:
             eta = fs.step(float(u))
             assert 0.5 <= eta <= 1.5
 
+    def test_every_table_cell_maps_to_its_factor_bit_for_bit(self):
+        # the trace pins depend on this exact expression, not on an equal-valued one
+        for e_q in ERROR_UNIVERSE.levels:
+            for ec_q in ERROR_UNIVERSE.levels:
+                fs = FuzzyFeedbackScheduler()
+                u = fs.target - e_q / 20.0
+                error = fs.target - u
+                fs.prev_error = error - ec_q / 20.0
+                assert ERROR_UNIVERSE.quantize(error) == e_q
+                assert ERROR_UNIVERSE.quantize(error - fs.prev_error) == ec_q
+                cell = GOLDEN_CELLS[e_q + 6][ec_q + 6]
+                assert fs.step(u) == 1.0 + cell * (1.0 / 14.0), (e_q, ec_q)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FuzzyFeedbackScheduler(target=1.0)
         with pytest.raises(ValueError):
-            FuzzyFeedbackScheduler(error_gain=0.0)
-        with pytest.raises(ValueError):
-            FuzzyFeedbackScheduler(output_gain=0.08)  # level 7 would leave (0, 0.5]
-        with pytest.raises(ValueError):
-            FuzzyFeedbackScheduler(output_gain=0.0)
+            FuzzyFeedbackScheduler(target=0.0)
 
 
 class TestIdealEta:
@@ -129,20 +118,14 @@ class TestIdealEta:
 
 class TestApplyPeriods:
     def test_scales_and_rounds(self):
-        decision = apply_periods(1.25, (4 * MS, 6 * MS), h_min_ns=1 * MS, h_max_ns=10 * MS)
-        assert decision.periods_ns == (5 * MS, int(round(7.5 * MS)))
-        assert decision.clamped == (False, False)
-        assert decision.eta == 1.25
+        periods = apply_periods(1.25, (4 * MS, 6 * MS), h_min_ns=1 * MS, h_max_ns=10 * MS)
+        assert periods == (5 * MS, int(round(7.5 * MS)))
 
     def test_clamps_each_period_independently(self):
-        decision = apply_periods(1.2, (5 * MS, 6_500_000), h_min_ns=1 * MS, h_max_ns=7 * MS)
-        assert decision.periods_ns == (6 * MS, 7 * MS)
-        assert decision.clamped == (False, True)
+        assert apply_periods(1.2, (5 * MS, 6_500_000), h_min_ns=1 * MS, h_max_ns=7 * MS) == (6 * MS, 7 * MS)
 
     def test_lower_clamp(self):
-        decision = apply_periods(0.5, (1_500_000, 4 * MS), h_min_ns=1 * MS, h_max_ns=7 * MS)
-        assert decision.periods_ns == (1 * MS, 2 * MS)
-        assert decision.clamped == (True, False)
+        assert apply_periods(0.5, (1_500_000, 4 * MS), h_min_ns=1 * MS, h_max_ns=7 * MS) == (1 * MS, 2 * MS)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +136,3 @@ class TestApplyPeriods:
             apply_periods(1.0, (4 * MS,), 8 * MS, 7 * MS)
         with pytest.raises(ValueError):
             apply_periods(1.0, (0,), 1 * MS, 7 * MS)
-
-
-def test_open_loop_never_rescales():
-    assert open_loop_step() == 1.0
