@@ -111,12 +111,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     horizon_ns = seconds_to_ns(cfg.horizon_s)
 
     specs = {t.name: _spec_of(t) for t in cfg.tasks}
+    fs_exec_ns = seconds_to_ns(cfg.fs_exec_s)
     fs_spec = TaskSpec(
         name=SCHEDULER_TASK,
         kind=TaskKind.SCHEDULER,
         priority=1,
         period_ns=seconds_to_ns(cfg.fs_period_s),
-        exec_schedule=ExecSchedule.constant(seconds_to_ns(cfg.fs_exec_s)),
+        exec_schedule=ExecSchedule.constant(fs_exec_ns),
     )
 
     # one private noise stream per user task, one more for the measurement
@@ -126,13 +127,23 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     }
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
+    # per-job callees, looked up in this module's namespace once per run, so
+    # a wrapper installed there before the run still sees every call
+    sample = sample_execution_time
+    reference = reference_at
+    exec_std = cfg.exec_std
+
     def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
-        mean = spec.exec_schedule.mean_at(release_ns)
-        if spec.name == SCHEDULER_TASK:
-            return mean  # the scheduler's own cost is fixed by assumption
-        return sample_execution_time(mean, exec_noise[spec.name], cfg.exec_std)
+        stream = exec_noise.get(spec.name)
+        if stream is None:
+            return fs_exec_ns  # the scheduler's own cost is fixed by assumption
+        return sample(spec.exec_schedule.mean_at(release_ns), stream, exec_std)
 
     path = ReferencePath(duration=cfg.ref_duration_s)
+    # the path holds its end point from `duration` on; compared in float
+    # seconds, because the duration rounded to ns may fall below it
+    ref_end = reference(path, path.duration)
+    ref_duration_s = path.duration
     plant, gains = cfg.plant, cfg.pid
     position = [0.0, 0.0]
     velocity = [0.0, 0.0]
@@ -183,7 +194,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         advance_plant(0, t_inv_ns)
         advance_plant(1, t_inv_ns)
         t_s = t_inv_ns / NS
-        ref = reference_at(path, t_s)
+        ref = ref_end if t_s >= ref_duration_s else reference(path, t_s)
         act = (position[0], position[1])
         records.append(
             TraceRecord(
@@ -208,7 +219,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         else:
             spacing_ns = release_ns - prev_release[axis]
         prev_release[axis] = release_ns
-        ref = reference_at(path, release_ns / NS)[axis]
+        t_s = release_ns / NS
+        ref = (ref_end if t_s >= ref_duration_s else reference(path, t_s))[axis]
         latched[axis].append((ref, position[axis], spacing_ns / NS))
 
     def on_start(name: str, release_ns: int, start_ns: int) -> None:

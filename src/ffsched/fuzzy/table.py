@@ -9,6 +9,7 @@ and membership shapes for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from ..errors import OutOfRangeError, TableError
@@ -77,8 +78,10 @@ def compile_lookup_table(
     return LookupTable(cells=tuple(rows), provenance="compiled")
 
 
+@cache
 def load_golden_table() -> LookupTable:
-    """Parse the table shipped as package data."""
+    """Parse the table shipped as package data, once per process; the table
+    is frozen and its cells are tuples, so every caller shares it."""
     text = resources.files("ffsched.fuzzy").joinpath("data/golden_table.txt").read_text()
     return parse_table_text(text, provenance="golden")
 

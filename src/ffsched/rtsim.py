@@ -192,9 +192,11 @@ def sample_execution_time(
         raise ValueError("rel_std must be non-negative")
     if rel_std == 0:
         return int(mean_ns)
-    drawn = mean_ns * (1.0 + rel_std * float(rng.standard_normal()))
-    floor = max(1, round(floor_frac * mean_ns))
-    return max(int(round(drawn)), floor)
+    drawn = round(mean_ns * (1.0 + rel_std * float(rng.standard_normal())))
+    floor = round(floor_frac * mean_ns)
+    if floor < 1:
+        floor = 1
+    return drawn if drawn > floor else floor
 
 
 def measure_utilization(
@@ -237,7 +239,7 @@ class _Job:
     start_ns: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class _TaskRuntime:
     spec: TaskSpec
     period_ns: int
@@ -249,6 +251,8 @@ class _TaskRuntime:
     preemptions: int = 0
     pending_samples: list[tuple[int, int]] = field(default_factory=list)
 
+
+_NEVER = float("inf")  # later than any release; the drain's starting minimum
 
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], None]  # (task name, release_ns, start_ns)
@@ -266,6 +270,8 @@ class Kernel:
     `on_job_start` the first time a job gets the CPU, `on_job_finish` when it
     completes. A deadline equals the release plus the period in force at
     that release, and a miss is counted when the job completes after it.
+    Hooks may read `now_ns`, which holds the instant of the event they
+    report, and may call `period_of`, `set_period` and `window_snapshot`.
     """
 
     def __init__(
@@ -336,79 +342,91 @@ class Kernel:
         resumes seamlessly) but get no CPU.
         """
 
-        if until_ns < self.now_ns:
+        now = self.now_ns
+        if until_ns < now:
             raise ValueError("cannot run backwards")
         by_priority = self._by_priority
+        exec_time_of = self._exec_time_of
+        on_job_release = self._on_job_release
         on_job_start = self._on_job_start
+        on_job_finish = self._on_job_finish
         record_segments = self._record_segments
+        running = self._running  # the task whose head job holds the CPU unfinished
+        next_release = self._next_release_ns  # earliest pending release over all tasks
+        # `now` lives in a local; `self.now_ns` is written back whenever it
+        # moves, so every hook reads its own event instant there.
         while True:
-            now = self.now_ns
-            if now >= self._next_release_ns:
-                self._drain_releases()
+            if now >= next_release:
+                # release every job due by now, in priority order, and find
+                # the earliest pending release in the same pass (no hook can
+                # move a release: `set_period` acts from the next one on)
+                next_release = _NEVER
+                for rt in by_priority:
+                    release_ns = rt.next_release_ns
+                    while release_ns <= now:
+                        period = rt.period_ns  # the period in force fixes deadline and successor
+                        exec_ns = int(exec_time_of(rt.spec, release_ns))
+                        if exec_ns <= 0:
+                            raise ValueError(f"task {rt.spec.name}: sampled execution time must be positive")
+                        rt.queue.append(_Job(rt.released, release_ns, release_ns + period, exec_ns, exec_ns))
+                        rt.released += 1
+                        rt.pending_samples.append((release_ns, exec_ns))
+                        rt.next_release_ns = release_ns + period
+                        if on_job_release is not None:
+                            on_job_release(rt.spec.name, release_ns)
+                        release_ns = rt.next_release_ns
+                    if release_ns < next_release:
+                        next_release = release_ns
             if now >= until_ns:
-                return
+                break
             for rt in by_priority:
-                if rt.queue:
+                queue = rt.queue
+                if queue:
                     break
             else:
-                self._running = None
-                self.now_ns = min(self._next_release_ns, until_ns)
+                running = None
+                now = next_release if next_release < until_ns else until_ns
+                self.now_ns = now
                 continue
-            job = rt.queue[0]
-            prev = self._running
-            if prev is not None and prev is not rt:
-                head = prev.queue[0] if prev.queue else None
-                if head is not None and head.started and head.remaining_ns > 0:
-                    prev.preemptions += 1
-            self._running = rt
+            job = queue[0]
+            if running is not rt:
+                # a task left with an unfinished head job has been preempted
+                if running is not None:
+                    running.preemptions += 1
+                running = rt
             if not job.started:
                 job.started = True
                 job.start_ns = now
                 if on_job_start is not None:
                     on_job_start(rt.spec.name, job.release_ns, now)
-            slice_end = min(now + job.remaining_ns, self._next_release_ns, until_ns)
-            if record_segments and slice_end > now:
+            # every release due by now is queued and until_ns > now, so the
+            # slice is never empty
+            slice_end = now + job.remaining_ns
+            if next_release < slice_end:
+                slice_end = next_release
+            if until_ns < slice_end:
+                slice_end = until_ns
+            if record_segments:
                 self._append_segment(rt.spec.name, job.index, now, slice_end)
             job.remaining_ns -= slice_end - now
-            self.now_ns = slice_end
+            now = slice_end
+            self.now_ns = now
             if job.remaining_ns == 0:
-                self._complete(rt, job)
-                self._running = None
-
-    def _drain_releases(self) -> None:
-        """Release every job due by now, in priority order, and refresh the
-        cached earliest pending release."""
-        now = self.now_ns
-        for rt in self._by_priority:
-            while rt.next_release_ns <= now:
-                self._release(rt, rt.next_release_ns)
-        self._next_release_ns = min(rt.next_release_ns for rt in self._by_priority)
-
-    def _release(self, rt: _TaskRuntime, release_ns: int) -> None:
-        period = rt.period_ns  # the period in force at release fixes deadline and successor
-        exec_ns = int(self._exec_time_of(rt.spec, release_ns))
-        if exec_ns <= 0:
-            raise ValueError(f"task {rt.spec.name}: sampled execution time must be positive")
-        rt.queue.append(_Job(rt.released, release_ns, release_ns + period, exec_ns, exec_ns))
-        rt.released += 1
-        rt.pending_samples.append((release_ns, exec_ns))
-        rt.next_release_ns = release_ns + period
-        if self._on_job_release is not None:
-            self._on_job_release(rt.spec.name, release_ns)
-
-    def _complete(self, rt: _TaskRuntime, job: _Job) -> None:
-        rt.queue.popleft()
-        rt.completed += 1
-        missed = self.now_ns > job.deadline_ns
-        if missed:
-            rt.missed += 1
-        if self._on_job_finish is not None:
-            self._on_job_finish(
-                JobRecord(
-                    rt.spec.name, job.index, job.release_ns, job.deadline_ns,
-                    job.exec_ns, job.start_ns, self.now_ns, missed,
-                )
-            )
+                queue.popleft()
+                rt.completed += 1
+                missed = now > job.deadline_ns
+                if missed:
+                    rt.missed += 1
+                if on_job_finish is not None:
+                    on_job_finish(
+                        JobRecord(
+                            rt.spec.name, job.index, job.release_ns, job.deadline_ns,
+                            job.exec_ns, job.start_ns, now, missed,
+                        )
+                    )
+                running = None
+        self._running = running
+        self._next_release_ns = next_release
 
     def _append_segment(self, task: str, index: int, start_ns: int, end_ns: int) -> None:
         if self.segments:

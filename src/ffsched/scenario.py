@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
-from .rtsim import TaskKind, seconds_to_ns
+from .rtsim import NS, ExecSchedule, TaskKind, seconds_to_ns
 
 MODES = ("fuzzy", "ideal", "open")
 SCHEDULER_TASK = "sched"  # implicit highest-priority task; not declarable
@@ -326,14 +326,24 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
                 raise ScenarioSemanticError(
                     f"task {task.name}: mean execution time {mean:g} not below period {task.period_s:g}"
                 )
+    pid = cfg.pid
+    if pid.kd > 0 and not pid.kp * pid.deriv_filter > 0:
+        raise ScenarioSemanticError(
+            f"pid: kp * deriv_filter ({pid.kp:g} * {pid.deriv_filter:g}) underflows to 0, "
+            "and the derivative filter divides by it"
+        )
     _check_kernel_times(cfg)
 
 
 def _check_kernel_times(cfg: ScenarioConfig) -> None:
-    """The kernel counts whole nanoseconds: every time it is given must be
-    finite and at least 1 ns once rounded, and no execution segment may
-    round to nothing. Command-line overrides reach here unparsed."""
+    """The kernel counts whole nanoseconds up to `ExecSchedule.FOREVER`:
+    every time it is given must be finite, at least 1 ns once rounded and at
+    most FOREVER ns (checked before converting, which would overflow), and no
+    execution segment may round to nothing. Execution-time noise must keep
+    every draw within FOREVER ns too. Command-line overrides reach here
+    unparsed."""
 
+    forever = ExecSchedule.FOREVER
     times = [
         ("horizon", cfg.horizon_s),
         ("scheduler period", cfg.fs_period_s),
@@ -345,14 +355,29 @@ def _check_kernel_times(cfg: ScenarioConfig) -> None:
         times.append((f"task {task.name} period", task.period_s))
         times.extend((f"task {task.name} exec", mean) for _, _, mean in task.exec_segments)
     for name, value in times:
-        if not math.isfinite(value) or seconds_to_ns(value) < 1:
-            raise ScenarioSemanticError(f"{name} must be a finite time of at least 1 ns, got {value!r}")
+        if not math.isfinite(value) or value * NS > forever or seconds_to_ns(value) < 1:
+            raise ScenarioSemanticError(
+                f"{name} must be a finite time from 1 ns to {forever} ns, got {value!r}"
+            )
     for task in cfg.tasks:
         for start, end, _ in task.exec_segments:
-            if not math.isinf(end) and seconds_to_ns(end) <= seconds_to_ns(start):
+            if math.isinf(end):
+                continue
+            if end * NS > forever:
+                raise ScenarioSemanticError(
+                    f"task {task.name}: execution segment end {end!r} lies past {forever} ns"
+                )
+            if seconds_to_ns(end) <= seconds_to_ns(start):
                 raise ScenarioSemanticError(
                     f"task {task.name}: execution segment {start:g}-{end:g} is shorter than 1 ns"
                 )
+    # a standard-normal draw from numpy never reaches 40 (its ziggurat tail
+    # stops below 14), so no execution time can be drawn past this bound
+    max_mean_ns = max(seconds_to_ns(mean) for task in cfg.tasks for _, _, mean in task.exec_segments)
+    if not max_mean_ns * (1.0 + 40.0 * cfg.exec_std) <= forever:
+        raise ScenarioSemanticError(
+            f"exec_std {cfg.exec_std!r} lets execution times exceed {forever} ns"
+        )
 
 
 def _enum(keys, key, default, allowed):

@@ -152,6 +152,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[scenario-semantic]:") and "1 ns" in err
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--horizon", "1e308"], ""),
+            ([], "[scheduler]\nh_max = 1e308\n"),
+            ([], "[noise]\nexec_std = 1e303\n"),
+            ([], "[noise]\nexec_std = 1e302\n"),
+            ([], HEAVY_LOAD.replace("exec = 0.0028", "exec = 0-10000000000: 0.0028")),
+        ],
+        ids=["horizon", "h_max", "exec_std-draw", "exec_std-sum", "exec-segment-end"],
+    )
+    def test_time_past_the_kernel_clock_is_4(self, argv, text, tmp_path, capsys):
+        scenario = tmp_path / "huge.cfg"
+        scenario.write_text(text)  # beyond ExecSchedule.FOREVER ns, which used to overflow
+        assert main(["run", *FAST, *argv, "--scenario", str(scenario)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[scenario-semantic]:") and "9223372036854775807 ns" in err
+
+    def test_underflowing_derivative_filter_is_4(self, tmp_path, capsys):
+        scenario = tmp_path / "pid.cfg"
+        scenario.write_text("[pid]\nkp = 1e-200\nderiv_filter = 1e-200\n")  # used to divide by 0.0
+        assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
+        assert capsys.readouterr().err.startswith("error[scenario-semantic]: pid: kp * deriv_filter")
+
     def test_infeasible_load_is_5(self, tmp_path, capsys):
         scenario = tmp_path / "heavy.cfg"
         scenario.write_text(HEAVY_LOAD)

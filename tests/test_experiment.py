@@ -14,7 +14,8 @@ from ffsched.experiment import (
     run_experiment,
     trace_header,
 )
-from ffsched.rtsim import Kernel, NormalStream, seconds_to_ns
+from ffsched.control import ReferencePath, reference_at
+from ffsched.rtsim import NS, Kernel, NormalStream, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from invariants import _verify_case
 
@@ -146,6 +147,53 @@ class TestSummaryNumbers:
         tail = [r.u_meas for r in fuzzy_result.records if r.t_s > 3.0]
         assert len(tail) == 49
         assert fuzzy_result.summary.mean_utilization_final == pytest.approx(fmean(tail))
+
+
+class TestReferenceEndPoint:
+    """The run evaluates the path's end point once and reuses it from
+    `duration` on. A duration that rounds down to whole ns must not make it
+    reuse that value one instant early."""
+
+    DURATION_S = 0.1000000004  # 100000000 ns once rounded, yet above 0.1 s
+
+    def test_every_reference_matches_the_path(self, monkeypatch):
+        starting = []
+        releases = defaultdict(list)
+        latched = defaultdict(list)
+
+        class RecordingKernel(Kernel):
+            def __init__(self, tasks, *, on_job_release, on_job_start, **kwargs):
+                def release(name, release_ns):
+                    releases[name].append(release_ns)
+                    on_job_release(name, release_ns)
+
+                def start(name, release_ns, start_ns):
+                    starting.append(name)
+                    on_job_start(name, release_ns, start_ns)
+
+                super().__init__(tasks, on_job_release=release, on_job_start=start, **kwargs)
+
+        def recording_pid_update(gains, period, integrator, deriv, last_meas, ref, meas):
+            latched[starting[-1]].append(ref)
+            return pid_update(gains, period, integrator, deriv, last_meas, ref, meas)
+
+        pid_update = experiment.pid_update
+        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+        monkeypatch.setattr(experiment, "pid_update", recording_pid_update)
+        # open loop: tau2 keeps its 4 ms period, so it is released at 0.1 s itself
+        cfg = replace(default_scenario(), mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
+        result = run_experiment(cfg, seed=1)
+        path = ReferencePath(duration=self.DURATION_S)
+        assert seconds_to_ns(self.DURATION_S) / NS == 0.1
+        assert {r.t_s for r in result.records} >= {0.1, 0.12}
+        for r in result.records:
+            assert r.ref == reference_at(path, r.t_s), r.t_s
+        # the samples latched at each control release, consumed in FIFO order
+        assert 100_000_000 in releases["tau2"]
+        for axis, name in enumerate(result.control_names):
+            refs = latched[name]
+            assert len(refs) > 50
+            assert refs == [reference_at(path, t / NS)[axis] for t in releases[name][: len(refs)]]
 
 
 class TestKernelInvariantsInTheLoop:

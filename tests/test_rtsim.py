@@ -179,6 +179,65 @@ class TestKernelTimeline:
         ]
 
 
+class TestKernelResume:
+    """`run` keeps its clock, running task and next release in locals; a run
+    split at arbitrary instants must match one uninterrupted run."""
+
+    @staticmethod
+    def _simulate(stops):
+        releases, starts, finishes, late_hooks = [], [], [], []
+        kernel = None
+
+        def on_release(name, release_ns):
+            if kernel.now_ns != release_ns:
+                late_hooks.append(("release", name, release_ns, kernel.now_ns))
+            releases.append((name, release_ns))
+
+        def on_start(name, release_ns, start_ns):
+            if kernel.now_ns != start_ns:
+                late_hooks.append(("start", name, start_ns, kernel.now_ns))
+            starts.append((name, release_ns, start_ns))
+            if name == "A":  # re-period from inside the start hook, as the feedback scheduler does
+                kernel.set_period("C", 9 * MS if kernel.period_of("C") == 7 * MS else 7 * MS)
+
+        def on_finish(rec):
+            if kernel.now_ns != rec.finish_ns:
+                late_hooks.append(("finish", rec.task, rec.finish_ns, kernel.now_ns))
+            finishes.append(rec)
+
+        kernel = Kernel(
+            [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 7, 2)],
+            on_job_release=on_release,
+            on_job_start=on_start,
+            on_job_finish=on_finish,
+            record_segments=True,
+        )
+        for stop in stops:
+            kernel.run(stop)
+        assert late_hooks == []
+        stats = {name: kernel.stats(name) for name in "ABC"}
+        return releases, starts, finishes, kernel.segments, stats
+
+    @pytest.mark.parametrize(
+        "stops",
+        [
+            [0, 120 * MS],
+            [13 * MS + 1, 120 * MS],  # mid-slice
+            [20 * MS, 30 * MS, 120 * MS],  # on release instants
+            [5 * MS, 5 * MS, 47 * MS, 99 * MS + 3, 120 * MS],  # repeated stop
+        ],
+    )
+    def test_split_run_matches_one_run(self, stops):
+        whole = self._simulate([120 * MS])
+        assert self._simulate(stops) == whole
+        releases, _, finishes, _, stats = whole
+        assert sum(s.preemptions for s in stats.values()) > 0
+        assert any(r.missed for r in finishes)
+        # the start hook's re-perioding reached the release timeline
+        c_releases = [t for name, t in releases if name == "C"]
+        assert {b - a for a, b in zip(c_releases, c_releases[1:])} == {7 * MS, 9 * MS}
+
+
 class TestWindowSnapshot:
     def test_snapshots_partition_the_release_timeline(self):
         kernel = Kernel([_task("t", 1, 10, 2)])
