@@ -165,14 +165,14 @@ class TestExitCodes:
     )
     def test_time_past_the_kernel_clock_is_4(self, argv, text, tmp_path, capsys):
         scenario = tmp_path / "huge.cfg"
-        scenario.write_text(text)  # beyond ExecSchedule.FOREVER ns, which used to overflow
+        scenario.write_text(text)  # past ExecSchedule.FOREVER ns, where converting to ns overflows
         assert main(["run", *FAST, *argv, "--scenario", str(scenario)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error[scenario-semantic]:") and "9223372036854775807 ns" in err
 
     def test_underflowing_derivative_filter_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "pid.cfg"
-        scenario.write_text("[pid]\nkp = 1e-200\nderiv_filter = 1e-200\n")  # used to divide by 0.0
+        scenario.write_text("[pid]\nkp = 1e-200\nderiv_filter = 1e-200\n")  # the product underflows to 0.0
         assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
         assert capsys.readouterr().err.startswith("error[scenario-semantic]: pid: kp * deriv_filter")
 
