@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -151,20 +152,24 @@ class ReferencePath:
         if self.end[0] <= self.start[0]:
             raise ValueError("path must run left to right")
 
-    @property
+    @cached_property
     def centre(self) -> tuple[float, float]:
         return (0.5 * (self.start[0] + self.end[0]), self.start[1])
 
-    @property
+    @cached_property
     def radius(self) -> float:
         return 0.5 * (self.end[0] - self.start[0])
 
 
 def reference_at(path: ReferencePath, t: float) -> tuple[float, float]:
+    return (reference_coordinate(path, t, 0), reference_coordinate(path, t, 1))
+
+
+def reference_coordinate(path: ReferencePath, t: float, axis: int) -> float:
+    """One coordinate of `reference_at(path, t)`: x for axis 0, y for axis 1."""
     frac = min(max(t / path.duration, 0.0), 1.0)
     angle = math.pi * (1.0 - frac)
-    cx, cy = path.centre
-    return (cx + path.radius * math.cos(angle), cy + path.radius * math.sin(angle))
+    return path.centre[axis] + path.radius * (math.sin(angle) if axis else math.cos(angle))
 
 
 def tracking_error(actual: tuple[float, float], target: tuple[float, float]) -> float:

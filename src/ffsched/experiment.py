@@ -35,9 +35,10 @@ from .control import (
     plant_advance,
     plant_step,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
     reference_at,
+    reference_coordinate,
     tracking_error,
 )
-from .errors import EmitError
+from .errors import EmitError, ScenarioSemanticError
 from .rtsim import (
     NS,
     ExecSchedule,
@@ -120,24 +121,29 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         exec_schedule=ExecSchedule.constant(fs_exec_ns),
     )
 
-    # one private noise stream per user task, one more for the measurement
-    exec_noise = {
-        t.name: NormalStream(np.random.default_rng(np.random.SeedSequence([seed, i])))
+    # per user task, its mean execution time and a private noise stream; one
+    # more stream for the measurement
+    exec_draw = {
+        t.name: (
+            specs[t.name].exec_schedule.mean_at,
+            NormalStream(np.random.default_rng(np.random.SeedSequence([seed, i]))),
+        )
         for i, t in enumerate(cfg.tasks)
     }
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
-    # per-job callees, looked up in this module's namespace once per run, so
-    # a wrapper installed there before the run still sees every call
+    # callees looked up in this module's namespace once per run, so a
+    # wrapper installed there before the run still sees every call
     sample = sample_execution_time
     reference = reference_at
     exec_std = cfg.exec_std
 
     def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
-        stream = exec_noise.get(spec.name)
-        if stream is None:
+        draw = exec_draw.get(spec.name)
+        if draw is None:
             return fs_exec_ns  # the scheduler's own cost is fixed by assumption
-        return sample(spec.exec_schedule.mean_at(release_ns), stream, exec_std)
+        mean_at, stream = draw
+        return sample(mean_at(release_ns), stream, exec_std)
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float
@@ -159,14 +165,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     fuzzy = FuzzyFeedbackScheduler(target=cfg.target)
     records: list[TraceRecord] = []
     warmed_up = False  # the very first invocation only starts the first window
-
-    def advance_plant(axis: int, t_ns: int) -> None:
-        dt_ns = t_ns - plant_clock[axis]
-        if dt_ns > 0:
-            position[axis], velocity[axis] = plant_advance(
-                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
-            )
-        plant_clock[axis] = t_ns
 
     def schedule_step(t_inv_ns: int) -> None:
         nonlocal warmed_up
@@ -191,8 +189,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
         for name, h_ns in zip(ctrl_names, periods_ns):
             kernel.set_period(name, h_ns)
-        advance_plant(0, t_inv_ns)
-        advance_plant(1, t_inv_ns)
+        for axis in (0, 1):
+            dt_ns = t_inv_ns - plant_clock[axis]
+            if dt_ns > 0:
+                position[axis], velocity[axis] = plant_advance(
+                    position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+                )
+            plant_clock[axis] = t_inv_ns
         t_s = t_inv_ns / NS
         ref = ref_end if t_s >= ref_duration_s else reference(path, t_s)
         act = (position[0], position[1])
@@ -213,14 +216,19 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         axis = axis_of.get(name)
         if axis is None:
             return
-        advance_plant(axis, release_ns)
+        dt_ns = release_ns - plant_clock[axis]
+        if dt_ns > 0:
+            position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+            )
+        plant_clock[axis] = release_ns
         if prev_release[axis] is None:
             spacing_ns = kernel.period_of(name)
         else:
             spacing_ns = release_ns - prev_release[axis]
         prev_release[axis] = release_ns
         t_s = release_ns / NS
-        ref = (ref_end if t_s >= ref_duration_s else reference(path, t_s))[axis]
+        ref = ref_end[axis] if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
         latched[axis].append((ref, position[axis], spacing_ns / NS))
 
     def on_start(name: str, release_ns: int, start_ns: int) -> None:
@@ -242,7 +250,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         axis = axis_of.get(rec.task)
         if axis is None:
             return
-        advance_plant(axis, rec.finish_ns)
+        dt_ns = rec.finish_ns - plant_clock[axis]
+        if dt_ns > 0:
+            position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+            )
+        plant_clock[axis] = rec.finish_ns
         command[axis] = pending_u[axis]
 
     kernel = Kernel(
@@ -284,11 +297,24 @@ def summarize(
     task_stats: Mapping[str, TaskStats],
 ) -> RunSummary:
     """Aggregate a run's records; invocations fall on a uniform grid, so the
-    time-weighted tracking-error mean reduces to the plain mean over records."""
+    time-weighted tracking-error mean reduces to the plain mean over records.
+
+    A run whose loop left the floating-point range is a scenario error: the
+    first non-finite tracking error is named, or the overflowing mean.
+    """
 
     if not records:
         raise ValueError("no scheduler invocations recorded; horizon too short")
     errs = [r.err for r in records]
+    try:
+        mean_err = fmean(errs)
+    except OverflowError:
+        mean_err = math.inf
+    if not math.isfinite(mean_err):
+        t_s = next((r.t_s for r in records if not math.isfinite(r.err)), None)
+        if t_s is None:
+            raise ScenarioSemanticError("the control loop diverged: the mean tracking error overflows")
+        raise ScenarioSemanticError(f"the control loop diverged: the tracking error is not finite at t = {t_s!r} s")
     final_start = cfg.horizon_s - 1.0
     finals = [r.u_meas for r in records if r.t_s > final_start] or [records[-1].u_meas]
     return RunSummary(
@@ -296,7 +322,7 @@ def summarize(
         seed=seed,
         horizon_s=cfg.horizon_s,
         invocations=len(records),
-        mean_tracking_error=fmean(errs),
+        mean_tracking_error=mean_err,
         max_tracking_error=max(errs),
         mean_utilization=fmean(r.u_meas for r in records),
         mean_utilization_final=fmean(finals),
@@ -326,7 +352,7 @@ def format_trace_csv(result: ExperimentResult) -> str:
             r.act[1],
             r.err,
         )
-        lines.append(",".join(repr(c) for c in cells))
+        lines.append(",".join(map(repr, cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import OutOfRangeError
 
@@ -41,7 +42,7 @@ class QuantizedUniverse:
         lo, hi = self.span
         return 0.5 * (lo + hi)
 
-    @property
+    @cached_property
     def gain(self) -> float:
         """Levels per physical unit."""
         lo, hi = self.span

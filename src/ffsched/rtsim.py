@@ -11,10 +11,10 @@ take effect at the task's next release.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from statistics import fmean
+from math import fsum
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -219,7 +219,7 @@ def measure_utilization(
             raise ValueError(f"task {name}: period must be positive")
         samples = window.samples.get(name, ())
         if samples:
-            total += fmean(samples) / period_ns
+            total += fsum(samples) / len(samples) / period_ns  # statistics.fmean's arithmetic
     raw = total
     if noise_std > 0:
         if rng is None:
@@ -229,27 +229,21 @@ def measure_utilization(
 
 
 @dataclass(slots=True)
-class _Job:
-    index: int
-    release_ns: int
-    deadline_ns: int
-    exec_ns: int
-    remaining_ns: int
-    started: bool = False
-    start_ns: int = -1
-
-
-@dataclass(slots=True)
 class _TaskRuntime:
     spec: TaskSpec
     period_ns: int
     next_release_ns: int = 0
-    queue: deque[_Job] = field(default_factory=deque)
+    # queued jobs, oldest first, as [index, release_ns, deadline_ns, exec_ns,
+    # remaining_ns, start_ns]; start_ns is -1 until the job first gets the CPU
+    queue: deque[list[int]] = field(default_factory=deque)
     released: int = 0
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
-    pending_samples: list[tuple[int, int]] = field(default_factory=list)
+    # release instants and execution times of jobs not yet taken by a window
+    # snapshot, in release order
+    pending_releases: list[int] = field(default_factory=list)
+    pending_execs: list[int] = field(default_factory=list)
 
 
 _NEVER = float("inf")  # later than any release; the drain's starting minimum
@@ -330,9 +324,9 @@ class Kernel:
 
         samples: dict[str, tuple[int, ...]] = {}
         for rt in self._by_priority:
-            taken = [c for r, c in rt.pending_samples if r < window_end_ns]
-            rt.pending_samples = [(r, c) for r, c in rt.pending_samples if r >= window_end_ns]
-            samples[rt.spec.name] = tuple(taken)
+            n = bisect_left(rt.pending_releases, window_end_ns)  # releases before the boundary
+            samples[rt.spec.name] = tuple(rt.pending_execs[:n])
+            del rt.pending_releases[:n], rt.pending_execs[:n]
         return WindowData(end_ns=window_end_ns, samples=samples)
 
     def run(self, until_ns: int) -> None:
@@ -351,6 +345,7 @@ class Kernel:
         on_job_start = self._on_job_start
         on_job_finish = self._on_job_finish
         record_segments = self._record_segments
+        new_tuple = tuple.__new__  # builds a JobRecord without its Python-level __new__
         running = self._running  # the task whose head job holds the CPU unfinished
         next_release = self._next_release_ns  # earliest pending release over all tasks
         # `now` lives in a local; `self.now_ns` is written back whenever it
@@ -368,9 +363,10 @@ class Kernel:
                         exec_ns = int(exec_time_of(rt.spec, release_ns))
                         if exec_ns <= 0:
                             raise ValueError(f"task {rt.spec.name}: sampled execution time must be positive")
-                        rt.queue.append(_Job(rt.released, release_ns, release_ns + period, exec_ns, exec_ns))
+                        rt.queue.append([rt.released, release_ns, release_ns + period, exec_ns, exec_ns, -1])
                         rt.released += 1
-                        rt.pending_samples.append((release_ns, exec_ns))
+                        rt.pending_releases.append(release_ns)
+                        rt.pending_execs.append(exec_ns)
                         rt.next_release_ns = release_ns + period
                         if on_job_release is not None:
                             on_job_release(rt.spec.name, release_ns)
@@ -388,40 +384,40 @@ class Kernel:
                 now = next_release if next_release < until_ns else until_ns
                 self.now_ns = now
                 continue
-            job = queue[0]
+            job = queue[0]  # [index, release_ns, deadline_ns, exec_ns, remaining_ns, start_ns]
             if running is not rt:
                 # a task left with an unfinished head job has been preempted
                 if running is not None:
                     running.preemptions += 1
                 running = rt
-            if not job.started:
-                job.started = True
-                job.start_ns = now
+            if job[5] < 0:  # the job's first time on the CPU
+                job[5] = now
                 if on_job_start is not None:
-                    on_job_start(rt.spec.name, job.release_ns, now)
+                    on_job_start(rt.spec.name, job[1], now)
             # every release due by now is queued and until_ns > now, so the
             # slice is never empty
-            slice_end = now + job.remaining_ns
+            slice_end = now + job[4]
             if next_release < slice_end:
                 slice_end = next_release
             if until_ns < slice_end:
                 slice_end = until_ns
             if record_segments:
-                self._append_segment(rt.spec.name, job.index, now, slice_end)
-            job.remaining_ns -= slice_end - now
+                self._append_segment(rt.spec.name, job[0], now, slice_end)
+            job[4] -= slice_end - now
             now = slice_end
             self.now_ns = now
-            if job.remaining_ns == 0:
+            if job[4] == 0:
                 queue.popleft()
                 rt.completed += 1
-                missed = now > job.deadline_ns
+                index, release_ns, deadline_ns, exec_ns, _, start_ns = job
+                missed = now > deadline_ns
                 if missed:
                     rt.missed += 1
                 if on_job_finish is not None:
                     on_job_finish(
-                        JobRecord(
-                            rt.spec.name, job.index, job.release_ns, job.deadline_ns,
-                            job.exec_ns, job.start_ns, now, missed,
+                        new_tuple(
+                            JobRecord,
+                            (rt.spec.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed),
                         )
                     )
                 running = None

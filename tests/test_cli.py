@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from ffsched.cli import EXIT_CODES, INTERNAL_EXIT, main
+from ffsched.errors import ScenarioSemanticError
+from ffsched.experiment import TraceRecord, summarize
+from ffsched.scenario import default_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -176,6 +179,23 @@ class TestExitCodes:
         assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
         assert capsys.readouterr().err.startswith("error[scenario-semantic]: pid: kp * deriv_filter")
 
+    def test_loop_past_the_float_range_is_4(self, tmp_path, capsys):
+        scenario = tmp_path / "gain.cfg"
+        scenario.write_text("[noise]\nexec_std = 0\nutil_std = 0\n[plant]\ninput_gain = 1e5\n")
+        assert main(["run", "--scenario", str(scenario), "--mode", "open", "--horizon", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[scenario-semantic]:") and "not finite at t = " in err
+
+    def test_overflowing_mean_tracking_error_is_4(self):
+        # finite errors whose sum overflows, as on a 400 s open-loop run
+        records = [
+            TraceRecord(0.02 * i, 0.5, 0.5, 1.0, (0.004, 0.005), (0.0, 0.0), (0.0, 0.0), 1e308)
+            for i in range(1, 4)
+        ]
+        with pytest.raises(ScenarioSemanticError, match="overflows") as e:
+            summarize(records, default_scenario(), 1, task_stats={})
+        assert EXIT_CODES[e.value.category] == 4
+
     def test_infeasible_load_is_5(self, tmp_path, capsys):
         scenario = tmp_path / "heavy.cfg"
         scenario.write_text(HEAVY_LOAD)
@@ -262,5 +282,15 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "calls": tracer.report()["cal
         assert main(["run", "--horizon", "0.2"]) == 0
         assert traced["rc"] == 0
         assert traced["out"] == capsys.readouterr().out
-        assert traced["calls"]["schedulers.apply_periods"] > 0
-        assert traced["calls"]["fuzzy.load_golden_table"] > 0
+        calls = traced["calls"]
+        # a callee bound at import time, not once per run, would bypass its span
+        for span in (
+            "schedulers.apply_periods",
+            "fuzzy.load_golden_table",
+            "experiment.hooks",
+            "rtsim.sample_execution_time",
+            "rtsim.measure_utilization",
+            "control.reference_at",
+        ):
+            assert calls[span] > 0, span
+        assert calls["rtsim.Kernel.run"] == 1

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffsched.control import (
     PidGains,
@@ -14,6 +16,7 @@ from ffsched.control import (
     pid_compute,
     plant_step,
     reference_at,
+    reference_coordinate,
     tracking_error,
 )
 
@@ -145,6 +148,23 @@ class TestReference:
             ReferencePath(start=(0.0, 0.0), end=(2.0, 1.0))
         with pytest.raises(ValueError):
             ReferencePath(start=(2.0, 0.0), end=(0.0, 0.0))
+
+    @pytest.mark.parametrize("duration", [4.0, 0.1000000004])
+    def test_coordinate_is_the_pair_s_coordinate(self, duration):
+        path = ReferencePath(duration=duration)
+        for t in (0.0, 0.25 * duration, 0.5 * duration, 0.9 * duration, duration - 1e-9, duration, 2 * duration):
+            pair = reference_at(path, t)
+            assert (reference_coordinate(path, t, 0), reference_coordinate(path, t, 1)) == pair
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        duration=st.sampled_from([4.0, 0.1000000004]),
+        t=st.floats(min_value=-1.0, max_value=10.0),
+        axis=st.sampled_from([0, 1]),
+    )
+    def test_coordinate_matches_the_pair_everywhere(self, duration, t, axis):
+        path = ReferencePath(duration=duration)
+        assert reference_coordinate(path, t, axis) == reference_at(path, t)[axis]
 
     def test_tracking_error_is_euclidean(self):
         assert tracking_error((1.0, 2.0), (4.0, 6.0)) == 5.0

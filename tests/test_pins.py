@@ -1,7 +1,8 @@
 """Output pins: the default scenario's files must not change by a single byte.
 
 The sha256 of `trace.csv` and `summary.txt` for every scheduling mode at
-seed 1 on the default 4 s scenario. A refactor or speed-up of the simulation
+seed 1 on the default 4 s scenario, and of a short noise sweep's
+`sweep_summary.csv`. A refactor or speed-up of the simulation
 must leave them as they are; a change that is meant to alter the numbers
 re-takes these pins and says why.
 """
@@ -12,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from ffsched.cli import main
 from ffsched.experiment import emit_traces, run_experiment
 from ffsched.scenario import default_scenario
 
@@ -30,6 +32,9 @@ PINS = {
     },
 }
 
+# sweep_summary.csv of `ffsched sweep --seeds 2 --horizon 1`
+SWEEP_PIN = "6a0b613b532687fed357409429c323365fddc2c7394399e204c1a5357d4ee906"
+
 
 @pytest.mark.parametrize("mode", sorted(PINS))
 def test_default_scenario_outputs_are_pinned(mode, tmp_path):
@@ -40,3 +45,9 @@ def test_default_scenario_outputs_are_pinned(mode, tmp_path):
         with open(path, "rb") as fh:
             digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == PINS[mode]
+
+
+def test_sweep_output_is_pinned(tmp_path, capsys):
+    assert main(["sweep", "--seeds", "2", "--horizon", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep_summary.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_PIN
