@@ -10,6 +10,7 @@ fuzzy look-up table. Failures exit with a stable per-category code and an
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -37,7 +38,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`ffsched run --trace | head`) and has what
+        # it asked for; what is still buffered goes to the null device, quietly
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # an in-process stand-in has no descriptor
+        return 0
     except FfschedError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, INTERNAL_EXIT)

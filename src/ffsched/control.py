@@ -8,9 +8,9 @@ exact closed-form solution, so step size never affects accuracy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import cos, expm1, hypot, pi, sin
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def plant_advance(
     after `dt >= 0` seconds, for callers that keep the state themselves."""
     a = params.pole_rate
     v_inf = params.input_gain * u / a
-    ramp = -math.expm1(-a * dt)  # 1 - exp(-a dt), accurate for small dt
+    ramp = -expm1(-a * dt)  # 1 - exp(-a dt), accurate for small dt
     return (
         position + (velocity - v_inf) * ramp / a + v_inf * dt,
         v_inf + (velocity - v_inf) * (1.0 - ramp),
@@ -81,6 +81,11 @@ class PidGains:
     def __post_init__(self):
         if self.deriv_filter <= 0:
             raise ValueError("deriv_filter must be positive")
+
+    @cached_property
+    def deriv_time_constant(self) -> float:
+        """Td/N, the time constant of the derivative's first-order filter."""
+        return self.kd / ((self.kp if self.kp > 0 else 1.0) * self.deriv_filter)
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def pid_update(
         deriv = 0.0
     else:
         # first-order filter with time constant Td/N, backward-difference
-        tf = g.kd / ((g.kp if g.kp > 0 else 1.0) * g.deriv_filter)
+        tf = g.deriv_time_constant
         deriv = (tf * deriv - g.kd * (meas - last_meas)) / (tf + period)
     return g.kp * error + integrator + deriv, integrator, deriv
 
@@ -167,11 +172,12 @@ def reference_at(path: ReferencePath, t: float) -> tuple[float, float]:
 
 def reference_coordinate(path: ReferencePath, t: float, axis: int) -> float:
     """One coordinate of `reference_at(path, t)`: x for axis 0, y for axis 1."""
-    frac = min(max(t / path.duration, 0.0), 1.0)
-    angle = math.pi * (1.0 - frac)
-    return path.centre[axis] + path.radius * (math.sin(angle) if axis else math.cos(angle))
+    frac = t / path.duration
+    frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac  # -0.0 and NaN pass through
+    angle = pi * (1.0 - frac)
+    return path.centre[axis] + path.radius * (sin(angle) if axis else cos(angle))
 
 
 def tracking_error(actual: tuple[float, float], target: tuple[float, float]) -> float:
     """Euclidean distance between actual and target positions."""
-    return math.hypot(actual[0] - target[0], actual[1] - target[1])
+    return hypot(actual[0] - target[0], actual[1] - target[1])

@@ -24,7 +24,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ from .rtsim import (
 from .scenario import SCHEDULER_TASK, ScenarioConfig
 from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One feedback-scheduler invocation, stamped at its start instant."""
 
     t_s: float
@@ -160,9 +159,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     last_meas: list[float | None] = [None, None]
     pending_u = [0.0, 0.0]
     latched: list[deque[tuple[float, float, float]]] = [deque(), deque()]
-    prev_release: list[int | None] = [None, None]
+    # the release before each axis's first one lies one initial period back,
+    # so the first job's sampling interval is that period
+    prev_release = [-specs[name].period_ns for name in ctrl_names]
 
     fuzzy = FuzzyFeedbackScheduler(target=cfg.target)
+    mode, util_std = cfg.mode, cfg.util_std
+    name_x, name_y = ctrl_names
     records: list[TraceRecord] = []
     warmed_up = False  # the very first invocation only starts the first window
 
@@ -173,22 +176,22 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             return
         window = kernel.window_snapshot(t_inv_ns)
         periods_now = {name: kernel.period_of(name) for name in specs}
-        sample = measure_utilization(window, periods_now, util_rng, cfg.util_std)
-        current = tuple(kernel.period_of(name) for name in ctrl_names)
-        if cfg.mode == "fuzzy":
-            eta = fuzzy.step(sample.value)
-        elif cfg.mode == "open":
+        u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
+        current = (periods_now[name_x], periods_now[name_y])
+        if mode == "fuzzy":
+            eta = fuzzy.step(u_meas)
+        elif mode == "open":
             eta = 1.0
         else:
             true_means = tuple(float(specs[name].exec_schedule.mean_at(t_inv_ns)) for name in ctrl_names)
             u_others = sum(
-                specs[name].exec_schedule.mean_at(t_inv_ns) / kernel.period_of(name)
+                specs[name].exec_schedule.mean_at(t_inv_ns) / periods_now[name]
                 for name in load_names
             )
             eta = ideal_eta(true_means, tuple(float(h) for h in current), u_others, cfg.target)
         periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
-        for name, h_ns in zip(ctrl_names, periods_ns):
-            kernel.set_period(name, h_ns)
+        set_period(name_x, periods_ns[0])
+        set_period(name_y, periods_ns[1])
         for axis in (0, 1):
             dt_ns = t_inv_ns - plant_clock[axis]
             if dt_ns > 0:
@@ -201,14 +204,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         act = (position[0], position[1])
         records.append(
             TraceRecord(
-                t_s=t_s,
-                u_meas=sample.value,
-                u_raw=sample.raw,
-                eta=eta,
-                periods_s=(periods_ns[0] / NS, periods_ns[1] / NS),
-                ref=ref,
-                act=act,
-                err=tracking_error(act, ref),
+                t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref)
             )
         )
 
@@ -222,10 +218,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                 position[axis], velocity[axis], command[axis], dt_ns / NS, plant
             )
         plant_clock[axis] = release_ns
-        if prev_release[axis] is None:
-            spacing_ns = kernel.period_of(name)
-        else:
-            spacing_ns = release_ns - prev_release[axis]
+        spacing_ns = release_ns - prev_release[axis]
         prev_release[axis] = release_ns
         t_s = release_ns / NS
         ref = ref_end[axis] if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
@@ -265,6 +258,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         on_job_start=on_start,
         on_job_finish=on_finish,
     )
+    set_period = kernel.set_period
     kernel.run(horizon_ns)
 
     summary = summarize(
@@ -338,21 +332,10 @@ def trace_header(control_names: tuple[str, str]) -> str:
 
 def format_trace_csv(result: ExperimentResult) -> str:
     lines = [trace_header(result.control_names)]
-    for r in result.records:
-        cells = (
-            r.t_s,
-            r.u_meas,
-            r.u_raw,
-            r.eta,
-            r.periods_s[0],
-            r.periods_s[1],
-            r.ref[0],
-            r.ref[1],
-            r.act[0],
-            r.act[1],
-            r.err,
+    for t_s, u_meas, u_raw, eta, (h_x, h_y), (x_ref, y_ref), (x_act, y_act), err in result.records:
+        lines.append(
+            f"{t_s!r},{u_meas!r},{u_raw!r},{eta!r},{h_x!r},{h_y!r},{x_ref!r},{y_ref!r},{x_act!r},{y_act!r},{err!r}"
         )
-        lines.append(",".join(map(repr, cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -47,6 +47,7 @@ class ExecSchedule:
 
     segments: tuple[tuple[int, int, int], ...]
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _means: tuple[int, ...] = field(init=False, repr=False, compare=False)  # one per segment, then the last again
 
     def __post_init__(self):
         if not self.segments:
@@ -61,6 +62,7 @@ class ExecSchedule:
                 raise ValueError("mean execution time must be positive")
             expected_start = end
         object.__setattr__(self, "_ends", tuple(end for _, end, _ in self.segments))
+        object.__setattr__(self, "_means", tuple(mean for _, _, mean in self.segments) + (self.segments[-1][2],))
 
     FOREVER = 2**63 - 1
 
@@ -69,10 +71,9 @@ class ExecSchedule:
         return cls(((0, cls.FOREVER, int(mean_ns)),))
 
     def mean_at(self, t_ns: int) -> int:
-        i = bisect_right(self._ends, t_ns)  # the first segment ending after t_ns
-        if t_ns < 0 or i == len(self._ends):
-            return self.segments[-1][2]
-        return self.segments[i][2]
+        if t_ns < 0:
+            return self._means[-1]
+        return self._means[bisect_right(self._ends, t_ns)]  # the first segment ending after t_ns
 
 
 @dataclass(frozen=True)
@@ -122,24 +123,18 @@ class Segment(NamedTuple):
     end_ns: int
 
 
-@dataclass(frozen=True)
-class WindowData:
+class WindowData(NamedTuple):
     """Execution-time samples of the jobs released inside one sampling window."""
 
     end_ns: int
     samples: Mapping[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class UtilizationSample:
+class UtilizationSample(NamedTuple):
     """A utilization measurement; `value` is `raw` clamped to the unit interval."""
 
     value: float
     raw: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"clamped utilization out of range: {self.value}")
 
 
 NOISE_BLOCK = 256  # standard-normal draws fetched per refill of a NormalStream
@@ -159,11 +154,11 @@ class NormalStream:
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._block: list[float] = []
-        self._next = 0
+        self._next = NOISE_BLOCK  # the block is used up: the first call refills it
 
     def standard_normal(self) -> float:
         i = self._next
-        if i == len(self._block):
+        if i == NOISE_BLOCK:
             self._block = self._rng.standard_normal(NOISE_BLOCK).tolist()
             i = 0
         self._next = i + 1
@@ -192,7 +187,7 @@ def sample_execution_time(
         raise ValueError("rel_std must be non-negative")
     if rel_std == 0:
         return int(mean_ns)
-    drawn = round(mean_ns * (1.0 + rel_std * float(rng.standard_normal())))
+    drawn = round(mean_ns * (1.0 + rel_std * rng.standard_normal()))
     floor = round(floor_frac * mean_ns)
     if floor < 1:
         floor = 1
@@ -225,12 +220,16 @@ def measure_utilization(
         if rng is None:
             raise ValueError("noise_std > 0 requires an rng")
         raw += noise_std * float(rng.standard_normal())
-    return UtilizationSample(value=min(1.0, max(0.0, raw)), raw=raw)
+    value = min(1.0, max(0.0, raw))
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"clamped utilization out of range: {value}")
+    return UtilizationSample(value, raw)
 
 
 @dataclass(slots=True)
 class _TaskRuntime:
     spec: TaskSpec
+    name: str
     period_ns: int
     next_release_ns: int = 0
     # queued jobs, oldest first, as [index, release_ns, deadline_ns, exec_ns,
@@ -286,7 +285,7 @@ class Kernel:
             raise ValueError("task names must be unique")
         if len({s.priority for s in specs}) != len(specs):
             raise ValueError("task priorities must be unique")
-        self._tasks = {s.name: _TaskRuntime(spec=s, period_ns=s.period_ns) for s in specs}
+        self._tasks = {s.name: _TaskRuntime(spec=s, name=s.name, period_ns=s.period_ns) for s in specs}
         self._by_priority = sorted(self._tasks.values(), key=lambda rt: rt.spec.priority)
         self._exec_time_of = exec_time_of or (lambda spec, release_ns: spec.exec_schedule.mean_at(release_ns))
         self._on_job_release = on_job_release
@@ -325,9 +324,9 @@ class Kernel:
         samples: dict[str, tuple[int, ...]] = {}
         for rt in self._by_priority:
             n = bisect_left(rt.pending_releases, window_end_ns)  # releases before the boundary
-            samples[rt.spec.name] = tuple(rt.pending_execs[:n])
+            samples[rt.name] = tuple(rt.pending_execs[:n])
             del rt.pending_releases[:n], rt.pending_execs[:n]
-        return WindowData(end_ns=window_end_ns, samples=samples)
+        return WindowData(window_end_ns, samples)
 
     def run(self, until_ns: int) -> None:
         """Advance simulated time to exactly `until_ns`.
@@ -362,14 +361,14 @@ class Kernel:
                         period = rt.period_ns  # the period in force fixes deadline and successor
                         exec_ns = int(exec_time_of(rt.spec, release_ns))
                         if exec_ns <= 0:
-                            raise ValueError(f"task {rt.spec.name}: sampled execution time must be positive")
+                            raise ValueError(f"task {rt.name}: sampled execution time must be positive")
                         rt.queue.append([rt.released, release_ns, release_ns + period, exec_ns, exec_ns, -1])
                         rt.released += 1
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)
                         rt.next_release_ns = release_ns + period
                         if on_job_release is not None:
-                            on_job_release(rt.spec.name, release_ns)
+                            on_job_release(rt.name, release_ns)
                         release_ns = rt.next_release_ns
                     if release_ns < next_release:
                         next_release = release_ns
@@ -393,7 +392,7 @@ class Kernel:
             if job[5] < 0:  # the job's first time on the CPU
                 job[5] = now
                 if on_job_start is not None:
-                    on_job_start(rt.spec.name, job[1], now)
+                    on_job_start(rt.name, job[1], now)
             # every release due by now is queued and until_ns > now, so the
             # slice is never empty
             slice_end = now + job[4]
@@ -402,7 +401,7 @@ class Kernel:
             if until_ns < slice_end:
                 slice_end = until_ns
             if record_segments:
-                self._append_segment(rt.spec.name, job[0], now, slice_end)
+                self._append_segment(rt.name, job[0], now, slice_end)
             job[4] -= slice_end - now
             now = slice_end
             self.now_ns = now
@@ -417,7 +416,7 @@ class Kernel:
                     on_job_finish(
                         new_tuple(
                             JobRecord,
-                            (rt.spec.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed),
+                            (rt.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed),
                         )
                     )
                 running = None

@@ -32,7 +32,7 @@ def apply_periods(
     for h in periods_ns:
         if h <= 0:
             raise ValueError("periods must be positive")
-        new_periods.append(min(h_max_ns, max(h_min_ns, int(round(eta * h)))))
+        new_periods.append(min(h_max_ns, max(h_min_ns, round(eta * h))))
     return tuple(new_periods)
 
 

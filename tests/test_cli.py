@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -195,6 +196,66 @@ class TestExitCodes:
         with pytest.raises(ScenarioSemanticError, match="overflows") as e:
             summarize(records, default_scenario(), 1, task_stats={})
         assert EXIT_CODES[e.value.category] == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--horizon", "0.1", "--out", "{file}"],
+            ["sweep", "--horizon", "0.1", "--seeds", "1", "--noise", "0", "--out", "{file}"],
+            ["table", "--out", "{dir}"],
+        ],
+    )
+    def test_unwritable_output_is_io(self, argv, tmp_path, capsys):
+        existing = tmp_path / "taken"
+        existing.write_text("not a directory\n")
+        argv = [a.format(file=existing, dir=tmp_path) for a in argv]
+        assert main(argv) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write into a read-only directory"
+    )
+    def test_read_only_directory_is_io(self, tmp_path, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        try:
+            assert main(["run", "--horizon", "0.1", "--out", str(locked / "results")]) == 6
+        finally:
+            locked.chmod(0o700)
+        assert capsys.readouterr().err.startswith("error[io]:")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_0(self, unbuffered):
+        # the reader closes the pipe before the run writes its trace, as
+        # `ffsched run --trace | head -1` may; every repeat must exit 0
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+        for _ in range(5):
+            read_end, write_end = os.pipe()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ffsched.cli", "run", "--horizon", "4", "--trace"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            os.close(read_end)
+            os.close(write_end)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            assert b"error[" not in err and b"Traceback" not in err, err
+
+    def test_closed_stdout_in_process_exits_0(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):  # like the stand-ins of capsys and redirect_stdout, it has no descriptor
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["run", *FAST, "--trace"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_infeasible_load_is_5(self, tmp_path, capsys):
         scenario = tmp_path / "heavy.cfg"

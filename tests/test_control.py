@@ -166,6 +166,20 @@ class TestReference:
         path = ReferencePath(duration=duration)
         assert reference_coordinate(path, t, axis) == reference_at(path, t)[axis]
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_clamp_matches_min_max_at_the_edges(self, axis):
+        # `reference_coordinate` clamps with two comparisons; this is the
+        # `min(max(...))` clamp it replaced, compared by repr so that -0.0
+        # and NaN count
+        def min_max_clamped(path, t, axis):
+            frac = min(max(t / path.duration, 0.0), 1.0)
+            angle = math.pi * (1.0 - frac)
+            return path.centre[axis] + path.radius * (math.sin(angle) if axis else math.cos(angle))
+
+        path = ReferencePath()
+        for t in (-1.0, -1e-300, -0.0, 0.0, 1.0, path.duration, path.duration * (1 + 1e-15), 7.5, math.inf, math.nan):
+            assert repr(reference_coordinate(path, t, axis)) == repr(min_max_clamped(path, t, axis)), t
+
     def test_tracking_error_is_euclidean(self):
         assert tracking_error((1.0, 2.0), (4.0, 6.0)) == 5.0
         assert tracking_error((0.5, 0.5), (0.5, 0.5)) == 0.0

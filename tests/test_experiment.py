@@ -1,6 +1,7 @@
 """End-to-end runs: determinism, trace round-trips, per-mode behaviour."""
 
 import csv
+import math
 from collections import defaultdict
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 
 import ffsched.experiment as experiment
 from ffsched.experiment import (
+    ExperimentResult,
+    TraceRecord,
     emit_traces,
     format_summary,
     format_trace_csv,
@@ -70,6 +73,25 @@ class TestTraceShape:
     def test_measured_utilization_is_clamped_raw_is_not(self, fuzzy_result):
         assert all(0.0 <= r.u_meas <= 1.0 for r in fuzzy_result.records)
         assert any(r.u_raw != r.u_meas for r in fuzzy_result.records)  # noise does clip sometimes
+
+    def test_csv_cells_are_the_reprs_of_the_record(self):
+        # each line is one f-string of `!r` fields; it must equal the join of
+        # the cells' reprs, also for values whose repr is unusual
+        records = (
+            TraceRecord(-0.0, 5e-324, 1e308, math.inf, (-math.inf, 0.001), (-0.0, 2.2250738585072014e-308), (1e-310, -1e308), 0.1),
+            TraceRecord(0.02, 1.0, -0.5, 1.0000000000000002, (0.004, 0.005), (0.0, 0.0), (1.5, -0.0), math.inf),
+        )
+        result = ExperimentResult(control_names=("a", "b"), records=records, summary=None)
+        lines = format_trace_csv(result).splitlines()
+        assert lines[0] == trace_header(("a", "b"))
+        for line, r in zip(lines[1:], records, strict=True):
+            cells = (r.t_s, r.u_meas, r.u_raw, r.eta, *r.periods_s, *r.ref, *r.act, r.err)
+            assert line == ",".join(map(repr, cells))
+
+    def test_records_are_read_only(self, fuzzy_result):
+        record = fuzzy_result.records[0]
+        with pytest.raises(AttributeError):
+            record.err = 0.0
 
     def test_round_trip_through_csv(self, fuzzy_result, tmp_path):
         trace_path, _ = emit_traces(str(tmp_path), fuzzy_result)

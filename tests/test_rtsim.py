@@ -312,6 +312,14 @@ class TestNoiseHelpers:
         assert under.raw == pytest.approx(-0.6)
         assert under.value == 0.0
 
+    def test_window_and_sample_are_read_only(self):
+        window = _window({"a": (4 * MS,)})
+        sample = measure_utilization(window, {"a": 10 * MS})
+        with pytest.raises(AttributeError):
+            window.end_ns = 1
+        with pytest.raises(AttributeError):
+            sample.value = 0.0
+
     def test_measure_utilization_validation(self):
         window = _window({"a": (4 * MS,)})
         with pytest.raises(ValueError):
