@@ -168,9 +168,8 @@ class TestReference:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_clamp_matches_min_max_at_the_edges(self, axis):
-        # `reference_coordinate` clamps with two comparisons; this is the
-        # `min(max(...))` clamp it replaced, compared by repr so that -0.0
-        # and NaN count
+        # the reference clamps with `min(max(...))`; compared by repr so
+        # that -0.0 and NaN count
         def min_max_clamped(path, t, axis):
             frac = min(max(t / path.duration, 0.0), 1.0)
             angle = math.pi * (1.0 - frac)

@@ -75,10 +75,11 @@ class TestTraceShape:
         assert any(r.u_raw != r.u_meas for r in fuzzy_result.records)  # noise does clip sometimes
 
     def test_csv_cells_are_the_reprs_of_the_record(self):
-        # each line is one f-string of `!r` fields; it must equal the join of
-        # the cells' reprs, also for values whose repr is unusual
+        # a line must equal the join of its cells' reprs, also for values
+        # whose repr is unusual: -0.0, subnormals, huge and infinite values
         records = (
-            TraceRecord(-0.0, 5e-324, 1e308, math.inf, (-math.inf, 0.001), (-0.0, 2.2250738585072014e-308), (1e-310, -1e308), 0.1),
+            TraceRecord(-0.0, 5e-324, 1e308, math.inf, (-math.inf, 0.001), (-0.0, 2.2250738585072014e-308),
+                        (1e-310, -1e308), 0.1),
             TraceRecord(0.02, 1.0, -0.5, 1.0000000000000002, (0.004, 0.005), (0.0, 0.0), (1.5, -0.0), math.inf),
         )
         result = ExperimentResult(control_names=("a", "b"), records=records, summary=None)
