@@ -180,8 +180,8 @@ def _noise_grid(text: str) -> tuple[float, ...]:
         levels = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    if not all(0 <= level < math.inf for level in levels):
-        raise argparse.ArgumentTypeError(f"levels must be finite and non-negative, got {text!r}")
+    if not all(0 <= 40 * level < math.inf for level in levels):  # as validate_scenario bounds util_std
+        raise argparse.ArgumentTypeError(f"levels must be non-negative with 40 * level finite, got {text!r}")
     return levels
 
 

@@ -41,9 +41,9 @@ from .control import (
 from .errors import EmitError, ScenarioSemanticError
 from .rtsim import (
     NS,
+    ExecDraws,
     ExecSchedule,
     Kernel,
-    NormalStream,
     TaskKind,
     TaskSpec,
     TaskStats,
@@ -120,29 +120,29 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         exec_schedule=ExecSchedule.constant(fs_exec_ns),
     )
 
-    # per user task, its mean execution time and a private noise stream; one
-    # more stream for the measurement
-    exec_draw = {
-        t.name: (
-            specs[t.name].exec_schedule.mean_at,
-            NormalStream(np.random.default_rng(np.random.SeedSequence([seed, i]))),
-        )
-        for i, t in enumerate(cfg.tasks)
-    }
-    util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
-
     # callees looked up in this module's namespace once per run, so a
     # wrapper installed there before the run still sees every call
     sample = sample_execution_time
     reference = reference_at
     exec_std = cfg.exec_std
 
+    # per user task, its mean execution time and the draw of a private noise
+    # stream (untouched when exec_std = 0); one more stream for the measurement
+    exec_draw = {
+        t.name: (
+            specs[t.name].exec_schedule.mean_at,
+            ExecDraws(np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw,
+        )
+        for i, t in enumerate(cfg.tasks)
+    }
+    util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
+
     def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
         draw = exec_draw.get(spec.name)
         if draw is None:
             return fs_exec_ns  # the scheduler's own cost is fixed by assumption
-        mean_at, stream = draw
-        return sample(mean_at(release_ns), stream, exec_std)
+        mean_at, draw_exec = draw
+        return draw_exec(mean_at(release_ns)) if exec_std else mean_at(release_ns)
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float
@@ -167,6 +167,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     mode, util_std = cfg.mode, cfg.util_std
     name_x, name_y = ctrl_names
     records: list[TraceRecord] = []
+    # user task periods in `specs` order, kept in step with the kernel below
+    periods_now = {name: spec.period_ns for name, spec in specs.items()}
     warmed_up = False  # the very first invocation only starts the first window
 
     def schedule_step(t_inv_ns: int) -> None:
@@ -175,7 +177,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             warmed_up = True
             return
         window = kernel.window_snapshot(t_inv_ns)
-        periods_now = {name: kernel.period_of(name) for name in specs}
         u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
         current = (periods_now[name_x], periods_now[name_y])
         if mode == "fuzzy":
@@ -184,14 +185,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             eta = 1.0
         else:
             true_means = tuple(float(specs[name].exec_schedule.mean_at(t_inv_ns)) for name in ctrl_names)
-            u_others = sum(
-                specs[name].exec_schedule.mean_at(t_inv_ns) / periods_now[name]
-                for name in load_names
-            )
+            u_others = sum(specs[name].exec_schedule.mean_at(t_inv_ns) / periods_now[name] for name in load_names)
             eta = ideal_eta(true_means, tuple(float(h) for h in current), u_others, cfg.target)
         periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
         set_period(name_x, periods_ns[0])
         set_period(name_y, periods_ns[1])
+        periods_now[name_x], periods_now[name_y] = periods_ns
         for axis in (0, 1):
             dt_ns = t_inv_ns - plant_clock[axis]
             if dt_ns > 0:

@@ -137,61 +137,59 @@ class UtilizationSample(NamedTuple):
     raw: float
 
 
-NOISE_BLOCK = 256  # standard-normal draws fetched per refill of a NormalStream
+NOISE_BLOCK = 256  # standard-normal values drawn per refill of an ExecDraws
 
 
-class NormalStream:
-    """Scalar standard-normal draws served from blocks of a generator.
-
-    Each refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
-    which for numpy's Generator is the same sequence that repeated scalar
-    `rng.standard_normal()` calls yield; the stream only saves the per-call
-    overhead. Nothing is drawn until the first value is asked for.
-    """
-
-    __slots__ = ("_rng", "_block", "_next")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block: list[float] = []
-        self._next = NOISE_BLOCK  # the block is used up: the first call refills it
-
-    def standard_normal(self) -> float:
-        i = self._next
-        if i == NOISE_BLOCK:
-            self._block = self._rng.standard_normal(NOISE_BLOCK).tolist()
-            i = 0
-        self._next = i + 1
-        return self._block[i]
-
-
-def sample_execution_time(
-    mean_ns: int,
-    rng,
-    rel_std: float,
-    floor_frac: float = 0.01,
-) -> int:
-    """Draw one job's execution time around its mean.
-
-    The draw is Gaussian with standard deviation `rel_std * mean_ns` and is
-    floored at `floor_frac * mean_ns` so a job can never run backwards or for
-    free. With `rel_std == 0` the mean is returned without consuming a draw,
-    keeping noise-free runs aligned with the noisy stream layout. `rng` is
-    any object with a scalar `standard_normal()`: a numpy Generator or a
-    NormalStream over one.
+def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float, floor_frac: float = 0.01) -> list[int]:
+    """One execution time per standard-normal value `z` in `normals`:
+    `max(floor, round(mean_ns * (1 + rel_std * z)))` in float64, rounding half
+    to even as `round` does, with the floor `floor_frac * mean_ns` (at least
+    1 ns) so a job can never run backwards or for free.
     """
 
     if mean_ns <= 0:
         raise ValueError("mean execution time must be positive")
-    if rel_std < 0:
+    if not rel_std >= 0:
         raise ValueError("rel_std must be non-negative")
-    if rel_std == 0:
-        return int(mean_ns)
-    drawn = round(mean_ns * (1.0 + rel_std * rng.standard_normal()))
-    floor = round(floor_frac * mean_ns)
-    if floor < 1:
-        floor = 1
-    return drawn if drawn > floor else floor
+    floor = max(1, round(floor_frac * mean_ns))
+    times = np.maximum(np.rint(mean_ns * (1.0 + rel_std * normals)), floor)
+    # Python compares a float with an int exactly; float64 cannot hold FOREVER
+    if float(times.max(initial=0)) > ExecSchedule.FOREVER:
+        raise ValueError(f"execution time past {ExecSchedule.FOREVER} ns")
+    return times.astype(np.int64).tolist()
+
+
+class ExecDraws:
+    """One task's noisy execution times, converted `NOISE_BLOCK` jobs at a time.
+
+    Each refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
+    which for numpy's Generator is the same sequence that repeated scalar
+    `rng.standard_normal()` calls yield, and turns them into times with one
+    `sample` call (`sample_execution_time`'s signature); a new mean mid-block
+    converts the rest of the block again. Nothing is drawn until asked for.
+    """
+
+    __slots__ = ("_rng", "_rel_std", "_sample", "_normals", "_times", "_mean", "_next")
+
+    def __init__(self, rng: np.random.Generator, rel_std: float, sample: Callable[..., list[int]]):
+        self._rng = rng
+        self._rel_std = rel_std
+        self._sample = sample
+        self._normals = np.empty(0)
+        self._times: list[int] = []
+        self._mean: int | None = None  # the mean `_times[_next:]` was converted for
+        self._next = NOISE_BLOCK  # the block is used up: the first call refills it
+
+    def draw(self, mean_ns: int) -> int:
+        i = self._next
+        if i == NOISE_BLOCK:
+            self._normals = self._rng.standard_normal(NOISE_BLOCK)
+            self._mean, i = None, 0
+        if mean_ns != self._mean:
+            self._times[i:] = self._sample(mean_ns, self._normals[i:], self._rel_std)
+            self._mean = mean_ns
+        self._next = i + 1
+        return self._times[i]
 
 
 def measure_utilization(

@@ -332,6 +332,9 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             f"pid: kp * deriv_filter ({pid.kp:g} * {pid.deriv_filter:g}) underflows to 0, "
             "and the derivative filter divides by it"
         )
+    # numpy's normal draws stay below 40 (see _check_kernel_times), so u_raw stays finite
+    if not math.isfinite(40.0 * cfg.util_std):
+        raise ScenarioSemanticError(f"util_std {cfg.util_std!r} lets the utilization measurement overflow")
     _check_kernel_times(cfg)
 
 

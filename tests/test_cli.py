@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,7 +129,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error[scenario-semantic]:")
 
     @pytest.mark.parametrize(
-        "argv", [["sweep", "--seeds", "0"], ["sweep", "--noise", "x"], ["run", "--seed", "-1"]]
+        "argv",
+        [["sweep", "--seeds", "0"], ["sweep", "--noise", "x"], ["run", "--seed", "-1"], ["sweep", "--noise", "1e308"]],
     )
     def test_bad_seed_or_grid_is_2(self, argv, capsys):
         with pytest.raises(SystemExit) as e:
@@ -173,6 +175,19 @@ class TestExitCodes:
         assert main(["run", *FAST, *argv, "--scenario", str(scenario)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error[scenario-semantic]:") and "9223372036854775807 ns" in err
+
+    def test_util_std_whose_draws_overflow_is_4(self, tmp_path, capsys):
+        scenario = tmp_path / "noise.cfg"
+        scenario.write_text("[noise]\nutil_std = 1e308\n")  # 40 * util_std is inf, so u_raw could be too
+        assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
+        assert capsys.readouterr().err.startswith("error[scenario-semantic]: util_std 1e+308")
+
+    def test_large_finite_util_std_runs(self, tmp_path, capsys):
+        scenario = tmp_path / "noise.cfg"
+        scenario.write_text("[noise]\nutil_std = 1e300\n")
+        assert main(["run", *FAST, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(row.split(",")[2])) for row in rows)  # u_raw
 
     def test_underflowing_derivative_filter_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "pid.cfg"

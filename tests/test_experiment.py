@@ -18,7 +18,7 @@ from ffsched.experiment import (
     trace_header,
 )
 from ffsched.control import ReferencePath, reference_at
-from ffsched.rtsim import NS, Kernel, NormalStream, seconds_to_ns
+from ffsched.rtsim import NS, ExecDraws, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from invariants import _verify_case
 
@@ -266,14 +266,14 @@ class TestNoiseDraws:
     def _count_draws(self, cfg, monkeypatch):
         draws = [0]
 
-        class CountingStream(NormalStream):
+        class CountingDraws(ExecDraws):
             __slots__ = ()
 
-            def standard_normal(self):
+            def draw(self, mean_ns):
                 draws[0] += 1
-                return super().standard_normal()
+                return super().draw(mean_ns)
 
-        monkeypatch.setattr(experiment, "NormalStream", CountingStream)
+        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         result = run_experiment(cfg, seed=1)
         return draws[0], result
 
@@ -284,5 +284,8 @@ class TestNoiseDraws:
 
     def test_noise_free_runs_draw_nothing(self, monkeypatch):
         cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)
+        samples = []
+        monkeypatch.setattr(experiment, "sample_execution_time", lambda *args: samples.append(args))
         draws, _ = self._count_draws(cfg, monkeypatch)
         assert draws == 0
+        assert samples == []  # no execution time is converted either

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffsched.rtsim import (
     NOISE_BLOCK,
+    ExecDraws,
     ExecSchedule,
     Kernel,
-    NormalStream,
     Segment,
     TaskKind,
     TaskSpec,
@@ -259,35 +261,42 @@ class TestWindowSnapshot:
 
 class TestNoiseHelpers:
     def test_sample_execution_time_noise_free_is_exact(self):
-        # rel_std == 0 must not touch the generator at all
-        assert sample_execution_time(123_456, None, 0.0) == 123_456
+        # rel_std == 0 gives the mean whatever the normal value
+        assert sample_execution_time(123_456, np.array([0.0, 2.5, -50.0]), 0.0) == [123_456] * 3
 
     def test_sample_execution_time_gaussian(self):
-        got = sample_execution_time(1_000_000, _StubRng(2.0), 0.1)
-        assert got == 1_200_000
+        got = sample_execution_time(1_000_000, np.array([2.0]), 0.1)
+        assert got == [1_200_000]
 
     def test_sample_execution_time_floor(self):
-        got = sample_execution_time(1_000_000, _StubRng(-50.0), 0.1)
-        assert got == 10_000  # floored at 1% of the mean
+        got = sample_execution_time(1_000_000, np.array([-50.0]), 0.1)
+        assert got == [10_000]  # floored at 1% of the mean
 
-    def test_normal_stream_matches_scalar_draws(self):
+    def test_exec_draws_match_scalar_draws(self):
         n = 2 * NOISE_BLOCK + 17  # three refills, the last one partly used
         scalar = np.random.default_rng(7)
-        stream = NormalStream(np.random.default_rng(7))
-        assert [stream.standard_normal() for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        passthrough = ExecDraws(np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist())
+        assert [passthrough.draw(1) for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        scalar = np.random.default_rng(7)
+        draws = ExecDraws(np.random.default_rng(7), 0.1, sample_execution_time)
+        expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
+        assert [draws.draw(1_000_000) for _ in range(n)] == expected
 
-    def test_normal_stream_draws_nothing_until_asked(self):
+    def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        stream = NormalStream(rng)
-        assert sample_execution_time(1_000_000, stream, 0.0) == 1_000_000
+        draws = ExecDraws(rng, 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
+        assert draws.draw(1_000_000) == 1_000_000
+        assert rng.bit_generator.state != state  # the first time asked for refills
 
     def test_sample_execution_time_validation(self):
         with pytest.raises(ValueError):
-            sample_execution_time(0, None, 0.0)
+            sample_execution_time(0, np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            sample_execution_time(100, None, -0.1)
+            sample_execution_time(100, np.zeros(1), -0.1)
+        with pytest.raises(ValueError):
+            sample_execution_time(100, np.zeros(1), float("nan"))
 
     def test_measure_utilization_hand_case(self):
         window = _window({"a": (2 * MS, 4 * MS), "b": (3 * MS,)})
@@ -326,3 +335,91 @@ class TestNoiseHelpers:
             measure_utilization(window, {"a": 0})
         with pytest.raises(ValueError):
             measure_utilization(window, {"a": 10 * MS}, noise_std=0.1)
+
+
+def _scalar_time(mean_ns: int, z: float, rel_std: float, floor_frac: float = 0.01) -> int:
+    """Oracle: one execution time from one normal value, in Python scalars."""
+    floor = max(1, round(floor_frac * mean_ns))
+    return max(floor, round(mean_ns * (1 + rel_std * z)))
+
+
+@st.composite
+def _tie(draw):
+    """(mean_ns, z, rel_std) with mean_ns * (1 + rel_std * z) exactly k + 0.5:
+    dyadic values keep every step of the product exact."""
+    p = draw(st.integers(0, 20))
+    rel_std = 2.0 ** -draw(st.integers(-1, 3))  # 2, 1, 1/2, 1/4 or 1/8
+    k = draw(st.integers(-(2**p), 4 * 2**p))
+    return 2**p, ((k + 0.5) / 2**p - 1.0) / rel_std, rel_std
+
+
+class TestBatchedSampler:
+    """`sample_execution_time` and `ExecDraws` against the scalar oracle."""
+
+    # the largest mean validation lets through for a given exec_std
+    @staticmethod
+    def _max_mean(rel_std: float) -> int:
+        return int(ExecSchedule.FOREVER / (1.0 + 40.0 * rel_std))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data(), rel_std=st.floats(0.0, 3.0))
+    def test_matches_scalar_oracle(self, data, rel_std):
+        mean_ns = data.draw(st.one_of(st.integers(1, 10**7), st.integers(1, self._max_mean(rel_std))))
+        zs = data.draw(
+            st.lists(
+                st.one_of(
+                    st.floats(-39.9, 39.9),
+                    st.floats(-39.9, -0.99 / rel_std if rel_std > 0.03 else -33.0),  # below the floor
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        assert sample_execution_time(mean_ns, np.array(zs), rel_std) == [_scalar_time(mean_ns, z, rel_std) for z in zs]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=_tie())
+    def test_ties_round_half_to_even(self, case):
+        mean_ns, z, rel_std = case
+        assert mean_ns * (1 + rel_std * z) % 1 == 0.5
+        assert sample_execution_time(mean_ns, np.array([z]), rel_std) == [_scalar_time(mean_ns, z, rel_std)]
+
+    def test_tie_hand_case(self):
+        # 2 * (1 + z) is 1.5, 2.5 and 3.5: round half to even gives 2, 2 and 4
+        assert sample_execution_time(2, np.array([-0.25, 0.25, 0.75]), 1.0) == [2, 2, 4]
+
+    def _calls(self, seed, means, rel_std=0.2):
+        """Times from `ExecDraws` for each mean in turn, the scalar oracle's
+        times over the same generator, and the sizes of the `sample` calls."""
+        sizes = []
+
+        def sample(mean_ns, normals, rel_std):
+            sizes.append(len(normals))
+            return sample_execution_time(mean_ns, normals, rel_std)
+
+        draws = ExecDraws(np.random.default_rng(seed), rel_std, sample)
+        got = [draws.draw(mean) for mean in means]
+        scalar = np.random.default_rng(seed)
+        expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
+        return got, expected, sizes
+
+    def test_exec_draws_mean_changing_at_every_draw(self):
+        means = [1_000 + 7 * j for j in range(2 * NOISE_BLOCK + 17)]
+        got, expected, sizes = self._calls(3, means)
+        assert got == expected
+        assert len(sizes) == len(means)
+
+    def test_exec_draws_mean_changing_at_block_boundaries(self):
+        n = 3 * NOISE_BLOCK
+        # a new mean exactly at the second refill, and one draw before the third
+        means = [600_000] * NOISE_BLOCK + [1_200_000] * (NOISE_BLOCK - 1) + [900_000] * (NOISE_BLOCK + 1)
+        got, expected, sizes = self._calls(5, means)
+        assert got == expected and len(got) == n
+        assert sizes == [NOISE_BLOCK, NOISE_BLOCK, 1, NOISE_BLOCK]  # only the rest of a block is redone
+
+    def test_product_past_forever_raises(self):
+        with pytest.raises(ValueError, match="past"):
+            sample_execution_time(2**62, np.array([0.0, 1.0]), 3.0)  # 2**64 ns
+        with pytest.raises(ValueError, match="past"):
+            sample_execution_time(2**62, np.array([1.0]), 1.0)  # 2**63 ns, one past FOREVER
+        assert sample_execution_time(2**62, np.array([0.5]), 1.0) == [3 * 2**61]
