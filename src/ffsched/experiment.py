@@ -11,6 +11,17 @@ highest-priority task: on every invocation it measures the utilization of
 the window just ended, picks a rescaling factor according to the configured
 mode, and re-periods the control tasks.
 
+The coupling runs one way, from schedule to control: the scheduler reads
+only the utilization, never plant or controller state, and the kernel's
+timeline does not depend on the loops. So the loops are not run from
+per-job kernel hooks. The kernel files each task's release and completion
+instants, and every invocation replays each control loop over the job
+timeline of the window it takes, then advances the plants to the invocation
+instant. That is exact, not an approximation: each plant is advanced over
+the same instants in the same order as a per-job replay would, and an event
+on the invocation instant itself is replayed in the next window with a zero
+step.
+
 Every invocation appends one trace record, stamped at the invocation instant
 with the measurement, the factor, the periods just applied and both the
 reference and actual positions. Runs with equal configuration and seed
@@ -91,12 +102,8 @@ class ExperimentResult:
 def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     """Simulate one scenario to its horizon and return trace plus summary.
 
-    The per-axis loop state lives in plain lists local to this call, indexed
-    by axis (0 = x, 1 = y): plant position, velocity and held command, the
-    instant the plant was last advanced to, the PID integrator, filtered
-    derivative and last measurement, the command computed but not yet
-    actuated, and the FIFO of samples latched at release. The kernel hooks
-    below update them in place, calling the float-level formulas of
+    Each axis's loop state lives in the locals of its own `control_loop`
+    generator (axis 0 = x, 1 = y), which calls the float-level formulas of
     `plant_advance` and `pid_update`.
     """
 
@@ -105,7 +112,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
 
     ctrl = cfg.control_tasks()
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
-    axis_of = {ctrl_names[0]: 0, ctrl_names[1]: 1}
     load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
     h_min_ns, h_max_ns = seconds_to_ns(cfg.h_min_s), seconds_to_ns(cfg.h_max_s)
     horizon_ns = seconds_to_ns(cfg.horizon_s)
@@ -150,18 +156,58 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     ref_end = reference(path, path.duration)
     ref_duration_s = path.duration
     plant, gains = cfg.plant, cfg.pid
-    position = [0.0, 0.0]
-    velocity = [0.0, 0.0]
-    command = [0.0, 0.0]
-    plant_clock = [0, 0]
-    integrator = [0.0, 0.0]
-    deriv = [0.0, 0.0]
-    last_meas: list[float | None] = [None, None]
-    pending_u = [0.0, 0.0]
-    latched: list[deque[tuple[float, float, float]]] = [deque(), deque()]
-    # the release before each axis's first one lies one initial period back,
-    # so the first job's sampling interval is that period
-    prev_release = [-specs[name].period_ns for name in ctrl_names]
+
+    def control_loop(axis: int):
+        """One axis's plant and PID, replayed a window at a time.
+
+        Sent `(releases, finishes, end_ns)`, the control task's job timeline
+        of one window, it replays the jobs in time order and yields the
+        plant position at `end_ns`. A release advances the plant to its
+        instant and latches the job's reference, measurement and sampling
+        interval; a completion advances the plant, runs the PID on the oldest
+        latched sample (the completing job's, as a task's jobs complete in
+        release order) and switches the held command. A release and a
+        completion on one instant leave the plant in the same state whichever
+        comes first.
+        """
+        position = velocity = command = 0.0
+        clock = 0  # the instant the plant was last advanced to
+        integrator = deriv = 0.0
+        last_meas: float | None = None
+        latched: deque[tuple[float, float, float]] = deque()  # FIFO of samples not yet consumed
+        # the release before the first one lies one initial period back, so
+        # the first job's sampling interval is that period
+        prev_release = -specs[ctrl_names[axis]].period_ns
+        end_ref = ref_end[axis]
+        releases, finishes, end_ns = yield
+        while True:
+            n, i = len(releases), 0
+            # each finish, then `end_ns`, is a stop; the releases before it come first
+            for stop_ns in (*finishes, end_ns):
+                while i < n and releases[i] < stop_ns:
+                    release_ns = releases[i]
+                    i += 1
+                    if release_ns > clock:
+                        dt_s = (release_ns - clock) / NS
+                        position, velocity = plant_advance(position, velocity, command, dt_s, plant)
+                        clock = release_ns
+                    t_s = release_ns / NS
+                    ref = end_ref if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
+                    latched.append((ref, position, (release_ns - prev_release) / NS))
+                    prev_release = release_ns
+                if stop_ns > clock:
+                    dt_s = (stop_ns - clock) / NS
+                    position, velocity = plant_advance(position, velocity, command, dt_s, plant)
+                    clock = stop_ns
+                if stop_ns == end_ns:  # finishes all lie before it
+                    break
+                ref, meas, spacing_s = latched.popleft()
+                command, integrator, deriv = pid_update(gains, spacing_s, integrator, deriv, last_meas, ref, meas)
+                last_meas = meas
+            releases, finishes, end_ns = yield position
+
+    loop_x, loop_y = control_loop(0), control_loop(1)
+    next(loop_x), next(loop_y)
 
     fuzzy = FuzzyFeedbackScheduler(target=cfg.target)
     mode, util_std = cfg.mode, cfg.util_std
@@ -191,72 +237,24 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         set_period(name_x, periods_ns[0])
         set_period(name_y, periods_ns[1])
         periods_now[name_x], periods_now[name_y] = periods_ns
-        for axis in (0, 1):
-            dt_ns = t_inv_ns - plant_clock[axis]
-            if dt_ns > 0:
-                position[axis], velocity[axis] = plant_advance(
-                    position[axis], velocity[axis], command[axis], dt_ns / NS, plant
-                )
-            plant_clock[axis] = t_inv_ns
+        releases, finishes = window.releases, window.finishes
+        act = (
+            loop_x.send((releases[name_x], finishes[name_x], t_inv_ns)),
+            loop_y.send((releases[name_y], finishes[name_y], t_inv_ns)),
+        )
         t_s = t_inv_ns / NS
         ref = ref_end if t_s >= ref_duration_s else reference(path, t_s)
-        act = (position[0], position[1])
         records.append(
             TraceRecord(
                 t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref)
             )
         )
 
-    def on_release(name: str, release_ns: int) -> None:
-        axis = axis_of.get(name)
-        if axis is None:
-            return
-        dt_ns = release_ns - plant_clock[axis]
-        if dt_ns > 0:
-            position[axis], velocity[axis] = plant_advance(
-                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
-            )
-        plant_clock[axis] = release_ns
-        spacing_ns = release_ns - prev_release[axis]
-        prev_release[axis] = release_ns
-        t_s = release_ns / NS
-        ref = ref_end[axis] if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
-        latched[axis].append((ref, position[axis], spacing_ns / NS))
-
     def on_start(name: str, release_ns: int, start_ns: int) -> None:
         if name == SCHEDULER_TASK:
             schedule_step(start_ns)
-            return
-        axis = axis_of.get(name)
-        if axis is None:
-            return
-        # consume the sample latched at this job's release (queues are FIFO,
-        # so under backlog the computation runs on proportionally stale data)
-        ref, meas, spacing_s = latched[axis].popleft()
-        pending_u[axis], integrator[axis], deriv[axis] = pid_update(
-            gains, spacing_s, integrator[axis], deriv[axis], last_meas[axis], ref, meas
-        )
-        last_meas[axis] = meas
 
-    def on_finish(rec) -> None:
-        axis = axis_of.get(rec.task)
-        if axis is None:
-            return
-        dt_ns = rec.finish_ns - plant_clock[axis]
-        if dt_ns > 0:
-            position[axis], velocity[axis] = plant_advance(
-                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
-            )
-        plant_clock[axis] = rec.finish_ns
-        command[axis] = pending_u[axis]
-
-    kernel = Kernel(
-        list(specs.values()) + [fs_spec],
-        exec_time_of=exec_time_of,
-        on_job_release=on_release,
-        on_job_start=on_start,
-        on_job_finish=on_finish,
-    )
+    kernel = Kernel(list(specs.values()) + [fs_spec], exec_time_of=exec_time_of, on_job_start=on_start)
     set_period = kernel.set_period
     kernel.run(horizon_ns)
 

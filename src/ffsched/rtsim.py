@@ -124,10 +124,22 @@ class Segment(NamedTuple):
 
 
 class WindowData(NamedTuple):
-    """Execution-time samples of the jobs released inside one sampling window."""
+    """The job timeline of one sampling window, per task name.
+
+    `samples` holds the execution times of the jobs released before `end_ns`
+    since the previous snapshot, `releases` their release instants and
+    `finishes` the completion instants before `end_ns` since the previous
+    snapshot, all in time order. The co-simulation replays its control loops
+    from `releases` and `finishes` once per scheduler invocation instead of
+    in per-job hooks. That is exact because the loops never feed back into
+    the kernel: the scheduler reads only the utilization measured from
+    `samples`.
+    """
 
     end_ns: int
     samples: Mapping[str, tuple[int, ...]]
+    releases: Mapping[str, tuple[int, ...]]
+    finishes: Mapping[str, tuple[int, ...]]
 
 
 class UtilizationSample(NamedTuple):
@@ -165,31 +177,37 @@ class ExecDraws:
     Each refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
     which for numpy's Generator is the same sequence that repeated scalar
     `rng.standard_normal()` calls yield, and turns them into times with one
-    `sample` call (`sample_execution_time`'s signature); a new mean mid-block
-    converts the rest of the block again. Nothing is drawn until asked for.
+    `sample` call (`sample_execution_time`'s signature). A mean first asked
+    for mid-block converts the rest of the block from there, and that
+    conversion is kept until the next refill, so a block costs one `sample`
+    call per distinct mean however often the means alternate. Nothing is
+    drawn until asked for.
     """
 
-    __slots__ = ("_rng", "_rel_std", "_sample", "_normals", "_times", "_mean", "_next")
+    __slots__ = ("_rng", "_rel_std", "_sample", "_normals", "_converted", "_next")
 
     def __init__(self, rng: np.random.Generator, rel_std: float, sample: Callable[..., list[int]]):
         self._rng = rng
         self._rel_std = rel_std
         self._sample = sample
         self._normals = np.empty(0)
-        self._times: list[int] = []
-        self._mean: int | None = None  # the mean `_times[_next:]` was converted for
+        # per mean, the block index its conversion starts at and the times
+        # from there on; cleared on refill
+        self._converted: dict[int, tuple[int, list[int]]] = {}
         self._next = NOISE_BLOCK  # the block is used up: the first call refills it
 
     def draw(self, mean_ns: int) -> int:
         i = self._next
         if i == NOISE_BLOCK:
             self._normals = self._rng.standard_normal(NOISE_BLOCK)
-            self._mean, i = None, 0
-        if mean_ns != self._mean:
-            self._times[i:] = self._sample(mean_ns, self._normals[i:], self._rel_std)
-            self._mean = mean_ns
+            self._converted.clear()
+            i = 0
+        converted = self._converted.get(mean_ns)
+        if converted is None:
+            converted = self._converted[mean_ns] = (i, self._sample(mean_ns, self._normals[i:], self._rel_std))
         self._next = i + 1
-        return self._times[i]
+        start, times = converted
+        return times[i - start]
 
 
 def measure_utilization(
@@ -237,10 +255,11 @@ class _TaskRuntime:
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
-    # release instants and execution times of jobs not yet taken by a window
-    # snapshot, in release order
+    # release instants and execution times of jobs, and completion instants,
+    # not yet taken by a window snapshot, in time order
     pending_releases: list[int] = field(default_factory=list)
     pending_execs: list[int] = field(default_factory=list)
+    pending_finishes: list[int] = field(default_factory=list)
 
 
 _NEVER = float("inf")  # later than any release; the drain's starting minimum
@@ -313,18 +332,30 @@ class Kernel:
         return TaskStats(rt.released, rt.completed, rt.missed, rt.preemptions)
 
     def window_snapshot(self, window_end_ns: int) -> WindowData:
-        """Take (and clear) the execution samples of jobs released before `window_end_ns`.
+        """Take (and clear) the releases, execution samples and completions
+        filed before `window_end_ns`.
 
-        Jobs released at or after the boundary stay filed for the next window,
-        so back-to-back snapshots partition the release timeline exactly.
+        Events at or after the boundary stay filed for the next window, so
+        back-to-back snapshots partition the release and completion timelines
+        exactly: each event lands in one window, and the windows keep time
+        order. A replay that has advanced to the boundary meets an event on
+        the boundary itself at the start of the next window, with a zero
+        step.
         """
 
         samples: dict[str, tuple[int, ...]] = {}
+        releases: dict[str, tuple[int, ...]] = {}
+        finishes: dict[str, tuple[int, ...]] = {}
         for rt in self._by_priority:
+            name = rt.name
             n = bisect_left(rt.pending_releases, window_end_ns)  # releases before the boundary
-            samples[rt.name] = tuple(rt.pending_execs[:n])
+            samples[name] = tuple(rt.pending_execs[:n])
+            releases[name] = tuple(rt.pending_releases[:n])
             del rt.pending_releases[:n], rt.pending_execs[:n]
-        return WindowData(window_end_ns, samples)
+            n = bisect_left(rt.pending_finishes, window_end_ns)
+            finishes[name] = tuple(rt.pending_finishes[:n])
+            del rt.pending_finishes[:n]
+        return WindowData(window_end_ns, samples, releases, finishes)
 
     def run(self, until_ns: int) -> None:
         """Advance simulated time to exactly `until_ns`.
@@ -406,6 +437,7 @@ class Kernel:
             if job[4] == 0:
                 queue.popleft()
                 rt.completed += 1
+                rt.pending_finishes.append(now)
                 index, release_ns, deadline_ns, exec_ns, _, start_ns = job
                 missed = now > deadline_ns
                 if missed:

@@ -1,0 +1,210 @@
+"""The run wiring that advanced plants and ran the PIDs from per-job kernel hooks.
+
+A test-only reference for `ffsched.experiment.run_experiment`, which replays
+the same control loops once per scheduler window from the kernel's window
+timeline. Here the kernel calls back at every release (advance the plant,
+latch the sample), at every job start (run the PID, or invoke the scheduler)
+and at every completion (advance the plant, actuate), so the loops run in
+step with the kernel. Both wirings must give identical trace records.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from ffsched.control import (
+    ReferencePath,
+    pid_update,
+    plant_advance,
+    reference_at,
+    reference_coordinate,
+    tracking_error,
+)
+from ffsched.experiment import ExperimentResult, TraceRecord, _spec_of, summarize
+from ffsched.rtsim import (
+    NS,
+    ExecDraws,
+    ExecSchedule,
+    Kernel,
+    TaskKind,
+    TaskSpec,
+    measure_utilization,
+    sample_execution_time,
+    seconds_to_ns,
+)
+from ffsched.scenario import SCHEDULER_TASK, ScenarioConfig
+from ffsched.schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
+
+
+def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
+    """`run_experiment` with the loops driven by the kernel's job hooks."""
+
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+    ctrl = cfg.control_tasks()
+    ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
+    axis_of = {ctrl_names[0]: 0, ctrl_names[1]: 1}
+    load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
+    h_min_ns, h_max_ns = seconds_to_ns(cfg.h_min_s), seconds_to_ns(cfg.h_max_s)
+    horizon_ns = seconds_to_ns(cfg.horizon_s)
+
+    specs = {t.name: _spec_of(t) for t in cfg.tasks}
+    fs_exec_ns = seconds_to_ns(cfg.fs_exec_s)
+    fs_spec = TaskSpec(
+        name=SCHEDULER_TASK,
+        kind=TaskKind.SCHEDULER,
+        priority=1,
+        period_ns=seconds_to_ns(cfg.fs_period_s),
+        exec_schedule=ExecSchedule.constant(fs_exec_ns),
+    )
+
+    # callees looked up in this module's namespace once per run, so a
+    # wrapper installed there before the run still sees every call
+    sample = sample_execution_time
+    reference = reference_at
+    exec_std = cfg.exec_std
+
+    # per user task, its mean execution time and the draw of a private noise
+    # stream (untouched when exec_std = 0); one more stream for the measurement
+    exec_draw = {
+        t.name: (
+            specs[t.name].exec_schedule.mean_at,
+            ExecDraws(np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw,
+        )
+        for i, t in enumerate(cfg.tasks)
+    }
+    util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
+
+    def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
+        draw = exec_draw.get(spec.name)
+        if draw is None:
+            return fs_exec_ns  # the scheduler's own cost is fixed by assumption
+        mean_at, draw_exec = draw
+        return draw_exec(mean_at(release_ns)) if exec_std else mean_at(release_ns)
+
+    path = ReferencePath(duration=cfg.ref_duration_s)
+    # the path holds its end point from `duration` on; compared in float
+    # seconds, because the duration rounded to ns may fall below it
+    ref_end = reference(path, path.duration)
+    ref_duration_s = path.duration
+    plant, gains = cfg.plant, cfg.pid
+    position = [0.0, 0.0]
+    velocity = [0.0, 0.0]
+    command = [0.0, 0.0]
+    plant_clock = [0, 0]
+    integrator = [0.0, 0.0]
+    deriv = [0.0, 0.0]
+    last_meas: list[float | None] = [None, None]
+    pending_u = [0.0, 0.0]
+    latched: list[deque[tuple[float, float, float]]] = [deque(), deque()]
+    # the release before each axis's first one lies one initial period back,
+    # so the first job's sampling interval is that period
+    prev_release = [-specs[name].period_ns for name in ctrl_names]
+
+    fuzzy = FuzzyFeedbackScheduler(target=cfg.target)
+    mode, util_std = cfg.mode, cfg.util_std
+    name_x, name_y = ctrl_names
+    records: list[TraceRecord] = []
+    # user task periods in `specs` order, kept in step with the kernel below
+    periods_now = {name: spec.period_ns for name, spec in specs.items()}
+    warmed_up = False  # the very first invocation only starts the first window
+
+    def schedule_step(t_inv_ns: int) -> None:
+        nonlocal warmed_up
+        if not warmed_up:
+            warmed_up = True
+            return
+        window = kernel.window_snapshot(t_inv_ns)
+        u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
+        current = (periods_now[name_x], periods_now[name_y])
+        if mode == "fuzzy":
+            eta = fuzzy.step(u_meas)
+        elif mode == "open":
+            eta = 1.0
+        else:
+            true_means = tuple(float(specs[name].exec_schedule.mean_at(t_inv_ns)) for name in ctrl_names)
+            u_others = sum(specs[name].exec_schedule.mean_at(t_inv_ns) / periods_now[name] for name in load_names)
+            eta = ideal_eta(true_means, tuple(float(h) for h in current), u_others, cfg.target)
+        periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
+        set_period(name_x, periods_ns[0])
+        set_period(name_y, periods_ns[1])
+        periods_now[name_x], periods_now[name_y] = periods_ns
+        for axis in (0, 1):
+            dt_ns = t_inv_ns - plant_clock[axis]
+            if dt_ns > 0:
+                position[axis], velocity[axis] = plant_advance(
+                    position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+                )
+            plant_clock[axis] = t_inv_ns
+        t_s = t_inv_ns / NS
+        ref = ref_end if t_s >= ref_duration_s else reference(path, t_s)
+        act = (position[0], position[1])
+        records.append(
+            TraceRecord(
+                t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref)
+            )
+        )
+
+    def on_release(name: str, release_ns: int) -> None:
+        axis = axis_of.get(name)
+        if axis is None:
+            return
+        dt_ns = release_ns - plant_clock[axis]
+        if dt_ns > 0:
+            position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+            )
+        plant_clock[axis] = release_ns
+        spacing_ns = release_ns - prev_release[axis]
+        prev_release[axis] = release_ns
+        t_s = release_ns / NS
+        ref = ref_end[axis] if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
+        latched[axis].append((ref, position[axis], spacing_ns / NS))
+
+    def on_start(name: str, release_ns: int, start_ns: int) -> None:
+        if name == SCHEDULER_TASK:
+            schedule_step(start_ns)
+            return
+        axis = axis_of.get(name)
+        if axis is None:
+            return
+        # consume the sample latched at this job's release (queues are FIFO,
+        # so under backlog the computation runs on proportionally stale data)
+        ref, meas, spacing_s = latched[axis].popleft()
+        pending_u[axis], integrator[axis], deriv[axis] = pid_update(
+            gains, spacing_s, integrator[axis], deriv[axis], last_meas[axis], ref, meas
+        )
+        last_meas[axis] = meas
+
+    def on_finish(rec) -> None:
+        axis = axis_of.get(rec.task)
+        if axis is None:
+            return
+        dt_ns = rec.finish_ns - plant_clock[axis]
+        if dt_ns > 0:
+            position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis], command[axis], dt_ns / NS, plant
+            )
+        plant_clock[axis] = rec.finish_ns
+        command[axis] = pending_u[axis]
+
+    kernel = Kernel(
+        list(specs.values()) + [fs_spec],
+        exec_time_of=exec_time_of,
+        on_job_release=on_release,
+        on_job_start=on_start,
+        on_job_finish=on_finish,
+    )
+    set_period = kernel.set_period
+    kernel.run(horizon_ns)
+
+    summary = summarize(
+        records,
+        cfg,
+        seed,
+        task_stats={name: kernel.stats(name) for name in [*specs, SCHEDULER_TASK]},
+    )
+    return ExperimentResult(control_names=ctrl_names, records=tuple(records), summary=summary)

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import replace
 
 import pytest
@@ -18,9 +18,11 @@ from ffsched.experiment import (
     trace_header,
 )
 from ffsched.control import ReferencePath, reference_at
-from ffsched.rtsim import NS, ExecDraws, Kernel, seconds_to_ns
+from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
+from hook_wiring import run_with_job_hooks
 from invariants import _verify_case
+from test_pins import _flickering_scenario
 
 H_MIN, H_MAX = 0.001, 0.007
 
@@ -180,24 +182,24 @@ class TestReferenceEndPoint:
     DURATION_S = 0.1000000004  # 100000000 ns once rounded, yet above 0.1 s
 
     def test_every_reference_matches_the_path(self, monkeypatch):
-        starting = []
+        control_names = ("tau1", "tau2")
         releases = defaultdict(list)
         latched = defaultdict(list)
+        # the task of each PID update due in the window being replayed: the
+        # x axis's completions in time order, then the y axis's
+        completing = deque()
 
         class RecordingKernel(Kernel):
-            def __init__(self, tasks, *, on_job_release, on_job_start, **kwargs):
-                def release(name, release_ns):
-                    releases[name].append(release_ns)
-                    on_job_release(name, release_ns)
-
-                def start(name, release_ns, start_ns):
-                    starting.append(name)
-                    on_job_start(name, release_ns, start_ns)
-
-                super().__init__(tasks, on_job_release=release, on_job_start=start, **kwargs)
+            def window_snapshot(self, window_end_ns):
+                window = super().window_snapshot(window_end_ns)
+                assert not completing  # every completion of the last window ran one update
+                for name in control_names:
+                    releases[name].extend(window.releases[name])
+                    completing.extend([name] * len(window.finishes[name]))
+                return window
 
         def recording_pid_update(gains, period, integrator, deriv, last_meas, ref, meas):
-            latched[starting[-1]].append(ref)
+            latched[completing.popleft()].append(ref)
             return pid_update(gains, period, integrator, deriv, last_meas, ref, meas)
 
         pid_update = experiment.pid_update
@@ -206,6 +208,7 @@ class TestReferenceEndPoint:
         # open loop: tau2 keeps its 4 ms period, so it is released at 0.1 s itself
         cfg = replace(default_scenario(), mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
         result = run_experiment(cfg, seed=1)
+        assert result.control_names == control_names
         path = ReferencePath(duration=self.DURATION_S)
         assert seconds_to_ns(self.DURATION_S) / NS == 0.1
         assert {r.t_s for r in result.records} >= {0.1, 0.12}
@@ -229,18 +232,18 @@ class TestKernelInvariantsInTheLoop:
         kernels = []
 
         class RecordingKernel(Kernel):
-            def __init__(self, tasks, *, on_job_release, on_job_finish, **kwargs):
+            def __init__(self, tasks, *, on_job_release=None, on_job_finish=None, **kwargs):
+                # the run replays its loops from window snapshots, not per-job hooks
+                assert on_job_release is None and on_job_finish is None
                 self.specs = list(tasks)
                 self.releases = defaultdict(list)
                 self.finishes = defaultdict(list)
 
                 def release(name, release_ns):
                     self.releases[name].append(release_ns)
-                    on_job_release(name, release_ns)
 
                 def finish(rec):
                     self.finishes[rec.task].append(rec)
-                    on_job_finish(rec)
 
                 super().__init__(
                     self.specs, on_job_release=release, on_job_finish=finish, record_segments=True, **kwargs
@@ -262,6 +265,46 @@ class TestKernelInvariantsInTheLoop:
         assert (len(periods_seen) > 1) == (mode != "open")
 
 
+class TestReplayMatchesJobHooks:
+    """`run_experiment` replays the control loops from each window's job
+    timeline; `run_with_job_hooks` drives them from per-job kernel hooks.
+    Both must give identical trace records and summaries."""
+
+    @staticmethod
+    def _assert_identical(cfg, seed):
+        replayed, hooked = run_experiment(cfg, seed), run_with_job_hooks(cfg, seed)
+        assert replayed.records == hooked.records
+        assert format_trace_csv(replayed) == format_trace_csv(hooked)  # also tells -0.0 from 0.0
+        assert replayed.summary == hooked.summary
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
+    def test_default_scenario(self, mode, seed):
+        self._assert_identical(replace(default_scenario(), mode=mode), seed)
+
+    def test_flickering_means(self):
+        self._assert_identical(_flickering_scenario(), 1)
+
+    def test_events_on_invocation_instants(self, monkeypatch):
+        # noise-free open loop: tau2 is released on every invocation instant,
+        # and a few control jobs complete exactly on one
+        windows = []
+
+        class RecordingKernel(Kernel):
+            def window_snapshot(self, window_end_ns):
+                windows.append(super().window_snapshot(window_end_ns))
+                return windows[-1]
+
+        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+        cfg = replace(default_scenario(), mode="open", exec_std=0.0, util_std=0.0)
+        self._assert_identical(cfg, 1)
+        invocations = {w.end_ns for w in windows}
+
+        def on_invocation(timelines):
+            return [t for w in windows for name in ("tau1", "tau2") for t in timelines(w)[name] if t in invocations]
+
+        assert on_invocation(lambda w: w.releases)
+        assert on_invocation(lambda w: w.finishes)
 class TestNoiseDraws:
     def _count_draws(self, cfg, monkeypatch):
         draws = [0]
@@ -281,6 +324,33 @@ class TestNoiseDraws:
         draws, result = self._count_draws(replace(default_scenario(), horizon_s=0.5), monkeypatch)
         stats = result.summary.task_stats
         assert draws == sum(s.released for name, s in stats.items() if name != SCHEDULER_TASK)
+
+    def test_flickering_means_convert_once_per_block(self, monkeypatch):
+        # (task stream, block, mean) of every conversion
+        conversions = []
+
+        class CountingDraws(ExecDraws):
+            __slots__ = ("drawn",)
+
+            def __init__(self, rng, rel_std, sample):
+                def counted(mean_ns, normals, rel_std):
+                    conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
+                    return sample(mean_ns, normals, rel_std)
+
+                super().__init__(rng, rel_std, counted)
+                self.drawn = 0
+
+            def draw(self, mean_ns):
+                self.drawn += 1
+                return super().draw(mean_ns)
+
+        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
+        run_experiment(_flickering_scenario(), seed=1)
+        # at most one conversion per distinct mean per block per task ...
+        assert len(conversions) == len(set(conversions))
+        # ... while the means do change inside blocks
+        blocks = {(stream, block) for stream, block, _ in conversions}
+        assert len(conversions) > len(blocks)
 
     def test_noise_free_runs_draw_nothing(self, monkeypatch):
         cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)

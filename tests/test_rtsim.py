@@ -22,7 +22,7 @@ MS = 1_000_000
 
 
 def _window(samples):
-    return WindowData(end_ns=0, samples=samples)
+    return WindowData(end_ns=0, samples=samples, releases={}, finishes={})
 
 
 def _task(name, priority, period_ms, exec_ms, kind=TaskKind.LOAD):
@@ -259,6 +259,62 @@ class TestWindowSnapshot:
         assert snap.samples["t"] == (15 * MS, 15 * MS)
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_back_to_back_snapshots_partition_releases_and_completions(self, seed):
+        rng = np.random.default_rng(seed)
+        n_tasks = int(rng.integers(2, 5))
+        prios = [int(p) + 1 for p in rng.permutation(n_tasks)]
+        specs = [_task(f"t{i}", prios[i], int(rng.integers(2, 21)), int(rng.integers(1, 8))) for i in range(n_tasks)]
+        names = [s.name for s in specs]
+        horizon = int(rng.integers(40, 81)) * MS
+        releases, execs, finishes = ({name: [] for name in names} for _ in range(3))
+
+        def exec_time_of(spec, release_ns):
+            exec_ns = max(1, int(spec.exec_schedule.mean_at(release_ns) * rng.uniform(0.3, 1.5)))
+            execs[spec.name].append(exec_ns)
+            return exec_ns
+
+        kernel = Kernel(
+            specs,
+            exec_time_of=exec_time_of,
+            on_job_release=lambda name, release_ns: releases[name].append(release_ns),
+            on_job_finish=lambda rec: finishes[rec.task].append(rec.finish_ns),
+        )
+        # windows end on the releases at 0, at random instants, twice on one
+        # instant and on the horizon; a last one past it takes what remains
+        ends = sorted({0, 20 * MS, horizon} | {int(rng.integers(1, horizon)) for _ in range(6)})
+        windows = []
+        for end in ends:
+            kernel.run(end)
+            windows.append(kernel.window_snapshot(end))
+            if end == 20 * MS:
+                windows.append(kernel.window_snapshot(end))
+            kernel.set_period(names[int(rng.integers(0, n_tasks))], int(rng.integers(2, 21)) * MS)
+        windows.append(kernel.window_snapshot(horizon + 1))
+
+        # an event on a window's end instant belongs to the next window
+        assert all(windows[0].releases[name] == () for name in names)
+        assert all(windows[1].releases[name][0] == 0 for name in names)
+        start = 0
+        for window in windows:
+            for timelines in (window.releases, window.finishes):
+                for events in timelines.values():
+                    assert all(start <= t < window.end_ns for t in events)
+                    assert list(events) == sorted(events)
+            start = window.end_ns
+        # each release and completion lands in exactly one window
+        for name in names:
+            st = kernel.stats(name)
+            got_releases = [t for w in windows for t in w.releases[name]]
+            got_finishes = [t for w in windows for t in w.finishes[name]]
+            assert got_releases == releases[name]
+            assert got_finishes == finishes[name]
+            assert [x for w in windows for x in w.samples[name]] == execs[name]
+            assert (len(got_releases), len(got_finishes)) == (st.released, st.completed)
+        # jobs straddle windows: some window completes a different number than it releases
+        assert any(len(w.finishes[name]) != len(w.releases[name]) for w in windows for name in names)
+
+
 class TestNoiseHelpers:
     def test_sample_execution_time_noise_free_is_exact(self):
         # rel_std == 0 gives the mean whatever the normal value
@@ -281,6 +337,12 @@ class TestNoiseHelpers:
         draws = ExecDraws(np.random.default_rng(7), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
         assert [draws.draw(1_000_000) for _ in range(n)] == expected
+        # means that alternate mid-block reuse their conversions at later jobs
+        means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
+        scalar = np.random.default_rng(7)
+        draws = ExecDraws(np.random.default_rng(7), 0.1, sample_execution_time)
+        expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
+        assert [draws.draw(mean) for mean in means] == expected
 
     def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
