@@ -305,6 +305,8 @@ class TestReplayMatchesJobHooks:
 
         assert on_invocation(lambda w: w.releases)
         assert on_invocation(lambda w: w.finishes)
+
+
 class TestNoiseDraws:
     def _count_draws(self, cfg, monkeypatch):
         draws = [0]
