@@ -35,7 +35,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -117,13 +117,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     horizon_ns = seconds_to_ns(cfg.horizon_s)
 
     specs = {t.name: _spec_of(t) for t in cfg.tasks}
-    fs_exec_ns = seconds_to_ns(cfg.fs_exec_s)
     fs_spec = TaskSpec(
         name=SCHEDULER_TASK,
         kind=TaskKind.SCHEDULER,
         priority=1,
         period_ns=seconds_to_ns(cfg.fs_period_s),
-        exec_schedule=ExecSchedule.constant(fs_exec_ns),
+        exec_schedule=ExecSchedule.constant(seconds_to_ns(cfg.fs_exec_s)),
     )
 
     # callees looked up in this module's namespace once per run, so a
@@ -132,23 +131,17 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     reference = reference_at
     exec_std = cfg.exec_std
 
-    # per user task, its mean execution time and the draw of a private noise
-    # stream (untouched when exec_std = 0); one more stream for the measurement
-    exec_draw = {
-        t.name: (
-            specs[t.name].exec_schedule.mean_at,
-            ExecDraws(np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw,
-        )
-        for i, t in enumerate(cfg.tasks)
-    }
+    # user task i draws from private noise stream [seed, i] when exec_std != 0;
+    # one more stream for the measurement
+    stream_of = {t.name: i for i, t in enumerate(cfg.tasks)}
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
-    def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
-        draw = exec_draw.get(spec.name)
-        if draw is None:
-            return fs_exec_ns  # the scheduler's own cost is fixed by assumption
-        mean_at, draw_exec = draw
-        return draw_exec(mean_at(release_ns)) if exec_std else mean_at(release_ns)
+    def exec_time_of(spec: TaskSpec) -> Callable[[int], int]:
+        mean_at = spec.exec_schedule.mean_at
+        i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
+        if i is None or not exec_std:
+            return mean_at
+        return ExecDraws(mean_at, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

@@ -174,19 +174,22 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float, flo
 class ExecDraws:
     """One task's noisy execution times, converted `NOISE_BLOCK` jobs at a time.
 
-    Each refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
-    which for numpy's Generator is the same sequence that repeated scalar
-    `rng.standard_normal()` calls yield, and turns them into times with one
-    `sample` call (`sample_execution_time`'s signature). A mean first asked
-    for mid-block converts the rest of the block from there, and that
-    conversion is kept until the next refill, so a block costs one `sample`
-    call per distinct mean however often the means alternate. Nothing is
-    drawn until asked for.
+    `draw(release_ns)` is the task's execution-time source: it looks up the
+    mean in force at the release with `mean_at` and returns the next noisy
+    time for that mean. Each refill takes the next `NOISE_BLOCK` values of
+    `rng.standard_normal(n)`, which for numpy's Generator is the same sequence
+    that repeated scalar `rng.standard_normal()` calls yield, and turns them
+    into times with one `sample` call (`sample_execution_time`'s signature). A
+    mean first asked for mid-block converts the rest of the block from there,
+    and that conversion is kept until the next refill, so a block costs one
+    `sample` call per distinct mean however often the means alternate.
+    Nothing is drawn until asked for.
     """
 
-    __slots__ = ("_rng", "_rel_std", "_sample", "_normals", "_converted", "_next")
+    __slots__ = ("_mean_at", "_rng", "_rel_std", "_sample", "_normals", "_converted", "_next")
 
-    def __init__(self, rng: np.random.Generator, rel_std: float, sample: Callable[..., list[int]]):
+    def __init__(self, mean_at: Callable[[int], int], rng: np.random.Generator, rel_std: float, sample: Callable):
+        self._mean_at = mean_at
         self._rng = rng
         self._rel_std = rel_std
         self._sample = sample
@@ -196,7 +199,8 @@ class ExecDraws:
         self._converted: dict[int, tuple[int, list[int]]] = {}
         self._next = NOISE_BLOCK  # the block is used up: the first call refills it
 
-    def draw(self, mean_ns: int) -> int:
+    def draw(self, release_ns: int) -> int:
+        mean_ns = self._mean_at(release_ns)
         i = self._next
         if i == NOISE_BLOCK:
             self._normals = self._rng.standard_normal(NOISE_BLOCK)
@@ -247,6 +251,7 @@ class _TaskRuntime:
     spec: TaskSpec
     name: str
     period_ns: int
+    exec_time: Callable[[int], int]  # release_ns -> exec_ns, bound once per task
     next_release_ns: int = 0
     # queued jobs, oldest first, as [index, release_ns, deadline_ns, exec_ns,
     # remaining_ns, start_ns]; start_ns is -1 until the job first gets the CPU
@@ -267,21 +272,24 @@ _NEVER = float("inf")  # later than any release; the drain's starting minimum
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], None]  # (task name, release_ns, start_ns)
 FinishHook = Callable[[JobRecord], None]
-ExecTimeFn = Callable[[TaskSpec, int], int]  # (spec, release_ns) -> exec_ns
+ExecTimeFn = Callable[[TaskSpec], Callable[[int], int]]  # spec -> (release_ns -> exec_ns)
 
 
 class Kernel:
     """Single-CPU fixed-priority preemptive kernel.
 
-    `exec_time_of` decides each job's execution time at its release (this is
-    where callers inject sampling noise); the default uses the task's mean
-    schedule unchanged. `on_job_release` fires at the release instant (the
-    time-triggered point where a control job latches its inputs),
-    `on_job_start` the first time a job gets the CPU, `on_job_finish` when it
-    completes. A deadline equals the release plus the period in force at
-    that release, and a miss is counted when the job completes after it.
-    Hooks may read `now_ns`, which holds the instant of the event they
-    report, and may call `period_of`, `set_period` and `window_snapshot`.
+    `exec_time_of` is called once per task, at construction, with its spec.
+    The function it returns is that task's execution-time source: the kernel
+    calls it once per release with the release instant and takes the result
+    as the job's execution time (this is where callers inject sampling
+    noise). The default source is the task's `exec_schedule.mean_at`.
+    `on_job_release` fires at the release instant (the time-triggered point
+    where a control job latches its inputs), `on_job_start` the first time a
+    job gets the CPU, `on_job_finish` when it completes. A deadline equals
+    the release plus the period in force at that release, and a miss is
+    counted when the job completes after it. Sources and hooks may read
+    `now_ns`, which holds the instant of the event they serve; hooks may
+    call `period_of`, `set_period` and `window_snapshot`.
     """
 
     def __init__(
@@ -302,9 +310,9 @@ class Kernel:
             raise ValueError("task names must be unique")
         if len({s.priority for s in specs}) != len(specs):
             raise ValueError("task priorities must be unique")
-        self._tasks = {s.name: _TaskRuntime(spec=s, name=s.name, period_ns=s.period_ns) for s in specs}
+        source_of = exec_time_of or (lambda spec: spec.exec_schedule.mean_at)
+        self._tasks = {s.name: _TaskRuntime(s, s.name, s.period_ns, source_of(s)) for s in specs}
         self._by_priority = sorted(self._tasks.values(), key=lambda rt: rt.spec.priority)
-        self._exec_time_of = exec_time_of or (lambda spec, release_ns: spec.exec_schedule.mean_at(release_ns))
         self._on_job_release = on_job_release
         self._on_job_start = on_job_start
         self._on_job_finish = on_job_finish
@@ -368,7 +376,6 @@ class Kernel:
         if until_ns < now:
             raise ValueError("cannot run backwards")
         by_priority = self._by_priority
-        exec_time_of = self._exec_time_of
         on_job_release = self._on_job_release
         on_job_start = self._on_job_start
         on_job_finish = self._on_job_finish
@@ -388,7 +395,7 @@ class Kernel:
                     release_ns = rt.next_release_ns
                     while release_ns <= now:
                         period = rt.period_ns  # the period in force fixes deadline and successor
-                        exec_ns = int(exec_time_of(rt.spec, release_ns))
+                        exec_ns = int(rt.exec_time(release_ns))
                         if exec_ns <= 0:
                             raise ValueError(f"task {rt.name}: sampled execution time must be positive")
                         rt.queue.append([rt.released, release_ns, release_ns + period, exec_ns, exec_ns, -1])
@@ -438,17 +445,13 @@ class Kernel:
                 queue.popleft()
                 rt.completed += 1
                 rt.pending_finishes.append(now)
-                index, release_ns, deadline_ns, exec_ns, _, start_ns = job
-                missed = now > deadline_ns
+                missed = now > job[2]  # past the deadline
                 if missed:
                     rt.missed += 1
                 if on_job_finish is not None:
-                    on_job_finish(
-                        new_tuple(
-                            JobRecord,
-                            (rt.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed),
-                        )
-                    )
+                    index, release_ns, deadline_ns, exec_ns, _, start_ns = job
+                    record = (rt.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed)
+                    on_job_finish(new_tuple(JobRecord, record))
                 running = None
         self._running = running
         self._next_release_ns = next_release

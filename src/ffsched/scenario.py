@@ -295,10 +295,6 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ScenarioSemanticError(f"utilization target must lie strictly inside (0, 1), got {cfg.target:g}")
     if cfg.h_min_s > cfg.h_max_s:
         raise ScenarioSemanticError(f"h_min ({cfg.h_min_s:g}) must not exceed h_max ({cfg.h_max_s:g})")
-    if cfg.fs_exec_s >= cfg.fs_period_s:
-        raise ScenarioSemanticError("scheduler execution time must be smaller than its period")
-    if cfg.horizon_s <= cfg.fs_period_s:
-        raise ScenarioSemanticError("horizon must exceed one scheduler period")
     if not cfg.tasks:
         raise ScenarioSemanticError("scenario defines no tasks")
     names = [t.name for t in cfg.tasks]
@@ -342,9 +338,10 @@ def _check_kernel_times(cfg: ScenarioConfig) -> None:
     """The kernel counts whole nanoseconds up to `ExecSchedule.FOREVER`:
     every time it is given must be finite, at least 1 ns once rounded and at
     most FOREVER ns (checked before converting, which would overflow), and no
-    execution segment may round to nothing. Execution-time noise must keep
-    every draw within FOREVER ns too. Command-line overrides reach here
-    unparsed."""
+    execution segment may round to nothing. The scheduler's execution time
+    and the horizon are compared with its period as the kernel sees them, in
+    whole nanoseconds. Execution-time noise must keep every draw within
+    FOREVER ns too. Command-line overrides reach here unparsed."""
 
     forever = ExecSchedule.FOREVER
     times = [
@@ -362,6 +359,11 @@ def _check_kernel_times(cfg: ScenarioConfig) -> None:
             raise ScenarioSemanticError(
                 f"{name} must be a finite time from 1 ns to {forever} ns, got {value!r}"
             )
+    fs_period_ns = seconds_to_ns(cfg.fs_period_s)
+    if seconds_to_ns(cfg.fs_exec_s) >= fs_period_ns:
+        raise ScenarioSemanticError("scheduler execution time must be smaller than its period")
+    if seconds_to_ns(cfg.horizon_s) <= fs_period_ns:
+        raise ScenarioSemanticError("horizon must exceed one scheduler period")
     for task in cfg.tasks:
         for start, end, _ in task.exec_segments:
             if math.isinf(end):

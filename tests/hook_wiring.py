@@ -67,23 +67,21 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     reference = reference_at
     exec_std = cfg.exec_std
 
-    # per user task, its mean execution time and the draw of a private noise
-    # stream (untouched when exec_std = 0); one more stream for the measurement
+    # per user task, the draw of a private noise stream (untouched when
+    # exec_std = 0); one more stream for the measurement
     exec_draw = {
-        t.name: (
-            specs[t.name].exec_schedule.mean_at,
-            ExecDraws(np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw,
-        )
+        t.name: ExecDraws(
+            specs[t.name].exec_schedule.mean_at, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample
+        ).draw
         for i, t in enumerate(cfg.tasks)
     }
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
-    def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
+    def exec_time_of(spec: TaskSpec):
         draw = exec_draw.get(spec.name)
         if draw is None:
-            return fs_exec_ns  # the scheduler's own cost is fixed by assumption
-        mean_at, draw_exec = draw
-        return draw_exec(mean_at(release_ns)) if exec_std else mean_at(release_ns)
+            return lambda release_ns: fs_exec_ns  # the scheduler's own cost is fixed by assumption
+        return draw if exec_std else spec.exec_schedule.mean_at
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

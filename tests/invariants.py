@@ -130,8 +130,10 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
         releases: dict[str, list[int]] = defaultdict(list)
         finishes: dict[str, list] = defaultdict(list)
 
-        def exec_time_of(spec: TaskSpec, release_ns: int) -> int:
-            return max(1, int(spec.exec_schedule.mean_at(release_ns) * rng.uniform(0.3, 1.5)))
+        def exec_time_of(spec: TaskSpec):
+            # every task's source draws from the one shared rng, in release order
+            mean_at = spec.exec_schedule.mean_at
+            return lambda release_ns: max(1, int(mean_at(release_ns) * rng.uniform(0.3, 1.5)))
 
         kernel = Kernel(
             specs,

@@ -176,6 +176,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[scenario-semantic]:") and "9223372036854775807 ns" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_horizon_rounding_onto_the_scheduler_period_is_4(self, command, tmp_path, capsys):
+        # 0.0200000001 s > 0.02 s, but both are 20000000 ns to the kernel
+        argv = [command, "--horizon", "0.0200000001", "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--seeds", "1"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error[scenario-semantic]: horizon must exceed one scheduler period\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_scheduler_exec_rounding_onto_its_period_is_4(self, tmp_path, capsys):
+        scenario = tmp_path / "sched.cfg"
+        scenario.write_text("[scheduler]\nexec = 0.0199999999996\n")  # 20000000 ns, the 0.02 s period
+        assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error[scenario-semantic]: scheduler execution time must be smaller than its period\n"
+
     def test_util_std_whose_draws_overflow_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "noise.cfg"
         scenario.write_text("[noise]\nutil_std = 1e308\n")  # 40 * util_std is inf, so u_raw could be too

@@ -44,7 +44,7 @@ SANE = {
     "kind": ("control", "load", "scheduler"),
     "priority": ("1", "2", "3", "4", "5"),
 }
-HORIZONS = SANE["horizon"] + ("0", "-1", "nan", "inf", "1e308", "1e-308", "0.02")
+HORIZONS = SANE["horizon"] + ("0", "-1", "nan", "inf", "1e308", "1e-308", "0.02", "0.0200000001")
 
 
 def _value(key):

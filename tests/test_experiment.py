@@ -314,9 +314,9 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ()
 
-            def draw(self, mean_ns):
+            def draw(self, release_ns):
                 draws[0] += 1
-                return super().draw(mean_ns)
+                return super().draw(release_ns)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         result = run_experiment(cfg, seed=1)
@@ -334,17 +334,17 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ("drawn",)
 
-            def __init__(self, rng, rel_std, sample):
+            def __init__(self, mean_at, rng, rel_std, sample):
                 def counted(mean_ns, normals, rel_std):
                     conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
                     return sample(mean_ns, normals, rel_std)
 
-                super().__init__(rng, rel_std, counted)
+                super().__init__(mean_at, rng, rel_std, counted)
                 self.drawn = 0
 
-            def draw(self, mean_ns):
+            def draw(self, release_ns):
                 self.drawn += 1
-                return super().draw(mean_ns)
+                return super().draw(release_ns)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         run_experiment(_flickering_scenario(), seed=1)

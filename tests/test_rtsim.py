@@ -1,10 +1,14 @@
 """Discrete-event kernel: hand-checked timelines, hooks, noise helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffsched.experiment as experiment
+from ffsched.experiment import run_experiment
 from ffsched.rtsim import (
     NOISE_BLOCK,
     ExecDraws,
@@ -17,6 +21,7 @@ from ffsched.rtsim import (
     measure_utilization,
     sample_execution_time,
 )
+from ffsched.scenario import default_scenario
 
 MS = 1_000_000
 
@@ -181,6 +186,77 @@ class TestKernelTimeline:
         ]
 
 
+class TestExecTimeSource:
+    """`exec_time_of` is a per-task factory; the source it returns is called per release."""
+
+    def test_factory_called_once_per_task_at_construction(self):
+        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 4, 1)]
+        asked = []
+
+        def exec_time_of(spec):
+            asked.append(spec)
+            return spec.exec_schedule.mean_at
+
+        kernel = Kernel(specs, exec_time_of=exec_time_of)
+        assert asked == specs
+        kernel.run(30 * MS)
+        kernel.set_period("C", 3 * MS)
+        kernel.run(60 * MS)
+        assert asked == specs
+        assert kernel.stats("C").released > 10
+
+    def test_source_called_once_per_release_in_release_order(self):
+        calls, releases = [], []
+
+        def exec_time_of(spec):
+            mean_at = spec.exec_schedule.mean_at
+
+            def exec_time(release_ns):
+                calls.append((spec.name, release_ns, kernel.now_ns))
+                return mean_at(release_ns)
+
+            return exec_time
+
+        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 5, 1)]
+        kernel = Kernel(
+            specs,
+            exec_time_of=exec_time_of,
+            on_job_release=lambda name, release_ns: releases.append((name, release_ns)),
+        )
+        kernel.run(17 * MS)
+        kernel.set_period("A", 7 * MS)
+        kernel.run(60 * MS)
+        assert [(name, release_ns) for name, release_ns, _ in calls] == releases
+        assert all(now_ns == release_ns for _, release_ns, now_ns in calls)
+        assert [release_ns for _, release_ns, _ in calls] == sorted(release_ns for _, release_ns, _ in calls)
+        for spec in specs:
+            assert sum(name == spec.name for name, _, _ in calls) == kernel.stats(spec.name).released
+        # jobs released together are asked for in priority order
+        assert calls[:3] == [("A", 0, 0), ("B", 0, 0), ("C", 0, 0)]
+
+    def test_source_result_is_checked(self):
+        kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda release_ns: 0)
+        with pytest.raises(ValueError, match="positive"):
+            kernel.run(MS)
+
+    @pytest.mark.parametrize("exec_std", [0.0, 0.1])
+    def test_run_experiment_builds_draws_only_for_noisy_runs(self, monkeypatch, exec_std):
+        built = []
+
+        class CountingDraws(ExecDraws):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
+        cfg = replace(default_scenario(), horizon_s=0.2, exec_std=exec_std)
+        run_experiment(cfg, seed=1)
+        # one per user task when noisy, none at all when noise-free
+        assert len(built) == (len(cfg.tasks) if exec_std else 0)
+
+
 class TestKernelResume:
     """`run` keeps its clock, running task and next release in locals; a run
     split at arbitrary instants must match one uninterrupted run."""
@@ -269,10 +345,13 @@ class TestWindowSnapshot:
         horizon = int(rng.integers(40, 81)) * MS
         releases, execs, finishes = ({name: [] for name in names} for _ in range(3))
 
-        def exec_time_of(spec, release_ns):
-            exec_ns = max(1, int(spec.exec_schedule.mean_at(release_ns) * rng.uniform(0.3, 1.5)))
-            execs[spec.name].append(exec_ns)
-            return exec_ns
+        def exec_time_of(spec):
+            def exec_time(release_ns):
+                exec_ns = max(1, int(spec.exec_schedule.mean_at(release_ns) * rng.uniform(0.3, 1.5)))
+                execs[spec.name].append(exec_ns)
+                return exec_ns
+
+            return exec_time
 
         kernel = Kernel(
             specs,
@@ -331,25 +410,43 @@ class TestNoiseHelpers:
     def test_exec_draws_match_scalar_draws(self):
         n = 2 * NOISE_BLOCK + 17  # three refills, the last one partly used
         scalar = np.random.default_rng(7)
-        passthrough = ExecDraws(np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist())
-        assert [passthrough.draw(1) for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        passthrough = ExecDraws(
+            lambda release_ns: 1, np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist()
+        )
+        assert [passthrough.draw(k) for k in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000).mean_at, np.random.default_rng(7), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
-        assert [draws.draw(1_000_000) for _ in range(n)] == expected
+        assert [draws.draw(k * MS) for k in range(n)] == expected
         # means that alternate mid-block reuse their conversions at later jobs
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(means.__getitem__, np.random.default_rng(7), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
-        assert [draws.draw(mean) for mean in means] == expected
+        assert [draws.draw(k) for k in range(n)] == expected
+
+    def test_exec_draws_look_up_the_mean_at_the_release(self):
+        schedule = ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000)))
+        asked = []
+
+        def mean_at(release_ns):
+            asked.append(release_ns)
+            return schedule.mean_at(release_ns)
+
+        releases = [0, 4 * MS, 10 * MS, 25 * MS]
+        scalar = np.random.default_rng(7)
+        draws = ExecDraws(mean_at, np.random.default_rng(7), 0.1, sample_execution_time)
+        means = (1_000_000, 1_000_000, 3_000_000, 3_000_000)  # the last release holds the final segment's mean
+        expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
+        assert [draws.draw(t) for t in releases] == expected
+        assert asked == releases
 
     def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        draws = ExecDraws(rng, 0.0, sample_execution_time)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000).mean_at, rng, 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
-        assert draws.draw(1_000_000) == 1_000_000
+        assert draws.draw(0) == 1_000_000
         assert rng.bit_generator.state != state  # the first time asked for refills
 
     def test_sample_execution_time_validation(self):
@@ -459,8 +556,8 @@ class TestBatchedSampler:
             sizes.append(len(normals))
             return sample_execution_time(mean_ns, normals, rel_std)
 
-        draws = ExecDraws(np.random.default_rng(seed), rel_std, sample)
-        got = [draws.draw(mean) for mean in means]
+        draws = ExecDraws(means.__getitem__, np.random.default_rng(seed), rel_std, sample)
+        got = [draws.draw(k) for k in range(len(means))]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
         return got, expected, sizes
