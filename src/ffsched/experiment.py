@@ -34,6 +34,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from math import cos, expm1, pi, sin
 from statistics import fmean
 from typing import Callable, Mapping, NamedTuple
 
@@ -43,10 +44,8 @@ from .control import (
     ReferencePath,
     pid_compute,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
     pid_update,
-    plant_advance,
     plant_step,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
     reference_at,
-    reference_coordinate,
     tracking_error,
 )
 from .errors import EmitError, ScenarioSemanticError
@@ -103,8 +102,9 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     """Simulate one scenario to its horizon and return trace plus summary.
 
     Each axis's loop state lives in the locals of its own `control_loop`
-    generator (axis 0 = x, 1 = y), which calls the float-level formulas of
-    `plant_advance` and `pid_update`.
+    generator (axis 0 = x, 1 = y), which calls `pid_update` and evaluates the
+    plant's closed form and the reference path inline; `tests/hook_wiring.py`
+    checks it against the `control.py` formulas it copies.
     """
 
     if seed < 0:
@@ -161,9 +161,14 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         latched sample (the completing job's, as a task's jobs complete in
         release order) and switches the held command. A release and a
         completion on one instant leave the plant in the same state whichever
-        comes first.
+        comes first. The plant's closed form and the path are evaluated
+        inline, as in `plant_advance` and `reference_coordinate`; the velocity
+        the held command settles to is computed once per command.
         """
+        a, gain = plant.pole_rate, plant.input_gain
+        centre, radius, trig = path.centre[axis], path.radius, sin if axis else cos
         position = velocity = command = 0.0
+        v_inf = gain * command / a  # the steady-state velocity under the held command
         clock = 0  # the instant the plant was last advanced to
         integrator = deriv = 0.0
         last_meas: float | None = None
@@ -182,20 +187,29 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                     i += 1
                     if release_ns > clock:
                         dt_s = (release_ns - clock) / NS
-                        position, velocity = plant_advance(position, velocity, command, dt_s, plant)
+                        ramp = -expm1(-a * dt_s)
+                        dv = velocity - v_inf
+                        position, velocity = position + dv * ramp / a + v_inf * dt_s, v_inf + dv * (1.0 - ramp)
                         clock = release_ns
                     t_s = release_ns / NS
-                    ref = end_ref if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
+                    ref = end_ref
+                    if t_s < ref_duration_s:
+                        frac = t_s / ref_duration_s
+                        frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
+                        ref = centre + radius * trig(pi * (1.0 - frac))
                     latched.append((ref, position, (release_ns - prev_release) / NS))
                     prev_release = release_ns
                 if stop_ns > clock:
                     dt_s = (stop_ns - clock) / NS
-                    position, velocity = plant_advance(position, velocity, command, dt_s, plant)
+                    ramp = -expm1(-a * dt_s)
+                    dv = velocity - v_inf
+                    position, velocity = position + dv * ramp / a + v_inf * dt_s, v_inf + dv * (1.0 - ramp)
                     clock = stop_ns
                 if stop_ns == end_ns:  # finishes all lie before it
                     break
                 ref, meas, spacing_s = latched.popleft()
                 command, integrator, deriv = pid_update(gains, spacing_s, integrator, deriv, last_meas, ref, meas)
+                v_inf = gain * command / a
                 last_meas = meas
             releases, finishes, end_ns = yield position
 

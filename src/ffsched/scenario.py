@@ -317,11 +317,6 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             raise ScenarioSemanticError(
                 f"task {task.name}: initial period {task.period_s:g} outside [h_min, h_max]"
             )
-        for _, _, mean in task.exec_segments:
-            if mean >= task.period_s:
-                raise ScenarioSemanticError(
-                    f"task {task.name}: mean execution time {mean:g} not below period {task.period_s:g}"
-                )
     pid = cfg.pid
     if pid.kd > 0 and not pid.kp * pid.deriv_filter > 0:
         raise ScenarioSemanticError(
@@ -338,10 +333,11 @@ def _check_kernel_times(cfg: ScenarioConfig) -> None:
     """The kernel counts whole nanoseconds up to `ExecSchedule.FOREVER`:
     every time it is given must be finite, at least 1 ns once rounded and at
     most FOREVER ns (checked before converting, which would overflow), and no
-    execution segment may round to nothing. The scheduler's execution time
-    and the horizon are compared with its period as the kernel sees them, in
-    whole nanoseconds. Execution-time noise must keep every draw within
-    FOREVER ns too. Command-line overrides reach here unparsed."""
+    execution segment may round to nothing. Every mean execution time, the
+    scheduler's included, and the horizon are compared with the period as
+    the kernel sees them, in whole nanoseconds. Execution-time noise must
+    keep every draw within FOREVER ns too. Command-line overrides reach here
+    unparsed."""
 
     forever = ExecSchedule.FOREVER
     times = [
@@ -365,7 +361,13 @@ def _check_kernel_times(cfg: ScenarioConfig) -> None:
     if seconds_to_ns(cfg.horizon_s) <= fs_period_ns:
         raise ScenarioSemanticError("horizon must exceed one scheduler period")
     for task in cfg.tasks:
-        for start, end, _ in task.exec_segments:
+        period_ns = seconds_to_ns(task.period_s)
+        for start, end, mean in task.exec_segments:
+            if (mean_ns := seconds_to_ns(mean)) >= period_ns:
+                raise ScenarioSemanticError(
+                    f"task {task.name}: mean execution time {mean!r} ({mean_ns} ns)"
+                    f" not below period {task.period_s!r} ({period_ns} ns)"
+                )
             if math.isinf(end):
                 continue
             if end * NS > forever:

@@ -193,6 +193,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error[scenario-semantic]: scheduler execution time must be smaller than its period\n"
 
+    def test_task_exec_rounding_onto_its_period_is_4(self, tmp_path, capsys):
+        scenario = tmp_path / "task.cfg"
+        # 0.0029999999996 s is below the 0.003 s period, but both are 3000000 ns
+        scenario.write_text(HEAVY_LOAD.replace("exec = 0.0006", "exec = 0.0029999999996"))
+        assert main(["run", *FAST, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "error[scenario-semantic]: task a: mean execution time 0.0029999999996 (3000000 ns)"
+            " not below period 0.003 (3000000 ns)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_util_std_whose_draws_overflow_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "noise.cfg"
         scenario.write_text("[noise]\nutil_std = 1e308\n")  # 40 * util_std is inf, so u_raw could be too

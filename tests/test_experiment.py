@@ -17,7 +17,7 @@ from ffsched.experiment import (
     run_experiment,
     trace_header,
 )
-from ffsched.control import ReferencePath, reference_at
+from ffsched.control import PlantParams, ReferencePath, reference_at
 from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from hook_wiring import run_with_job_hooks
@@ -276,6 +276,7 @@ class TestReplayMatchesJobHooks:
         assert replayed.records == hooked.records
         assert format_trace_csv(replayed) == format_trace_csv(hooked)  # also tells -0.0 from 0.0
         assert replayed.summary == hooked.summary
+        return replayed
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
@@ -284,6 +285,27 @@ class TestReplayMatchesJobHooks:
 
     def test_flickering_means(self):
         self._assert_identical(_flickering_scenario(), 1)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_non_default_plant_pid_and_path(self, noisy):
+        # a faster pole, a weaker input, no derivative term and a path that
+        # ends at 0.13 s, between the invocations at 0.12 s and 0.14 s; the
+        # loop still settles on the end point
+        base = default_scenario()
+        cfg = replace(
+            base,
+            plant=PlantParams(pole_rate=10.0, input_gain=400.0),
+            pid=replace(base.pid, kd=0.0),
+            ref_duration_s=0.13,
+        )
+        if not noisy:
+            cfg = replace(cfg, exec_std=0.0, util_std=0.0)
+        records = self._assert_identical(cfg, 3).records
+        end = reference_at(ReferencePath(duration=0.13), 0.13)
+        before = [r.ref for r in records if r.t_s < 0.13]
+        assert len(before) == 6 and end not in before  # invocations at 0.02 s to 0.12 s
+        assert [r.ref for r in records[6:]] == [end] * (len(records) - 6)
+        assert records[-1].err < 1e-3
 
     def test_events_on_invocation_instants(self, monkeypatch):
         # noise-free open loop: tau2 is released on every invocation instant,

@@ -233,6 +233,12 @@ class TestSemanticErrors:
         with pytest.raises(ScenarioSemanticError):
             parse_scenario(THREE_TASKS.replace("exec = 0.0006", "exec = 0.0031"))
 
+    @pytest.mark.parametrize("bad_exec", ["exec = 0.0029999999996", "exec = 0-1: 0.0006, 1-2: 0.0029999999996"])
+    def test_mean_exec_rounding_onto_its_period(self, bad_exec):
+        # below 0.003 s as a float, but 3000000 ns, the period, to the kernel
+        with pytest.raises(ScenarioSemanticError, match=r"\(3000000 ns\) not below period 0\.003 \(3000000 ns\)"):
+            parse_scenario(THREE_TASKS.replace("exec = 0.0006", bad_exec))
+
     def test_validate_is_also_exported_for_built_configs(self):
         from dataclasses import replace
 
