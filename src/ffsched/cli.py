@@ -87,8 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_cmd_sweep)
 
     table = sub.add_parser("table", help="print or check the fuzzy look-up table")
-    table.add_argument("--compile", action="store_true", help="print the table compiled from the rule base")
-    table.add_argument("--diff", action="store_true", help="compare the compiled table against the shipped one")
+    shown = table.add_mutually_exclusive_group()
+    shown.add_argument("--compile", action="store_true", help="print the table compiled from the rule base")
+    shown.add_argument("--diff", action="store_true", help="compare the compiled table against the shipped one")
     table.add_argument("--out", help="write the output to this file instead of stdout")
     table.set_defaults(handler=_cmd_table)
     return parser

@@ -137,11 +137,11 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
     def exec_time_of(spec: TaskSpec) -> Callable[[int], int]:
-        mean_at = spec.exec_schedule.mean_at
+        schedule = spec.exec_schedule
         i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         if i is None or not exec_std:
-            return mean_at
-        return ExecDraws(mean_at, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw
+            return schedule.mean_at
+        return ExecDraws(schedule, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

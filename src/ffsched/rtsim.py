@@ -14,7 +14,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -74,6 +74,19 @@ class ExecSchedule:
         if t_ns < 0:
             return self._means[-1]
         return self._means[bisect_right(self._ends, t_ns)]  # the first segment ending after t_ns
+
+    def span_at(self, t_ns: int) -> tuple[float, float, int]:
+        """`(lo, hi, mean_at(t_ns))`, where [lo, hi) is the span around `t_ns`
+        over which `mean_at` returns that mean by the same rule: the segment
+        holding `t_ns`, every instant before 0, or every instant from the final
+        segment end on. The open ends are infinite.
+        """
+
+        if t_ns < 0:
+            return -inf, 0, self._means[-1]
+        ends = self._ends
+        k = bisect_right(ends, t_ns)
+        return (ends[k - 1] if k else 0), (ends[k] if k < len(ends) else inf), self._means[k]
 
 
 @dataclass(frozen=True)
@@ -174,44 +187,72 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float, flo
 class ExecDraws:
     """One task's noisy execution times, converted `NOISE_BLOCK` jobs at a time.
 
-    `draw(release_ns)` is the task's execution-time source: it looks up the
-    mean in force at the release with `mean_at` and returns the next noisy
-    time for that mean. Each refill takes the next `NOISE_BLOCK` values of
-    `rng.standard_normal(n)`, which for numpy's Generator is the same sequence
-    that repeated scalar `rng.standard_normal()` calls yield, and turns them
-    into times with one `sample` call (`sample_execution_time`'s signature). A
-    mean first asked for mid-block converts the rest of the block from there,
-    and that conversion is kept until the next refill, so a block costs one
-    `sample` call per distinct mean however often the means alternate.
-    Nothing is drawn until asked for.
+    `draw(release_ns)` is the task's execution-time source. It keeps the span
+    of `schedule.span_at` that its last release fell in, with that span's mean
+    and the mean's conversion of the current block, so a release inside the
+    span returns the next converted time without a lookup; a release outside
+    it (one that crosses a segment end, 0 or the final end, either way) looks
+    the schedule up once and gets exactly the mean `mean_at` returns. Each
+    refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
+    which for numpy's Generator is the same sequence that repeated scalar
+    `rng.standard_normal()` calls yield, and turns them into times with one
+    `sample` call (`sample_execution_time`'s signature). A mean first asked
+    for mid-block converts the rest of the block from there, and that
+    conversion is kept until the next refill, so a block costs one `sample`
+    call per distinct mean however often the means alternate. Nothing is
+    drawn until asked for.
     """
 
-    __slots__ = ("_mean_at", "_rng", "_rel_std", "_sample", "_normals", "_converted", "_next")
+    __slots__ = (
+        "_schedule", "_rng", "_rel_std", "_sample", "_normals", "_converted", "_next", "_lo", "_hi", "_mean", "_times"
+    )
 
-    def __init__(self, mean_at: Callable[[int], int], rng: np.random.Generator, rel_std: float, sample: Callable):
-        self._mean_at = mean_at
+    def __init__(self, schedule: ExecSchedule, rng: np.random.Generator, rel_std: float, sample: Callable):
+        self._schedule = schedule
         self._rng = rng
         self._rel_std = rel_std
         self._sample = sample
         self._normals = np.empty(0)
-        # per mean, the block index its conversion starts at and the times
-        # from there on; cleared on refill
-        self._converted: dict[int, tuple[int, list[int]]] = {}
-        self._next = NOISE_BLOCK  # the block is used up: the first call refills it
+        # per mean, the times converted from the block index it was first
+        # asked for at to the end of the block; cleared on refill
+        self._converted: dict[int, list[int]] = {}
+        # the block's next value as a negative index (-NOISE_BLOCK at a fresh
+        # block, 0 once used up), which indexes every conversion of the block
+        # however late it started; used up, so the first call refills
+        self._next = 0
+        # the span [lo, hi) the last release fell in, its mean and that
+        # mean's conversion of the block; empty until the first call
+        self._lo = self._hi = 0
+        self._mean = 0
+        self._times: list[int] = []
 
     def draw(self, release_ns: int) -> int:
-        mean_ns = self._mean_at(release_ns)
-        i = self._next
-        if i == NOISE_BLOCK:
+        j = self._next
+        if self._lo <= release_ns < self._hi and j:
+            self._next = j + 1
+            return self._times[j]
+        return self._enter(release_ns)
+
+    def _enter(self, release_ns: int) -> int:
+        """`draw` for a release outside the span or once the block is used up."""
+        j = self._next
+        mean_ns = self._mean
+        stale = not j
+        if stale:
             self._normals = self._rng.standard_normal(NOISE_BLOCK)
             self._converted.clear()
-            i = 0
-        converted = self._converted.get(mean_ns)
-        if converted is None:
-            converted = self._converted[mean_ns] = (i, self._sample(mean_ns, self._normals[i:], self._rel_std))
-        self._next = i + 1
-        start, times = converted
-        return times[i - start]
+            j = -NOISE_BLOCK
+        if not self._lo <= release_ns < self._hi:
+            self._lo, self._hi, mean_ns = self._schedule.span_at(release_ns)
+            stale = stale or mean_ns != self._mean
+        if stale:
+            times = self._converted.get(mean_ns)
+            if times is None:
+                times = self._converted[mean_ns] = self._sample(mean_ns, self._normals[j:], self._rel_std)
+            self._mean = mean_ns
+            self._times = times
+        self._next = j + 1
+        return self._times[j]
 
 
 def measure_utilization(

@@ -71,7 +71,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     # exec_std = 0); one more stream for the measurement
     exec_draw = {
         t.name: ExecDraws(
-            specs[t.name].exec_schedule.mean_at, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample
+            specs[t.name].exec_schedule, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample
         ).draw
         for i, t in enumerate(cfg.tasks)
     }

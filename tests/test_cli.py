@@ -349,6 +349,15 @@ class TestTable:
         assert "cells equal: 126/169 (74.6%)" in out
         assert "cells within +/-1: 169/169 (100.0%)" in out
 
+    @pytest.mark.parametrize("argv", [["--compile", "--diff"], ["--diff", "--compile"]])
+    def test_compile_with_diff_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["table", *argv])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "table.txt"
         assert main(["table", "--out", str(target)]) == 0

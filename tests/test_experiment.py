@@ -23,6 +23,7 @@ from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from hook_wiring import run_with_job_hooks
 from invariants import _verify_case
 from test_pins import _flickering_scenario
+from test_rtsim import _CountingSchedule, _span_entries
 
 H_MIN, H_MAX = 0.001, 0.007
 
@@ -356,12 +357,12 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ("drawn",)
 
-            def __init__(self, mean_at, rng, rel_std, sample):
+            def __init__(self, schedule, rng, rel_std, sample):
                 def counted(mean_ns, normals, rel_std):
                     conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
                     return sample(mean_ns, normals, rel_std)
 
-                super().__init__(mean_at, rng, rel_std, counted)
+                super().__init__(schedule, rng, rel_std, counted)
                 self.drawn = 0
 
             def draw(self, release_ns):
@@ -375,6 +376,35 @@ class TestNoiseDraws:
         # ... while the means do change inside blocks
         blocks = {(stream, block) for stream, block, _ in conversions}
         assert len(conversions) > len(blocks)
+
+    @pytest.mark.parametrize(
+        "scenario, most_spans", [(default_scenario, 5), (_flickering_scenario, None)], ids=["default", "flickering"]
+    )
+    def test_one_schedule_lookup_per_span_entered(self, monkeypatch, scenario, most_spans):
+        tallies = []  # (schedule, releases drawn for, instants looked up) per noisy task
+
+        class CountingDraws(ExecDraws):
+            __slots__ = ("releases",)
+
+            def __init__(self, schedule, rng, rel_std, sample):
+                counting = _CountingSchedule(schedule)
+                super().__init__(counting, rng, rel_std, sample)
+                self.releases = []
+                tallies.append((schedule, self.releases, counting.asked))
+
+            def draw(self, release_ns):
+                self.releases.append(release_ns)
+                return super().draw(release_ns)
+
+        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
+        cfg = scenario()
+        run_experiment(cfg, seed=1)
+        assert len(tallies) == len(cfg.tasks)
+        for schedule, releases, asked in tallies:
+            entries = _span_entries(schedule, releases)
+            assert asked == entries
+            if most_spans is not None:
+                assert len(asked) <= most_spans < len(releases)
 
     def test_noise_free_runs_draw_nothing(self, monkeypatch):
         cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)

@@ -50,6 +50,45 @@ class _StubRng:
         return self.z
 
 
+def _one_ns_segments(means) -> ExecSchedule:
+    """A schedule holding `means[k]` over [k, k + 1) ns, so `draw(k)` draws for it."""
+    return ExecSchedule(tuple((k, k + 1, mean) for k, mean in enumerate(means)))
+
+
+class _CountingSchedule:
+    """Stands in for an ExecSchedule and records the instants looked up."""
+
+    def __init__(self, schedule: ExecSchedule):
+        self.schedule = schedule
+        self.asked: list[int] = []
+
+    def span_at(self, t_ns: int):
+        self.asked.append(t_ns)
+        return self.schedule.span_at(t_ns)
+
+
+def _span_entries(schedule: ExecSchedule, releases) -> list[int]:
+    """The releases that enter a span other than the previous release's,
+    where the spans are each segment, all of t < 0 and all of t >= the final
+    segment end, found by a linear scan."""
+
+    def span_of(t_ns):
+        if t_ns < 0:
+            return -1
+        for k, (start, end, _) in enumerate(schedule.segments):
+            if start <= t_ns < end:
+                return k
+        return len(schedule.segments)
+
+    entries, last = [], None
+    for t_ns in releases:
+        span = span_of(t_ns)
+        if span != last:
+            entries.append(t_ns)
+            last = span
+    return entries
+
+
 def _scan_mean_at(schedule: ExecSchedule, t_ns: int) -> int:
     """Reference lookup: a linear scan over the segments."""
     for start, end, mean in schedule.segments:
@@ -411,40 +450,45 @@ class TestNoiseHelpers:
         n = 2 * NOISE_BLOCK + 17  # three refills, the last one partly used
         scalar = np.random.default_rng(7)
         passthrough = ExecDraws(
-            lambda release_ns: 1, np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist()
+            ExecSchedule.constant(1), np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist()
         )
         assert [passthrough.draw(k) for k in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(ExecSchedule.constant(1_000_000).mean_at, np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000), np.random.default_rng(7), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
         assert [draws.draw(k * MS) for k in range(n)] == expected
         # means that alternate mid-block reuse their conversions at later jobs
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(means.__getitem__, np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(_one_ns_segments(means), np.random.default_rng(7), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
         assert [draws.draw(k) for k in range(n)] == expected
 
-    def test_exec_draws_look_up_the_mean_at_the_release(self):
-        schedule = ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000)))
-        asked = []
-
-        def mean_at(release_ns):
-            asked.append(release_ns)
-            return schedule.mean_at(release_ns)
-
+    def test_exec_draws_look_up_the_schedule_once_per_span(self):
+        schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000))))
         releases = [0, 4 * MS, 10 * MS, 25 * MS]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(mean_at, np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(schedule, np.random.default_rng(7), 0.1, sample_execution_time)
         means = (1_000_000, 1_000_000, 3_000_000, 3_000_000)  # the last release holds the final segment's mean
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
         assert [draws.draw(t) for t in releases] == expected
-        assert asked == releases
+        # 4 ms lies in the span entered at 0; 10 ms and 25 ms each enter a new one
+        assert schedule.asked == [0, 10 * MS, 25 * MS]
+
+    def test_span_at_bounds_the_mean_at_lookup(self):
+        schedule = ExecSchedule(((0, 5 * MS, 100), (5 * MS, 12 * MS, 200), (12 * MS, 13 * MS, 300)))
+        assert schedule.span_at(-1) == (float("-inf"), 0, 300)
+        assert schedule.span_at(0) == (0, 5 * MS, 100)
+        assert schedule.span_at(5 * MS - 1) == (0, 5 * MS, 100)
+        assert schedule.span_at(5 * MS) == (5 * MS, 12 * MS, 200)
+        assert schedule.span_at(12 * MS) == (12 * MS, 13 * MS, 300)
+        assert schedule.span_at(13 * MS) == (13 * MS, float("inf"), 300)
+        assert schedule.span_at(10**15) == (13 * MS, float("inf"), 300)
 
     def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        draws = ExecDraws(ExecSchedule.constant(1_000_000).mean_at, rng, 0.0, sample_execution_time)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000), rng, 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
         assert draws.draw(0) == 1_000_000
         assert rng.bit_generator.state != state  # the first time asked for refills
@@ -512,6 +556,24 @@ def _tie(draw):
     return 2**p, ((k + 0.5) / 2**p - 1.0) / rel_std, rel_std
 
 
+@st.composite
+def _schedule_and_releases(draw):
+    """A schedule of 1 to 6 short segments and a release sequence that mixes
+    sorted runs, repeats, backward jumps, negative instants, exact segment
+    ends and instants past the final end, often longer than a block."""
+    n = draw(st.integers(1, 6))
+    # a few shared means, so neighbouring segments sometimes hold the same one
+    mean = st.one_of(st.sampled_from([1, 700, 1_000_000]), st.integers(1, 10**7))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    ends = [sum(lengths[: k + 1]) for k in range(n)]
+    schedule = ExecSchedule(tuple((end - length, end, draw(mean)) for end, length in zip(ends, lengths)))
+    start = st.one_of(st.integers(-50, ends[-1] + 50), st.sampled_from([0, -1] + ends))
+    # (first instant, step, count): step 0 repeats an instant, and each run
+    # may start before the previous one ended
+    runs = draw(st.lists(st.tuples(start, st.integers(0, 3), st.integers(1, 2 * NOISE_BLOCK)), min_size=1, max_size=8))
+    return schedule, [t + step * k for t, step, count in runs for k in range(count)]
+
+
 class TestBatchedSampler:
     """`sample_execution_time` and `ExecDraws` against the scalar oracle."""
 
@@ -556,7 +618,7 @@ class TestBatchedSampler:
             sizes.append(len(normals))
             return sample_execution_time(mean_ns, normals, rel_std)
 
-        draws = ExecDraws(means.__getitem__, np.random.default_rng(seed), rel_std, sample)
+        draws = ExecDraws(_one_ns_segments(means), np.random.default_rng(seed), rel_std, sample)
         got = [draws.draw(k) for k in range(len(means))]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
@@ -575,6 +637,20 @@ class TestBatchedSampler:
         got, expected, sizes = self._calls(5, means)
         assert got == expected and len(got) == n
         assert sizes == [NOISE_BLOCK, NOISE_BLOCK, 1, NOISE_BLOCK]  # only the rest of a block is redone
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=_schedule_and_releases(), rel_std=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), seed=st.integers(0, 99))
+    def test_cursor_matches_per_release_oracle(self, case, rel_std, seed):
+        """The span cursor's draws against a per-release `mean_at` lookup and
+        scalar normal draws, with one schedule lookup per span entered."""
+        schedule, releases = case
+        counting = _CountingSchedule(schedule)
+        draws = ExecDraws(counting, np.random.default_rng(seed), rel_std, sample_execution_time)
+        got = [draws.draw(t) for t in releases]
+        scalar = np.random.default_rng(seed)
+        expected = [_scalar_time(schedule.mean_at(t), float(scalar.standard_normal()), rel_std) for t in releases]
+        assert got == expected
+        assert counting.asked == _span_entries(schedule, releases)
 
     def test_product_past_forever_raises(self):
         with pytest.raises(ValueError, match="past"):
