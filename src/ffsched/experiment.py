@@ -52,16 +52,14 @@ from .errors import EmitError, ScenarioSemanticError
 from .rtsim import (
     NS,
     ExecDraws,
-    ExecSchedule,
     Kernel,
     TaskKind,
     TaskSpec,
     TaskStats,
     measure_utilization,
     sample_execution_time,
-    seconds_to_ns,
 )
-from .scenario import SCHEDULER_TASK, ScenarioConfig
+from .scenario import SCHEDULER_TASK, ScenarioConfig, kernel_times
 from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
 
 class TraceRecord(NamedTuple):
@@ -113,17 +111,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     ctrl = cfg.control_tasks()
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
     load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
-    h_min_ns, h_max_ns = seconds_to_ns(cfg.h_min_s), seconds_to_ns(cfg.h_max_s)
-    horizon_ns = seconds_to_ns(cfg.horizon_s)
-
-    specs = {t.name: _spec_of(t) for t in cfg.tasks}
-    fs_spec = TaskSpec(
-        name=SCHEDULER_TASK,
-        kind=TaskKind.SCHEDULER,
-        priority=1,
-        period_ns=seconds_to_ns(cfg.fs_period_s),
-        exec_schedule=ExecSchedule.constant(seconds_to_ns(cfg.fs_exec_s)),
-    )
+    horizon_ns, h_min_ns, h_max_ns, task_specs = kernel_times(cfg)
+    specs = {spec.name: spec for spec in task_specs[:-1]}  # the user tasks; the scheduler comes last
 
     # callees looked up in this module's namespace once per run, so a
     # wrapper installed there before the run still sees every call
@@ -261,7 +250,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         if name == SCHEDULER_TASK:
             schedule_step(start_ns)
 
-    kernel = Kernel(list(specs.values()) + [fs_spec], exec_time_of=exec_time_of, on_job_start=on_start)
+    kernel = Kernel(task_specs, exec_time_of=exec_time_of, on_job_start=on_start)
     set_period = kernel.set_period
     kernel.run(horizon_ns)
 
@@ -269,23 +258,9 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         records,
         cfg,
         seed,
-        task_stats={name: kernel.stats(name) for name in [*specs, SCHEDULER_TASK]},
+        task_stats={spec.name: kernel.stats(spec.name) for spec in task_specs},
     )
     return ExperimentResult(control_names=ctrl_names, records=tuple(records), summary=summary)
-
-
-def _spec_of(task) -> TaskSpec:
-    segments = []
-    for start_s, end_s, mean_s in task.exec_segments:
-        end_ns = ExecSchedule.FOREVER if math.isinf(end_s) else seconds_to_ns(end_s)
-        segments.append((seconds_to_ns(start_s), end_ns, seconds_to_ns(mean_s)))
-    return TaskSpec(
-        name=task.name,
-        kind=task.kind,
-        priority=task.priority,
-        period_ns=seconds_to_ns(task.period_s),
-        exec_schedule=ExecSchedule(tuple(segments)),
-    )
 
 
 def summarize(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
-from .rtsim import NS, ExecSchedule, TaskKind, seconds_to_ns
+from .rtsim import NS, ExecSchedule, TaskKind, TaskSpec, seconds_to_ns
 
 MODES = ("fuzzy", "ideal", "open")
 SCHEDULER_TASK = "sched"  # implicit highest-priority task; not declarable
@@ -293,8 +293,6 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
     if not 0.0 < cfg.target < 1.0:
         raise ScenarioSemanticError(f"utilization target must lie strictly inside (0, 1), got {cfg.target:g}")
-    if cfg.h_min_s > cfg.h_max_s:
-        raise ScenarioSemanticError(f"h_min ({cfg.h_min_s:g}) must not exceed h_max ({cfg.h_max_s:g})")
     if not cfg.tasks:
         raise ScenarioSemanticError("scenario defines no tasks")
     names = [t.name for t in cfg.tasks]
@@ -310,81 +308,88 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     controls = [t for t in cfg.tasks if t.kind is TaskKind.CONTROL]
     if len(controls) != 2:
         raise ScenarioSemanticError(f"exactly two control tasks are required, got {len(controls)}")
-    for task in cfg.tasks:
-        if task.period_s <= 0:
-            raise ScenarioSemanticError(f"task {task.name}: period must be positive")
-        if task.kind is TaskKind.CONTROL and not cfg.h_min_s <= task.period_s <= cfg.h_max_s:
-            raise ScenarioSemanticError(
-                f"task {task.name}: initial period {task.period_s:g} outside [h_min, h_max]"
-            )
     pid = cfg.pid
     if pid.kd > 0 and not pid.kp * pid.deriv_filter > 0:
         raise ScenarioSemanticError(
             f"pid: kp * deriv_filter ({pid.kp:g} * {pid.deriv_filter:g}) underflows to 0, "
             "and the derivative filter divides by it"
         )
-    # numpy's normal draws stay below 40 (see _check_kernel_times), so u_raw stays finite
+    # numpy's normal draws stay below 40 (see kernel_times), so u_raw stays finite
     if not math.isfinite(40.0 * cfg.util_std):
         raise ScenarioSemanticError(f"util_std {cfg.util_std!r} lets the utilization measurement overflow")
-    _check_kernel_times(cfg)
+    kernel_times(cfg)
 
 
-def _check_kernel_times(cfg: ScenarioConfig) -> None:
-    """The kernel counts whole nanoseconds up to `ExecSchedule.FOREVER`:
-    every time it is given must be finite, at least 1 ns once rounded and at
-    most FOREVER ns (checked before converting, which would overflow), and no
-    execution segment may round to nothing. Every mean execution time, the
-    scheduler's included, and the horizon are compared with the period as
-    the kernel sees them, in whole nanoseconds. Execution-time noise must
-    keep every draw within FOREVER ns too. Command-line overrides reach here
-    unparsed."""
+def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ...]]:
+    """Every time the kernel counts, converted to whole nanoseconds once.
+
+    Returns `(horizon_ns, h_min_ns, h_max_ns, specs)`: the user tasks in
+    scenario order, an infinite segment end as `ExecSchedule.FOREVER`, then
+    the feedback scheduler at priority 1 with its constant cost. Raises
+    ScenarioSemanticError for what the kernel cannot be given: every time
+    must be finite, at least 1 ns once rounded and at most FOREVER ns
+    (checked before converting, which would overflow), and no execution
+    segment may round to nothing. Each mean execution time, the scheduler's
+    included, and the horizon are compared with the period, h_min with h_max
+    and each initial control period with both, as the kernel sees them, in
+    whole nanoseconds. Execution-time noise must keep every draw within
+    FOREVER ns too. Command-line overrides reach here unparsed.
+    """
 
     forever = ExecSchedule.FOREVER
-    times = [
-        ("horizon", cfg.horizon_s),
-        ("scheduler period", cfg.fs_period_s),
-        ("scheduler exec", cfg.fs_exec_s),
-        ("h_min", cfg.h_min_s),
-        ("h_max", cfg.h_max_s),
-    ]
-    for task in cfg.tasks:
-        times.append((f"task {task.name} period", task.period_s))
-        times.extend((f"task {task.name} exec", mean) for _, _, mean in task.exec_segments)
-    for name, value in times:
-        if not math.isfinite(value) or value * NS > forever or seconds_to_ns(value) < 1:
+
+    def to_ns(name: str, value: float) -> int:
+        if not math.isfinite(value) or value * NS > forever or (value_ns := seconds_to_ns(value)) < 1:
             raise ScenarioSemanticError(
                 f"{name} must be a finite time from 1 ns to {forever} ns, got {value!r}"
             )
-    fs_period_ns = seconds_to_ns(cfg.fs_period_s)
-    if seconds_to_ns(cfg.fs_exec_s) >= fs_period_ns:
+        return value_ns
+
+    horizon_ns = to_ns("horizon", cfg.horizon_s)
+    fs_period_ns = to_ns("scheduler period", cfg.fs_period_s)
+    fs_exec_ns = to_ns("scheduler exec", cfg.fs_exec_s)
+    h_min_ns, h_max_ns = to_ns("h_min", cfg.h_min_s), to_ns("h_max", cfg.h_max_s)
+    if fs_exec_ns >= fs_period_ns:
         raise ScenarioSemanticError("scheduler execution time must be smaller than its period")
-    if seconds_to_ns(cfg.horizon_s) <= fs_period_ns:
+    if horizon_ns <= fs_period_ns:
         raise ScenarioSemanticError("horizon must exceed one scheduler period")
+    if h_min_ns > h_max_ns:
+        raise ScenarioSemanticError(f"h_min ({cfg.h_min_s:g}) must not exceed h_max ({cfg.h_max_s:g})")
+    specs = []
     for task in cfg.tasks:
-        period_ns = seconds_to_ns(task.period_s)
+        period_ns = to_ns(f"task {task.name} period", task.period_s)
+        if task.kind is TaskKind.CONTROL and not h_min_ns <= period_ns <= h_max_ns:
+            raise ScenarioSemanticError(
+                f"task {task.name}: initial period {task.period_s:g} outside [h_min, h_max]"
+            )
+        segments = []
         for start, end, mean in task.exec_segments:
-            if (mean_ns := seconds_to_ns(mean)) >= period_ns:
+            if (mean_ns := to_ns(f"task {task.name} exec", mean)) >= period_ns:
                 raise ScenarioSemanticError(
                     f"task {task.name}: mean execution time {mean!r} ({mean_ns} ns)"
                     f" not below period {task.period_s!r} ({period_ns} ns)"
                 )
             if math.isinf(end):
-                continue
-            if end * NS > forever:
+                end_ns = forever
+            elif end * NS > forever:
                 raise ScenarioSemanticError(
                     f"task {task.name}: execution segment end {end!r} lies past {forever} ns"
                 )
-            if seconds_to_ns(end) <= seconds_to_ns(start):
+            elif (end_ns := seconds_to_ns(end)) <= seconds_to_ns(start):
                 raise ScenarioSemanticError(
                     f"task {task.name}: execution segment {start:g}-{end:g} is shorter than 1 ns"
                 )
+            segments.append((seconds_to_ns(start), end_ns, mean_ns))
+        specs.append(TaskSpec(task.name, task.kind, task.priority, period_ns, ExecSchedule(tuple(segments))))
     # a standard-normal draw from numpy never reaches 40 (its ziggurat tail
     # stops below 14), so no execution time can be drawn past this bound
-    max_mean_ns = max(seconds_to_ns(mean) for task in cfg.tasks for _, _, mean in task.exec_segments)
+    max_mean_ns = max(mean_ns for spec in specs for _, _, mean_ns in spec.exec_schedule.segments)
     if not max_mean_ns * (1.0 + 40.0 * cfg.exec_std) <= forever:
         raise ScenarioSemanticError(
             f"exec_std {cfg.exec_std!r} lets execution times exceed {forever} ns"
         )
+    specs.append(TaskSpec(SCHEDULER_TASK, TaskKind.SCHEDULER, 1, fs_period_ns, ExecSchedule.constant(fs_exec_ns)))
+    return horizon_ns, h_min_ns, h_max_ns, tuple(specs)
 
 
 def _enum(keys, key, default, allowed):

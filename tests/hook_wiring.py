@@ -22,19 +22,17 @@ from ffsched.control import (
     reference_coordinate,
     tracking_error,
 )
-from ffsched.experiment import ExperimentResult, TraceRecord, _spec_of, summarize
+from ffsched.experiment import ExperimentResult, TraceRecord, summarize
 from ffsched.rtsim import (
     NS,
     ExecDraws,
-    ExecSchedule,
     Kernel,
     TaskKind,
     TaskSpec,
     measure_utilization,
     sample_execution_time,
-    seconds_to_ns,
 )
-from ffsched.scenario import SCHEDULER_TASK, ScenarioConfig
+from ffsched.scenario import SCHEDULER_TASK, ScenarioConfig, kernel_times
 from ffsched.schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
 
 
@@ -48,18 +46,8 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
     axis_of = {ctrl_names[0]: 0, ctrl_names[1]: 1}
     load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
-    h_min_ns, h_max_ns = seconds_to_ns(cfg.h_min_s), seconds_to_ns(cfg.h_max_s)
-    horizon_ns = seconds_to_ns(cfg.horizon_s)
-
-    specs = {t.name: _spec_of(t) for t in cfg.tasks}
-    fs_exec_ns = seconds_to_ns(cfg.fs_exec_s)
-    fs_spec = TaskSpec(
-        name=SCHEDULER_TASK,
-        kind=TaskKind.SCHEDULER,
-        priority=1,
-        period_ns=seconds_to_ns(cfg.fs_period_s),
-        exec_schedule=ExecSchedule.constant(fs_exec_ns),
-    )
+    horizon_ns, h_min_ns, h_max_ns, task_specs = kernel_times(cfg)
+    specs = {spec.name: spec for spec in task_specs[:-1]}  # the user tasks; the scheduler comes last
 
     # callees looked up in this module's namespace once per run, so a
     # wrapper installed there before the run still sees every call
@@ -78,10 +66,8 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
 
     def exec_time_of(spec: TaskSpec):
-        draw = exec_draw.get(spec.name)
-        if draw is None:
-            return lambda release_ns: fs_exec_ns  # the scheduler's own cost is fixed by assumption
-        return draw if exec_std else spec.exec_schedule.mean_at
+        draw = exec_draw.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
+        return draw if draw is not None and exec_std else spec.exec_schedule.mean_at
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float
@@ -190,7 +176,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         command[axis] = pending_u[axis]
 
     kernel = Kernel(
-        list(specs.values()) + [fs_spec],
+        task_specs,
         exec_time_of=exec_time_of,
         on_job_release=on_release,
         on_job_start=on_start,
@@ -203,6 +189,6 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         records,
         cfg,
         seed,
-        task_stats={name: kernel.stats(name) for name in [*specs, SCHEDULER_TASK]},
+        task_stats={spec.name: kernel.stats(spec.name) for spec in task_specs},
     )
     return ExperimentResult(control_names=ctrl_names, records=tuple(records), summary=summary)

@@ -204,6 +204,26 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scheduler]\nh_min = 0.0030000000004\n",  # 3000000 ns, tau1's period
+            "[scheduler]\nh_max = 0.0039999999996\n",  # 4000000 ns, tau2's period
+            "[scheduler]\nh_min = 0.0070000000004\nh_max = 0.007\n"  # both 7000000 ns
+            + HEAVY_LOAD.replace("period = 0.003", "period = 0.007").replace("period = 0.004", "period = 0.007"),
+        ],
+        ids=["h_min-onto-tau1", "h_max-onto-tau2", "h_min-onto-h_max"],
+    )
+    def test_period_bounds_equal_in_whole_ns_run(self, text, tmp_path, capsys):
+        # out of order as floats, but the kernel gets equal periods and bounds
+        scenario = tmp_path / "bounds.cfg"
+        scenario.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["run", *FAST, "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out_dir / "trace.csv").read_text().count("\n") > 1
+        assert (out_dir / "summary.txt").exists()
+
     def test_util_std_whose_draws_overflow_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "noise.cfg"
         scenario.write_text("[noise]\nutil_std = 1e308\n")  # 40 * util_std is inf, so u_raw could be too

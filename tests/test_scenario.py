@@ -1,13 +1,19 @@
 """Scenario parsing: defaults, overrides, and every rejection path."""
 
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import ffsched
 from ffsched.errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
-from ffsched.rtsim import TaskKind
+from ffsched.experiment import run_experiment
+from ffsched.rtsim import ExecSchedule, TaskKind, TaskSpec
 from ffsched.scenario import (
     default_scenario,
+    kernel_times,
     load_scenario,
     parse_scenario,
     validate_scenario,
@@ -244,6 +250,55 @@ class TestSemanticErrors:
 
         with pytest.raises(ScenarioSemanticError):
             validate_scenario(replace(default_scenario(), target=0.0))
+
+
+class TestKernelTimes:
+    def test_default_scenario_in_whole_ns(self):
+        horizon_ns, h_min_ns, h_max_ns, specs = kernel_times(default_scenario())
+        assert (horizon_ns, h_min_ns, h_max_ns) == (4_000_000_000, 1_000_000, 7_000_000)
+        s = 10**9
+
+        def seconds(*means_ns):  # one segment per simulated second
+            return ExecSchedule(tuple((k * s, (k + 1) * s, mean) for k, mean in enumerate(means_ns)))
+
+        assert specs == (
+            TaskSpec("tau1", TaskKind.CONTROL, 3, 3_000_000, seconds(600_000, 1_200_000, 1_200_000, 1_200_000)),
+            TaskSpec("tau2", TaskKind.CONTROL, 4, 4_000_000, seconds(400_000, 400_000, 1_200_000, 1_200_000)),
+            TaskSpec("tau3", TaskKind.LOAD, 2, 5_000_000, seconds(1_000_000, 2_000_000, 2_000_000, 1_500_000)),
+            TaskSpec("sched", TaskKind.SCHEDULER, 1, 20_000_000, ExecSchedule.constant(100_000)),
+        )
+
+    def test_single_number_exec_ends_at_forever(self):
+        *_, specs = kernel_times(parse_scenario(THREE_TASKS))
+        assert [spec.exec_schedule.segments for spec in specs[:3]] == [
+            ((0, ExecSchedule.FOREVER, 600_000),),
+            ((0, ExecSchedule.FOREVER, 400_000),),
+            ((0, ExecSchedule.FOREVER, 1_000_000),),
+        ]
+
+    def test_run_experiment_rejects_an_unvalidated_config(self):
+        cfg = replace(default_scenario(), h_min_s=1e-10)  # rounds to 0 ns
+        with pytest.raises(ScenarioSemanticError, match="h_min must be a finite time from 1 ns"):
+            run_experiment(cfg, seed=1)
+
+    def test_only_scenario_and_rtsim_convert_times_for_the_kernel(self):
+        # any other module building kernel times would be a second conversion to keep in step
+        src = Path(ffsched.__file__).parent
+        builders = {"seconds_to_ns", "TaskSpec", "ExecSchedule"}
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            if path.relative_to(src).as_posix() in ("scenario.py", "rtsim.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in builders:
+                    func = func.value  # a classmethod such as ExecSchedule.constant(...)
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in builders:
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}: {name}")
+        assert offenders == []
 
 
 class TestLoadScenario:
