@@ -59,7 +59,7 @@ from .rtsim import (
     measure_utilization,
     sample_execution_time,
 )
-from .scenario import SCHEDULER_TASK, ScenarioConfig, kernel_times
+from .scenario import SCHEDULER_TASK, ScenarioConfig, validate_scenario
 from .schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
 
 class TraceRecord(NamedTuple):
@@ -102,16 +102,18 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     Each axis's loop state lives in the locals of its own `control_loop`
     generator (axis 0 = x, 1 = y), which calls `pid_update` and evaluates the
     plant's closed form and the reference path inline; `tests/hook_wiring.py`
-    checks it against the `control.py` formulas it copies.
+    checks it against the `control.py` formulas it copies. `cfg` goes
+    through `validate_scenario` first, so a configuration built in Python
+    meets the rules a parsed one does.
     """
 
     if seed < 0:
         raise ValueError("seed must be non-negative")
 
+    horizon_ns, h_min_ns, h_max_ns, task_specs = validate_scenario(cfg)
     ctrl = cfg.control_tasks()
     ctrl_names: tuple[str, str] = (ctrl[0].name, ctrl[1].name)
     load_names = [t.name for t in cfg.tasks if t.kind is TaskKind.LOAD]
-    horizon_ns, h_min_ns, h_max_ns, task_specs = kernel_times(cfg)
     specs = {spec.name: spec for spec in task_specs[:-1]}  # the user tasks; the scheduler comes last
 
     # callees looked up in this module's namespace once per run, so a

@@ -37,11 +37,6 @@ class QuantizedUniverse:
     def levels(self) -> range:
         return range(-self.q_max, self.q_max + 1)
 
-    @property
-    def centre(self) -> float:
-        lo, hi = self.span
-        return 0.5 * (lo + hi)
-
     @cached_property
     def gain(self) -> float:
         """Levels per physical unit."""

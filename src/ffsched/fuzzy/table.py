@@ -14,9 +14,9 @@ from importlib import resources
 
 from ..errors import OutOfRangeError, TableError
 from .inference import defuzzify_centroid, infer
-from .membership import INPUT_FAMILY, OUTPUT_FAMILY, MembershipFamily, fuzzify
+from .membership import INPUT_FAMILY, OUTPUT_FAMILY, fuzzify
 from .quantization import ERROR_UNIVERSE, RESCALE_UNIVERSE, round_half_away
-from .rules import DEFAULT_RULES, RuleBase
+from .rules import DEFAULT_RULES
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,20 @@ def lookup(table: LookupTable, e_q: int, ec_q: int) -> int:
     return table.cells[e_q + q][ec_q + q]
 
 
-def compile_lookup_table(
-    rules: RuleBase = DEFAULT_RULES,
-    in_family: MembershipFamily = INPUT_FAMILY,
-    out_family: MembershipFamily = OUTPUT_FAMILY,
-) -> LookupTable:
-    """Run the full inference chain for every quantized input pair.
+def compile_lookup_table() -> LookupTable:
+    """Run the full inference chain over `DEFAULT_RULES` and the shipped
+    membership families for every quantized input pair.
 
     Centroids are rounded half away from zero onto the output grid.
     """
     rows = []
     for e_q in ERROR_UNIVERSE.levels:
-        mu_e = fuzzify(e_q, in_family)
+        mu_e = fuzzify(e_q, INPUT_FAMILY)
         row = []
         for ec_q in ERROR_UNIVERSE.levels:
-            mu_ec = fuzzify(ec_q, in_family)
-            agg = infer(mu_e, mu_ec, rules, out_family)
-            row.append(round_half_away(defuzzify_centroid(agg, out_family)))
+            mu_ec = fuzzify(ec_q, INPUT_FAMILY)
+            agg = infer(mu_e, mu_ec, DEFAULT_RULES, OUTPUT_FAMILY)
+            row.append(round_half_away(defuzzify_centroid(agg, OUTPUT_FAMILY)))
         rows.append(tuple(row))
     return LookupTable(cells=tuple(rows), provenance="compiled")
 

@@ -163,20 +163,21 @@ class UtilizationSample(NamedTuple):
 
 
 NOISE_BLOCK = 256  # standard-normal values drawn per refill of an ExecDraws
+EXEC_FLOOR_FRAC = 0.01  # shortest drawn execution time, as a fraction of the mean
 
 
-def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float, floor_frac: float = 0.01) -> list[int]:
+def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> list[int]:
     """One execution time per standard-normal value `z` in `normals`:
     `max(floor, round(mean_ns * (1 + rel_std * z)))` in float64, rounding half
-    to even as `round` does, with the floor `floor_frac * mean_ns` (at least
-    1 ns) so a job can never run backwards or for free.
+    to even as `round` does, with the floor `EXEC_FLOOR_FRAC * mean_ns` (at
+    least 1 ns) so a job can never run backwards or for free.
     """
 
     if mean_ns <= 0:
         raise ValueError("mean execution time must be positive")
     if not rel_std >= 0:
         raise ValueError("rel_std must be non-negative")
-    floor = max(1, round(floor_frac * mean_ns))
+    floor = max(1, round(EXEC_FLOOR_FRAC * mean_ns))
     times = np.maximum(np.rint(mean_ns * (1.0 + rel_std * normals)), floor)
     # Python compares a float with an int exactly; float64 cannot hold FOREVER
     if float(times.max(initial=0)) > ExecSchedule.FOREVER:
@@ -330,7 +331,7 @@ class Kernel:
     the release plus the period in force at that release, and a miss is
     counted when the job completes after it. Sources and hooks may read
     `now_ns`, which holds the instant of the event they serve; hooks may
-    call `period_of`, `set_period` and `window_snapshot`.
+    call `set_period` and `window_snapshot`.
     """
 
     def __init__(
@@ -362,9 +363,6 @@ class Kernel:
         self._running: _TaskRuntime | None = None
         self._next_release_ns = 0  # earliest pending release over all tasks
         self.now_ns = 0
-
-    def period_of(self, name: str) -> int:
-        return self._tasks[name].period_ns
 
     def set_period(self, name: str, period_ns: int) -> None:
         """Change a task's period, effective from its next release on.

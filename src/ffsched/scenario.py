@@ -18,11 +18,18 @@ Grammar, line oriented::
     [task <name>]         kind, priority, period, exec
 
 Times are seconds. A task `exec` is either one number (constant mean
-execution time) or comma-separated `start-end: value` segments that must
-tile the timeline from 0 without gaps or overlaps; the last value holds
-beyond its end. `[task ...]` sections replace the default task set entirely.
-Malformed text raises ScenarioSyntaxError with its position; well-formed text
-breaking a configuration rule raises ScenarioSemanticError.
+execution time) or comma-separated `start-end: value` segments, which the
+parser sorts by start; in whole nanoseconds they must tile the timeline from
+0 without gaps or overlaps, and the last value holds beyond its end.
+`[task ...]` sections replace the default task set entirely.
+
+The parser only parses. Malformed text raises ScenarioSyntaxError with its
+line and column; a wrong structure (an unknown or duplicate section or key,
+a task section missing a key or naming an unknown kind) raises
+ScenarioSemanticError naming its line. Every rule on the values themselves
+has one owner, `validate_scenario` (with `kernel_times` for times), which
+checks a parsed configuration and one built in Python alike and raises
+ScenarioSemanticError without a line number.
 """
 
 from __future__ import annotations
@@ -137,8 +144,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse scenario text and return the fully validated configuration."""
 
-    sections = _tokenize(text)
-    return _build(sections)
+    return _build(_tokenize(text))
 
 
 def _tokenize(text: str) -> list[tuple[str, str | None, dict[str, tuple[str, int]], int]]:
@@ -206,31 +212,26 @@ def _build(sections) -> ScenarioConfig:
     pid = plain.get("pid", {})
     ref = plain.get("reference", {})
 
-    mode = _enum(run, "mode", base.mode, MODES)
-    horizon = _positive(run, "horizon", base.horizon_s)
-    cfg = ScenarioConfig(
-        mode=mode,
-        horizon_s=horizon,
-        target=_positive(sched, "target", base.target),
-        fs_period_s=_positive(sched, "period", base.fs_period_s),
-        fs_exec_s=_positive(sched, "exec", base.fs_exec_s),
-        h_min_s=_positive(sched, "h_min", base.h_min_s),
-        h_max_s=_positive(sched, "h_max", base.h_max_s),
-        exec_std=_non_negative(noise, "exec_std", base.exec_std),
-        util_std=_non_negative(noise, "util_std", base.util_std),
-        plant=PlantParams(
-            pole_rate=_positive(plant, "pole_rate", base.plant.pole_rate),
-            input_gain=_positive(plant, "input_gain", base.plant.input_gain),
-        ),
-        pid=PidGains(
-            kp=_positive(pid, "kp", base.pid.kp),
-            ki=_positive(pid, "ki", base.pid.ki),
-            kd=_non_negative(pid, "kd", base.pid.kd),
-            deriv_filter=_positive(pid, "deriv_filter", base.pid.deriv_filter),
-        ),
-        ref_duration_s=_positive(ref, "duration", base.ref_duration_s),
+    fields = dict(
+        mode=run["mode"][0] if "mode" in run else base.mode,
+        horizon_s=_number(run, "horizon", base.horizon_s),
+        target=_number(sched, "target", base.target),
+        fs_period_s=_number(sched, "period", base.fs_period_s),
+        fs_exec_s=_number(sched, "exec", base.fs_exec_s),
+        h_min_s=_number(sched, "h_min", base.h_min_s),
+        h_max_s=_number(sched, "h_max", base.h_max_s),
+        exec_std=_number(noise, "exec_std", base.exec_std),
+        util_std=_number(noise, "util_std", base.util_std),
+        ref_duration_s=_number(ref, "duration", base.ref_duration_s),
         tasks=_build_tasks(task_sections) if task_sections else base.tasks,
     )
+    # the [plant] and [pid] keys are the models' field names
+    plant_kw = {key: _number(plant, key, getattr(base.plant, key)) for key in _SECTION_KEYS["plant"]}
+    pid_kw = {key: _number(pid, key, getattr(base.pid, key)) for key in _SECTION_KEYS["pid"]}
+    try:
+        cfg = ScenarioConfig(plant=PlantParams(**plant_kw), pid=PidGains(**pid_kw), **fields)
+    except ValueError as exc:  # the models' own guards, kept for library callers
+        raise ScenarioSemanticError(str(exc)) from None
     validate_scenario(cfg)
     return cfg
 
@@ -251,7 +252,7 @@ def _build_tasks(task_sections) -> tuple[TaskConfig, ...]:
                 name=name,
                 kind=TaskKind.CONTROL if kind_text == "control" else TaskKind.LOAD,
                 priority=_int_value(keys["priority"]),
-                period_s=_float_value(keys["period"]),
+                period_s=_to_float(*keys["period"]),
                 exec_segments=_parse_exec(*keys["exec"]),
             )
         )
@@ -260,42 +261,43 @@ def _build_tasks(task_sections) -> tuple[TaskConfig, ...]:
 
 def _parse_exec(value: str, lineno: int) -> tuple[tuple[float, float, float], ...]:
     if ":" not in value:
-        mean = _to_float(value, lineno)
-        if mean <= 0:
-            raise ScenarioSemanticError(f"line {lineno}: mean execution time must be positive")
-        return ((0.0, float("inf"), mean),)
+        return ((0.0, math.inf, _to_float(value, lineno)),)
     segments = []
     for part in value.split(","):
         part = part.strip()
         m = re.match(r"^([0-9.]+)\s*-\s*([0-9.]+)\s*:\s*(\S+)$", part)
         if m is None:
             raise ScenarioSyntaxError(f"malformed execution segment {part!r}", lineno, 1)
-        start, end = _to_float(m.group(1), lineno), _to_float(m.group(2), lineno)
-        mean = _to_float(m.group(3), lineno)
-        if end <= start:
-            raise ScenarioSemanticError(f"line {lineno}: empty execution segment {part!r}")
-        if mean <= 0:
-            raise ScenarioSemanticError(f"line {lineno}: mean execution time must be positive")
-        segments.append((start, end, mean))
-    segments.sort()
-    if segments[0][0] != 0.0:
-        raise ScenarioSemanticError(f"line {lineno}: execution-time schedule must start at 0")
-    for (s0, e0, _), (s1, _, _) in zip(segments, segments[1:]):
-        if s1 > e0:
-            raise ScenarioSemanticError(f"line {lineno}: execution-time schedule gap between {e0:g} and {s1:g}")
-        if s1 < e0:
-            raise ScenarioSemanticError(f"line {lineno}: execution-time schedule overlap at {s1:g}")
-    return tuple(segments)
+        segments.append(tuple(_to_float(text, lineno) for text in m.groups()))
+    return tuple(sorted(segments))
 
 
-def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Check every cross-field invariant; raises ScenarioSemanticError."""
+def validate_scenario(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ...]]:
+    """Check every rule on the values of `cfg`, parsed or built in Python,
+    and return its `kernel_times`, which owns the rules on times; raises
+    ScenarioSemanticError."""
 
+    if cfg.mode not in MODES:
+        raise ScenarioSemanticError(f"mode must be one of {', '.join(MODES)}; got {cfg.mode!r}")
     if not 0.0 < cfg.target < 1.0:
         raise ScenarioSemanticError(f"utilization target must lie strictly inside (0, 1), got {cfg.target:g}")
-    if not cfg.tasks:
-        raise ScenarioSemanticError("scenario defines no tasks")
+    plant, pid = cfg.plant, cfg.pid
+    for name, value, sign in (
+        ("exec_std", cfg.exec_std, "non-negative"),
+        ("util_std", cfg.util_std, "non-negative"),
+        ("pole_rate", plant.pole_rate, "positive"),
+        ("input_gain", plant.input_gain, "positive"),
+        ("kp", pid.kp, "positive"),
+        ("ki", pid.ki, "positive"),
+        ("kd", pid.kd, "non-negative"),
+        ("deriv_filter", pid.deriv_filter, "positive"),
+        ("reference duration", cfg.ref_duration_s, "positive"),
+    ):
+        if not (math.isfinite(value) and (value > 0 or value == 0 and sign == "non-negative")):
+            raise ScenarioSemanticError(f"{name} must be finite and {sign}, got {value!r}")
     names = [t.name for t in cfg.tasks]
+    if not all(names):
+        raise ScenarioSemanticError("task names must be non-empty")
     if len(set(names)) != len(names):
         raise ScenarioSemanticError("task names must be unique")
     if SCHEDULER_TASK in names:
@@ -308,7 +310,6 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     controls = [t for t in cfg.tasks if t.kind is TaskKind.CONTROL]
     if len(controls) != 2:
         raise ScenarioSemanticError(f"exactly two control tasks are required, got {len(controls)}")
-    pid = cfg.pid
     if pid.kd > 0 and not pid.kp * pid.deriv_filter > 0:
         raise ScenarioSemanticError(
             f"pid: kp * deriv_filter ({pid.kp:g} * {pid.deriv_filter:g}) underflows to 0, "
@@ -317,7 +318,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     # numpy's normal draws stay below 40 (see kernel_times), so u_raw stays finite
     if not math.isfinite(40.0 * cfg.util_std):
         raise ScenarioSemanticError(f"util_std {cfg.util_std!r} lets the utilization measurement overflow")
-    kernel_times(cfg)
+    return kernel_times(cfg)
 
 
 def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ...]]:
@@ -328,12 +329,14 @@ def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ..
     the feedback scheduler at priority 1 with its constant cost. Raises
     ScenarioSemanticError for what the kernel cannot be given: every time
     must be finite, at least 1 ns once rounded and at most FOREVER ns
-    (checked before converting, which would overflow), and no execution
-    segment may round to nothing. Each mean execution time, the scheduler's
-    included, and the horizon are compared with the period, h_min with h_max
-    and each initial control period with both, as the kernel sees them, in
-    whole nanoseconds. Execution-time noise must keep every draw within
-    FOREVER ns too. Command-line overrides reach here unparsed.
+    (checked before converting, which would overflow), and each task's
+    execution segments must tile the timeline from 0 in whole nanoseconds,
+    none of them rounding to nothing. Each mean execution time, the
+    scheduler's included, and the horizon are compared with the period,
+    h_min with h_max and each initial control period with both, as the
+    kernel sees them, in whole nanoseconds. Execution-time noise must keep
+    every draw within FOREVER ns too. Command-line overrides reach here
+    unparsed.
     """
 
     forever = ExecSchedule.FOREVER
@@ -362,24 +365,37 @@ def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ..
             raise ScenarioSemanticError(
                 f"task {task.name}: initial period {task.period_s:g} outside [h_min, h_max]"
             )
+        if not task.exec_segments:
+            raise ScenarioSemanticError(f"task {task.name} has no execution segments")
         segments = []
+        start_ns = 0  # where the next segment must start for the segments to tile
         for start, end, mean in task.exec_segments:
+            if not abs(start) * NS <= forever:
+                raise ScenarioSemanticError(
+                    f"task {task.name}: execution segment start {start!r} is not a time within {forever} ns of 0"
+                )
+            if seconds_to_ns(start) != start_ns:
+                raise ScenarioSemanticError(
+                    f"task {task.name}: execution segments must tile the timeline from 0, but one starts"
+                    f" at {start!r} ({seconds_to_ns(start)} ns) instead of {start_ns} ns"
+                )
             if (mean_ns := to_ns(f"task {task.name} exec", mean)) >= period_ns:
                 raise ScenarioSemanticError(
                     f"task {task.name}: mean execution time {mean!r} ({mean_ns} ns)"
                     f" not below period {task.period_s!r} ({period_ns} ns)"
                 )
-            if math.isinf(end):
+            if end == math.inf:
                 end_ns = forever
-            elif end * NS > forever:
+            elif not abs(end) * NS <= forever:
                 raise ScenarioSemanticError(
-                    f"task {task.name}: execution segment end {end!r} lies past {forever} ns"
+                    f"task {task.name}: execution segment end {end!r} is not a time within {forever} ns of 0"
                 )
-            elif (end_ns := seconds_to_ns(end)) <= seconds_to_ns(start):
+            elif (end_ns := seconds_to_ns(end)) <= start_ns:
                 raise ScenarioSemanticError(
                     f"task {task.name}: execution segment {start:g}-{end:g} is shorter than 1 ns"
                 )
-            segments.append((seconds_to_ns(start), end_ns, mean_ns))
+            segments.append((start_ns, end_ns, mean_ns))
+            start_ns = end_ns
         specs.append(TaskSpec(task.name, task.kind, task.priority, period_ns, ExecSchedule(tuple(segments))))
     # a standard-normal draw from numpy never reaches 40 (its ziggurat tail
     # stops below 14), so no execution time can be drawn past this bound
@@ -392,45 +408,15 @@ def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ..
     return horizon_ns, h_min_ns, h_max_ns, tuple(specs)
 
 
-def _enum(keys, key, default, allowed):
-    if key not in keys:
-        return default
-    value, lineno = keys[key]
-    if value not in allowed:
-        raise ScenarioSemanticError(f"line {lineno}: {key} must be one of {', '.join(allowed)}; got {value!r}")
-    return value
-
-
-def _positive(keys, key, default):
-    if key not in keys:
-        return default
-    value = _float_value(keys[key])
-    if value <= 0:
-        raise ScenarioSemanticError(f"line {keys[key][1]}: {key} must be positive, got {value:g}")
-    return value
-
-
-def _non_negative(keys, key, default):
-    if key not in keys:
-        return default
-    value = _float_value(keys[key])
-    if value < 0:
-        raise ScenarioSemanticError(f"line {keys[key][1]}: {key} must be non-negative, got {value:g}")
-    return value
-
-
-def _float_value(entry: tuple[str, int]) -> float:
-    return _to_float(entry[0], entry[1])
+def _number(keys, key, default):
+    return _to_float(*keys[key]) if key in keys else default
 
 
 def _to_float(text: str, lineno: int) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ScenarioSyntaxError(f"expected a number, got {text!r}", lineno, 1) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ScenarioSemanticError(f"line {lineno}: non-finite number {text!r}")
-    return value
 
 
 def _int_value(entry: tuple[str, int]) -> int:

@@ -63,7 +63,7 @@ class FuzzyFeedbackScheduler:
         ec_q = ERROR_UNIVERSE.quantize(delta)
         level = lookup(self.table, e_q, ec_q)
         self.prev_error = error
-        # not RESCALE_UNIVERSE's centre + level / gain, which is 1 ulp lower at level -5
+        # not 1.0 + level / gain, which is 1 ulp lower at level -5
         return 1.0 + level * (1.0 / RESCALE_UNIVERSE.gain)
 
 

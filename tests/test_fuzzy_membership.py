@@ -39,7 +39,7 @@ class TestUniverses:
     def test_error_grid(self):
         assert list(ERROR_UNIVERSE.levels) == list(range(-6, 7))
         assert ERROR_UNIVERSE.gain == 20.0
-        assert ERROR_UNIVERSE.centre == 0.0
+        assert 0.5 * sum(ERROR_UNIVERSE.span) == 0.0  # level 0 sits at the interval centre
         assert ERROR_UNIVERSE.quantize(0.3) == 6
         assert ERROR_UNIVERSE.quantize(-0.3) == -6
         assert ERROR_UNIVERSE.quantize(0.05) == 1
@@ -47,7 +47,7 @@ class TestUniverses:
     def test_rescale_grid(self):
         assert list(RESCALE_UNIVERSE.levels) == list(range(-7, 8))
         assert 1.0 / RESCALE_UNIVERSE.gain == 1.0 / 14.0
-        assert RESCALE_UNIVERSE.centre == pytest.approx(1.0)
+        assert 0.5 * sum(RESCALE_UNIVERSE.span) == pytest.approx(1.0)
         assert RESCALE_UNIVERSE.quantize(0.5) == 7
         assert RESCALE_UNIVERSE.quantize(-0.5) == -7
 

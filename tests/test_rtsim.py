@@ -304,6 +304,7 @@ class TestKernelResume:
     def _simulate(stops):
         releases, starts, finishes, late_hooks = [], [], [], []
         kernel = None
+        period_c = 7 * MS  # C's period as last set
 
         def on_release(name, release_ns):
             if kernel.now_ns != release_ns:
@@ -311,11 +312,13 @@ class TestKernelResume:
             releases.append((name, release_ns))
 
         def on_start(name, release_ns, start_ns):
+            nonlocal period_c
             if kernel.now_ns != start_ns:
                 late_hooks.append(("start", name, start_ns, kernel.now_ns))
             starts.append((name, release_ns, start_ns))
             if name == "A":  # re-period from inside the start hook, as the feedback scheduler does
-                kernel.set_period("C", 9 * MS if kernel.period_of("C") == 7 * MS else 7 * MS)
+                period_c = 9 * MS if period_c == 7 * MS else 7 * MS
+                kernel.set_period("C", period_c)
 
         def on_finish(rec):
             if kernel.now_ns != rec.finish_ns:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ffsched
+from ffsched.control import PidGains, PlantParams
 from ffsched.errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
 from ffsched.experiment import run_experiment
 from ffsched.rtsim import ExecSchedule, TaskKind, TaskSpec
@@ -166,6 +167,9 @@ class TestSemanticErrors:
             "[run]\nhorizon = -1\n",
             "[noise]\nexec_std = -0.1\n",
             "[run]\nhorizon = inf\n",
+            "[plant]\npole_rate = -1\n",  # PlantParams' own guard
+            "[pid]\nderiv_filter = 0\n",  # PidGains' own guard
+            "[pid]\nkd = nan\n",
         ],
     )
     def test_document_level_rejections(self, text):
@@ -251,6 +255,51 @@ class TestSemanticErrors:
         with pytest.raises(ScenarioSemanticError):
             validate_scenario(replace(default_scenario(), target=0.0))
 
+    def test_syntax_errors_come_before_value_errors(self):
+        # the parser only parses: a bad value elsewhere in the file does not mask malformed text
+        with pytest.raises(ScenarioSyntaxError) as e:
+            parse_scenario("[plant]\npole_rate = -1\n[pid]\nkp = x\n")
+        assert e.value.line == 4
+
+
+def _with_tau1(**changes):
+    cfg = default_scenario()
+    tau1, *rest = cfg.tasks
+    return replace(cfg, tasks=(replace(tau1, **changes), *rest))
+
+
+def _with(**changes):
+    return replace(default_scenario(), **changes)
+
+
+# configurations built in Python that break a value rule the parser used to
+# check alone; each passed validate_scenario or left it as a bare ValueError
+BUILT_CASES = {
+    "segment gap": _with_tau1(exec_segments=((0.0, 1.0, 0.0006), (2.0, 3.0, 0.0006))),
+    "segment overlap": _with_tau1(exec_segments=((0.0, 2.0, 0.0006), (1.0, 3.0, 0.0006))),
+    "segments not from 0": _with_tau1(exec_segments=((1.0, 2.0, 0.0006),)),
+    "no segments": _with_tau1(exec_segments=()),
+    "NaN segment start": _with_tau1(exec_segments=((math.nan, 1.0, 0.0006),)),
+    "NaN segment end": _with_tau1(exec_segments=((0.0, math.nan, 0.0006),)),
+    "empty task name": _with_tau1(name=""),
+    "unknown mode": _with(mode="turbo"),
+    "negative exec_std": _with(exec_std=-0.1),
+    "zero reference duration": _with(ref_duration_s=0.0),
+    "negative util_std": _with(util_std=-0.1),
+    "negative kd": _with(pid=PidGains(kd=-0.01)),
+    "negative ki": _with(pid=PidGains(ki=-1.0)),
+    "negative input_gain": _with(plant=PlantParams(input_gain=-1.0)),
+    "infinite pole_rate": _with(plant=PlantParams(pole_rate=math.inf)),
+}
+
+
+@pytest.mark.parametrize("cfg", BUILT_CASES.values(), ids=BUILT_CASES)
+def test_built_configs_meet_the_parsed_rules(cfg):
+    with pytest.raises(ScenarioSemanticError):
+        validate_scenario(cfg)
+    with pytest.raises(ScenarioSemanticError):
+        run_experiment(cfg, seed=1)
+
 
 class TestKernelTimes:
     def test_default_scenario_in_whole_ns(self):
@@ -275,6 +324,12 @@ class TestKernelTimes:
             ((0, ExecSchedule.FOREVER, 400_000),),
             ((0, ExecSchedule.FOREVER, 1_000_000),),
         ]
+
+    def test_segments_tile_in_whole_ns(self):
+        # 1.0000000000000002 s is 1000000000 ns, where the first segment ends
+        cfg = parse_scenario(THREE_TASKS.replace("exec = 0.001", "exec = 0-1: 0.0006, 1.0000000000000002-2: 0.0006"))
+        *_, specs = kernel_times(cfg)
+        assert specs[2].exec_schedule.segments == ((0, 10**9, 600_000), (10**9, 2 * 10**9, 600_000))
 
     def test_run_experiment_rejects_an_unvalidated_config(self):
         cfg = replace(default_scenario(), h_min_s=1e-10)  # rounds to 0 ns
