@@ -112,7 +112,7 @@ def _load_config(args) -> ScenarioConfig:
         overrides["horizon_s"] = args.horizon
     if args.target is not None:
         overrides["target"] = args.target
-    if getattr(args, "fs_period", None) is not None:
+    if args.fs_period is not None:
         overrides["fs_period_s"] = args.fs_period
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -162,7 +162,7 @@ def _cmd_table(args) -> int:
     golden = load_golden_table()
     if args.diff:
         text = diff_report(compile_lookup_table(), golden)
-    elif getattr(args, "compile"):
+    elif args.compile:
         text = format_table(compile_lookup_table())
     else:
         text = format_table(golden)

@@ -42,8 +42,7 @@ import numpy as np
 
 from .control import (
     ReferencePath,
-    pid_compute,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
-    pid_update,
+    pid_compute,
     plant_step,  # noqa: F401  (kept in this namespace for benchmark/tracing.py)
     reference_at,
     tracking_error,
@@ -100,7 +99,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     """Simulate one scenario to its horizon and return trace plus summary.
 
     Each axis's loop state lives in the locals of its own `control_loop`
-    generator (axis 0 = x, 1 = y), which calls `pid_update` and evaluates the
+    generator (axis 0 = x, 1 = y), which calls `pid_compute` and evaluates the
     plant's closed form and the reference path inline; `tests/hook_wiring.py`
     checks it against the `control.py` formulas it copies. `cfg` goes
     through `validate_scenario` first, so a configuration built in Python
@@ -120,6 +119,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     # wrapper installed there before the run still sees every call
     sample = sample_execution_time
     reference = reference_at
+    pid = pid_compute
     exec_std = cfg.exec_std
 
     # user task i draws from private noise stream [seed, i] when exec_std != 0;
@@ -153,8 +153,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         release order) and switches the held command. A release and a
         completion on one instant leave the plant in the same state whichever
         comes first. The plant's closed form and the path are evaluated
-        inline, as in `plant_advance` and `reference_coordinate`; the velocity
-        the held command settles to is computed once per command.
+        inline, as in `plant_step` and `reference_at`; the velocity the held
+        command settles to is computed once per command.
         """
         a, gain = plant.pole_rate, plant.input_gain
         centre, radius, trig = path.centre[axis], path.radius, sin if axis else cos
@@ -184,10 +184,8 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                         clock = release_ns
                     t_s = release_ns / NS
                     ref = end_ref
-                    if t_s < ref_duration_s:
-                        frac = t_s / ref_duration_s
-                        frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
-                        ref = centre + radius * trig(pi * (1.0 - frac))
+                    if t_s < ref_duration_s:  # so t_s / ref_duration_s lies in [0, 1]
+                        ref = centre + radius * trig(pi * (1.0 - t_s / ref_duration_s))
                     latched.append((ref, position, (release_ns - prev_release) / NS))
                     prev_release = release_ns
                 if stop_ns > clock:
@@ -199,7 +197,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
                 if stop_ns == end_ns:  # finishes all lie before it
                     break
                 ref, meas, spacing_s = latched.popleft()
-                command, integrator, deriv = pid_update(gains, spacing_s, integrator, deriv, last_meas, ref, meas)
+                command, integrator, deriv = pid(gains, spacing_s, integrator, deriv, last_meas, ref, meas)
                 v_inf = gain * command / a
                 last_meas = meas
             releases, finishes, end_ns = yield position

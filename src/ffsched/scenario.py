@@ -302,6 +302,11 @@ def validate_scenario(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpe
         raise ScenarioSemanticError("task names must be unique")
     if SCHEDULER_TASK in names:
         raise ScenarioSemanticError(f"task name {SCHEDULER_TASK!r} is reserved for the feedback scheduler")
+    for t in cfg.tasks:
+        if not isinstance(t.priority, int) or isinstance(t.priority, bool):
+            raise ScenarioSemanticError(f"task {t.name} priority must be an integer, got {t.priority!r}")
+        if t.kind not in (TaskKind.CONTROL, TaskKind.LOAD):
+            raise ScenarioSemanticError(f"task {t.name} kind must be control or load, got {t.kind!r}")
     priorities = [t.priority for t in cfg.tasks]
     if len(set(priorities)) != len(priorities):
         raise ScenarioSemanticError("task priorities must be unique")

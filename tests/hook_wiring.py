@@ -5,7 +5,10 @@ the same control loops once per scheduler window from the kernel's window
 timeline. Here the kernel calls back at every release (advance the plant,
 latch the sample), at every job start (run the PID, or invoke the scheduler)
 and at every completion (advance the plant, actuate), so the loops run in
-step with the kernel. Both wirings must give identical trace records.
+step with the kernel. Both wirings must give identical trace records, and
+as this wiring calls `plant_step`, `pid_compute` and `reference_at` from
+`ffsched.control`, that also checks the replay's inlined plant and path
+arithmetic against them.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import numpy as np
 
 from ffsched.control import (
     ReferencePath,
-    pid_update,
-    plant_advance,
+    pid_compute,
+    plant_step,
     reference_at,
-    reference_coordinate,
     tracking_error,
 )
 from ffsched.experiment import ExperimentResult, TraceRecord, summarize
@@ -119,7 +121,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         for axis in (0, 1):
             dt_ns = t_inv_ns - plant_clock[axis]
             if dt_ns > 0:
-                position[axis], velocity[axis] = plant_advance(
+                position[axis], velocity[axis] = plant_step(
                     position[axis], velocity[axis], command[axis], dt_ns / NS, plant
                 )
             plant_clock[axis] = t_inv_ns
@@ -138,14 +140,14 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             return
         dt_ns = release_ns - plant_clock[axis]
         if dt_ns > 0:
-            position[axis], velocity[axis] = plant_advance(
+            position[axis], velocity[axis] = plant_step(
                 position[axis], velocity[axis], command[axis], dt_ns / NS, plant
             )
         plant_clock[axis] = release_ns
         spacing_ns = release_ns - prev_release[axis]
         prev_release[axis] = release_ns
         t_s = release_ns / NS
-        ref = ref_end[axis] if t_s >= ref_duration_s else reference_coordinate(path, t_s, axis)
+        ref = ref_end[axis] if t_s >= ref_duration_s else reference(path, t_s)[axis]
         latched[axis].append((ref, position[axis], spacing_ns / NS))
 
     def on_start(name: str, release_ns: int, start_ns: int) -> None:
@@ -158,7 +160,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         # consume the sample latched at this job's release (queues are FIFO,
         # so under backlog the computation runs on proportionally stale data)
         ref, meas, spacing_s = latched[axis].popleft()
-        pending_u[axis], integrator[axis], deriv[axis] = pid_update(
+        pending_u[axis], integrator[axis], deriv[axis] = pid_compute(
             gains, spacing_s, integrator[axis], deriv[axis], last_meas[axis], ref, meas
         )
         last_meas[axis] = meas
@@ -169,7 +171,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             return
         dt_ns = rec.finish_ns - plant_clock[axis]
         if dt_ns > 0:
-            position[axis], velocity[axis] = plant_advance(
+            position[axis], velocity[axis] = plant_step(
                 position[axis], velocity[axis], command[axis], dt_ns / NS, plant
             )
         plant_clock[axis] = rec.finish_ns

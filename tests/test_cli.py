@@ -424,6 +424,7 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "calls": tracer.report()["cal
             "rtsim.sample_execution_time",
             "rtsim.measure_utilization",
             "control.reference_at",
+            "control.pid_compute",
         ):
             assert calls[span] > 0, span
         assert calls["rtsim.Kernel.run"] == 1

@@ -199,13 +199,13 @@ class TestReferenceEndPoint:
                     completing.extend([name] * len(window.finishes[name]))
                 return window
 
-        def recording_pid_update(gains, period, integrator, deriv, last_meas, ref, meas):
+        def recording_pid_compute(gains, period, integrator, deriv, last_meas, ref, meas):
             latched[completing.popleft()].append(ref)
-            return pid_update(gains, period, integrator, deriv, last_meas, ref, meas)
+            return pid_compute(gains, period, integrator, deriv, last_meas, ref, meas)
 
-        pid_update = experiment.pid_update
+        pid_compute = experiment.pid_compute
         monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
-        monkeypatch.setattr(experiment, "pid_update", recording_pid_update)
+        monkeypatch.setattr(experiment, "pid_compute", recording_pid_compute)
         # open loop: tau2 keeps its 4 ms period, so it is released at 0.1 s itself
         cfg = replace(default_scenario(), mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
         result = run_experiment(cfg, seed=1)

@@ -262,10 +262,11 @@ class TestSemanticErrors:
         assert e.value.line == 4
 
 
-def _with_tau1(**changes):
+def _with_task(i, **changes):
     cfg = default_scenario()
-    tau1, *rest = cfg.tasks
-    return replace(cfg, tasks=(replace(tau1, **changes), *rest))
+    tasks = list(cfg.tasks)
+    tasks[i] = replace(tasks[i], **changes)
+    return replace(cfg, tasks=tuple(tasks))
 
 
 def _with(**changes):
@@ -275,13 +276,13 @@ def _with(**changes):
 # configurations built in Python that break a value rule the parser used to
 # check alone; each passed validate_scenario or left it as a bare ValueError
 BUILT_CASES = {
-    "segment gap": _with_tau1(exec_segments=((0.0, 1.0, 0.0006), (2.0, 3.0, 0.0006))),
-    "segment overlap": _with_tau1(exec_segments=((0.0, 2.0, 0.0006), (1.0, 3.0, 0.0006))),
-    "segments not from 0": _with_tau1(exec_segments=((1.0, 2.0, 0.0006),)),
-    "no segments": _with_tau1(exec_segments=()),
-    "NaN segment start": _with_tau1(exec_segments=((math.nan, 1.0, 0.0006),)),
-    "NaN segment end": _with_tau1(exec_segments=((0.0, math.nan, 0.0006),)),
-    "empty task name": _with_tau1(name=""),
+    "segment gap": _with_task(0, exec_segments=((0.0, 1.0, 0.0006), (2.0, 3.0, 0.0006))),
+    "segment overlap": _with_task(0, exec_segments=((0.0, 2.0, 0.0006), (1.0, 3.0, 0.0006))),
+    "segments not from 0": _with_task(0, exec_segments=((1.0, 2.0, 0.0006),)),
+    "no segments": _with_task(0, exec_segments=()),
+    "NaN segment start": _with_task(0, exec_segments=((math.nan, 1.0, 0.0006),)),
+    "NaN segment end": _with_task(0, exec_segments=((0.0, math.nan, 0.0006),)),
+    "empty task name": _with_task(0, name=""),
     "unknown mode": _with(mode="turbo"),
     "negative exec_std": _with(exec_std=-0.1),
     "zero reference duration": _with(ref_duration_s=0.0),
@@ -290,6 +291,10 @@ BUILT_CASES = {
     "negative ki": _with(pid=PidGains(ki=-1.0)),
     "negative input_gain": _with(plant=PlantParams(input_gain=-1.0)),
     "infinite pole_rate": _with(plant=PlantParams(pole_rate=math.inf)),
+    "NaN priority": _with_task(0, priority=math.nan),
+    "fractional priority": _with_task(0, priority=2.5),
+    "kind as a string": _with_task(2, kind="load"),
+    "scheduler kind": _with_task(2, kind=TaskKind.SCHEDULER),
 }
 
 
