@@ -295,10 +295,12 @@ class _TaskRuntime:
     period_ns: int
     exec_time: Callable[[int], int]  # release_ns -> exec_ns, bound once per task
     next_release_ns: int = 0
-    # queued jobs, oldest first, as [index, release_ns, deadline_ns, exec_ns,
-    # remaining_ns, start_ns]; start_ns is -1 until the job first gets the CPU
-    queue: deque[list[int]] = field(default_factory=deque)
-    released: int = 0
+    # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
+    # complete FIFO, so the head's index is `completed`, and `released` is
+    # `completed + len(queue)`
+    queue: deque[tuple[int, int, int]] = field(default_factory=deque)
+    head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
+    head_remaining_ns: int = 0  # and from then on, the head job's remaining time
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
@@ -309,7 +311,7 @@ class _TaskRuntime:
     pending_finishes: list[int] = field(default_factory=list)
 
 
-_NEVER = float("inf")  # later than any release; the drain's starting minimum
+_NEVER = float("inf")  # later than any release; the release pass's starting minimum
 
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], None]  # (task name, release_ns, start_ns)
@@ -329,9 +331,9 @@ class Kernel:
     where a control job latches its inputs), `on_job_start` the first time a
     job gets the CPU, `on_job_finish` when it completes. A deadline equals
     the release plus the period in force at that release, and a miss is
-    counted when the job completes after it. Sources and hooks may read
-    `now_ns`, which holds the instant of the event they serve; hooks may
-    call `set_period` and `window_snapshot`.
+    counted when the job completes after it, not on it. `now_ns` holds the
+    instant of the event served at each source and hook call, and `until_ns`
+    once `run` returns; hooks may call `set_period` and `window_snapshot`.
     """
 
     def __init__(
@@ -376,7 +378,7 @@ class Kernel:
 
     def stats(self, name: str) -> TaskStats:
         rt = self._tasks[name]
-        return TaskStats(rt.released, rt.completed, rt.missed, rt.preemptions)
+        return TaskStats(rt.completed + len(rt.queue), rt.completed, rt.missed, rt.preemptions)
 
     def window_snapshot(self, window_end_ns: int) -> WindowData:
         """Take (and clear) the releases, execution samples and completions
@@ -422,76 +424,82 @@ class Kernel:
         new_tuple = tuple.__new__  # builds a JobRecord without its Python-level __new__
         running = self._running  # the task whose head job holds the CPU unfinished
         next_release = self._next_release_ns  # earliest pending release over all tasks
-        # `now` lives in a local; `self.now_ns` is written back whenever it
-        # moves, so every hook reads its own event instant there.
         while True:
             if now >= next_release:
-                # release every job due by now, in priority order, and find
-                # the earliest pending release in the same pass (no hook can
-                # move a release: `set_period` acts from the next one on)
+                # release every job due now, in priority order, and find the
+                # earliest pending release in the same pass; no dispatch pass
+                # runs past a release, so a due release is due exactly now
+                self.now_ns = now
                 next_release = _NEVER
                 for rt in by_priority:
                     release_ns = rt.next_release_ns
-                    while release_ns <= now:
+                    if release_ns <= now:
                         period = rt.period_ns  # the period in force fixes deadline and successor
                         exec_ns = int(rt.exec_time(release_ns))
                         if exec_ns <= 0:
                             raise ValueError(f"task {rt.name}: sampled execution time must be positive")
-                        rt.queue.append([rt.released, release_ns, release_ns + period, exec_ns, exec_ns, -1])
-                        rt.released += 1
+                        rt.queue.append((release_ns, release_ns + period, exec_ns))
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)
                         rt.next_release_ns = release_ns + period
                         if on_job_release is not None:
                             on_job_release(rt.name, release_ns)
-                        release_ns = rt.next_release_ns
+                        release_ns += period
                     if release_ns < next_release:
                         next_release = release_ns
             if now >= until_ns:
                 break
+            # no job is released before `bound`, and no hook can move it, so
+            # one pass down the priority list runs each task's head jobs until
+            # it: a queue drained on the way stays empty till the bound
+            bound = next_release if next_release < until_ns else until_ns
             for rt in by_priority:
                 queue = rt.queue
-                if queue:
-                    break
-            else:
-                running = None
-                now = next_release if next_release < until_ns else until_ns
-                self.now_ns = now
-                continue
-            job = queue[0]  # [index, release_ns, deadline_ns, exec_ns, remaining_ns, start_ns]
-            if running is not rt:
+                if not queue:
+                    continue
                 # a task left with an unfinished head job has been preempted
-                if running is not None:
+                if running is not rt and running is not None:
                     running.preemptions += 1
                 running = rt
-            if job[5] < 0:  # the job's first time on the CPU
-                job[5] = now
-                if on_job_start is not None:
-                    on_job_start(rt.name, job[1], now)
-            # every release due by now is queued and until_ns > now, so the
-            # slice is never empty
-            slice_end = now + job[4]
-            if next_release < slice_end:
-                slice_end = next_release
-            if until_ns < slice_end:
-                slice_end = until_ns
-            if record_segments:
-                self._append_segment(rt.name, job[0], now, slice_end)
-            job[4] -= slice_end - now
-            now = slice_end
-            self.now_ns = now
-            if job[4] == 0:
-                queue.popleft()
-                rt.completed += 1
-                rt.pending_finishes.append(now)
-                missed = now > job[2]  # past the deadline
-                if missed:
-                    rt.missed += 1
-                if on_job_finish is not None:
-                    index, release_ns, deadline_ns, exec_ns, _, start_ns = job
-                    record = (rt.name, index, release_ns, deadline_ns, exec_ns, start_ns, now, missed)
-                    on_job_finish(new_tuple(JobRecord, record))
-                running = None
+                while True:
+                    release_ns, deadline_ns, exec_ns = queue[0]
+                    start_ns = rt.head_start_ns
+                    if start_ns < 0:  # the job's first time on the CPU
+                        start_ns = rt.head_start_ns = now
+                        end = now + exec_ns
+                        if on_job_start is not None:
+                            self.now_ns = now
+                            on_job_start(rt.name, release_ns, now)
+                    else:
+                        end = now + rt.head_remaining_ns
+                    if end > bound:
+                        if record_segments:
+                            self._append_segment(rt.name, rt.completed, now, bound)
+                        rt.head_remaining_ns = end - bound
+                        now = bound
+                        break
+                    if record_segments:
+                        self._append_segment(rt.name, rt.completed, now, end)
+                    now = end
+                    queue.popleft()
+                    rt.completed += 1
+                    rt.head_start_ns = -1
+                    rt.pending_finishes.append(now)
+                    missed = now > deadline_ns  # past the deadline
+                    if missed:
+                        rt.missed += 1
+                    if on_job_finish is not None:
+                        self.now_ns = now
+                        record = (rt.name, rt.completed - 1, release_ns, deadline_ns, exec_ns, start_ns, now, missed)
+                        on_job_finish(new_tuple(JobRecord, record))
+                    if now == bound or not queue:
+                        running = None
+                        break
+                if now == bound:
+                    break
+            else:
+                now = bound  # every queue drained: idle until the bound
+        self.now_ns = now
         self._running = running
         self._next_release_ns = next_release
 

@@ -14,8 +14,10 @@ from dataclasses import replace
 
 import pytest
 
+import ffsched.experiment as experiment
 from ffsched.cli import main
 from ffsched.experiment import emit_traces, run_experiment
+from ffsched.rtsim import Kernel
 from ffsched.scenario import default_scenario, validate_scenario
 
 PINS = {
@@ -82,3 +84,33 @@ def test_sweep_output_is_pinned(tmp_path, capsys):
     assert main(["sweep", "--seeds", "2", "--horizon", "1", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "sweep_summary.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_PIN
+
+
+# sha256 of every JobRecord and Segment the kernel produces in the default
+# fuzzy run at seed 1: no output file shows start instants, job indices or
+# preemption splits, so this pins them directly
+JOB_STREAM_PINS = {
+    "jobs": "1d60cb32b6747887d49e6908eac7124c363bb46a7e00963d055258bd0787d435",
+    "segments": "3acd024ac7a17b22fe83f8b64ad06582b7f7c3903c2a7927d6e1b87439e8cf5d",
+}
+
+
+def test_default_scenario_job_stream_is_pinned(monkeypatch):
+    kernels = []
+
+    class RecordingKernel(Kernel):
+        def __init__(self, tasks, **kwargs):
+            self.jobs = []
+            super().__init__(tasks, on_job_finish=self.jobs.append, record_segments=True, **kwargs)
+            kernels.append(self)
+
+    monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+    run_experiment(default_scenario(), seed=1)
+    (kernel,) = kernels
+    assert len(kernel.jobs) > 3000 and len(kernel.segments) > len(kernel.jobs)
+    assert any(r.missed for r in kernel.jobs) and any(r.start_ns > r.release_ns for r in kernel.jobs)
+    digests = {
+        "jobs": hashlib.sha256(repr([tuple(r) for r in kernel.jobs]).encode()).hexdigest(),
+        "segments": hashlib.sha256(repr([tuple(s) for s in kernel.segments]).encode()).hexdigest(),
+    }
+    assert digests == JOB_STREAM_PINS

@@ -174,6 +174,30 @@ class TestKernelTimeline:
         assert all(r.missed for r in records)
         assert all(r.deadline_ns == r.release_ns + 10 * MS for r in records)
 
+    def test_completion_exactly_on_the_deadline_is_not_a_miss(self):
+        # A: priority 1, period 10 ms, exec 4 ms; B: priority 2, period 10 ms,
+        # exec 6 ms, so every B job finishes exactly on its deadline
+        records = []
+        kernel = Kernel([_task("A", 1, 10, 4), _task("B", 2, 10, 6)], on_job_finish=records.append)
+        kernel.run(30 * MS)
+        b_records = [r for r in records if r.task == "B"]
+        assert [(r.finish_ns, r.deadline_ns) for r in b_records] == [(k * 10 * MS, k * 10 * MS) for k in (1, 2, 3)]
+        assert not any(r.missed for r in records)
+        assert kernel.stats("B").completed == 3
+        assert kernel.stats("A").missed == kernel.stats("B").missed == 0
+
+    def test_completion_one_ns_past_the_deadline_is_a_miss(self):
+        # as above with B's exec one nanosecond longer: each B job now spills
+        # past its deadline into A's next job, and the lag grows by 1 ns a job
+        records = []
+        tasks = [_task("A", 1, 10, 4), replace(_task("B", 2, 10, 6), exec_schedule=ExecSchedule.constant(6 * MS + 1))]
+        kernel = Kernel(tasks, on_job_finish=records.append)
+        kernel.run(30 * MS)
+        b = kernel.stats("B")
+        assert (b.completed, b.missed) == (2, 2)
+        assert [r.finish_ns for r in records if r.task == "B"] == [14 * MS + 1, 24 * MS + 2]
+        assert all(r.missed == (r.task == "B") for r in records)
+
     def test_period_change_takes_effect_at_next_release(self):
         releases = []
         deadlines = {}
