@@ -140,8 +140,6 @@ def _parse(argv):
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed; only seeded workloads use it")
-    parser.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's workloads")
     parser.add_argument("--what", default="", help="what the change is, put first in the output's `what`")
     return parser.parse_args(argv)
 
@@ -150,10 +148,8 @@ def main(argv=None) -> int:
     args = _parse(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     dirty = _git("status", "--porcelain", "--", "src", *COMPARED).stdout.decode().strip()
     if dirty:
