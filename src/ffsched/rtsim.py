@@ -300,7 +300,7 @@ class _TaskRuntime:
     # `completed + len(queue)`
     queue: deque[tuple[int, int, int]] = field(default_factory=deque)
     head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
-    head_remaining_ns: int = 0  # and from then on, the head job's remaining time
+    head_remaining_ns: int = 0  # the started head job's remaining time, kept when a slice ends early
     completed: int = 0
     missed: int = 0
     preemptions: int = 0

@@ -1,14 +1,14 @@
 """Run the benchmark in alternated parent/change pairs and write a BENCH_<n>.json.
 
-Run from a checkout whose committed state is the change:
+Run from a checkout whose HEAD is the change:
 
     python3 tools/bench_pairs.py PARENT_REV --out BENCH_16.json --seed 41 --what "..."
 
-The parent is extracted with `git archive` into a temporary directory; the
-change is this checkout, which must have no uncommitted edits under `src/` or
-`benchmark/`. The script refuses to run when `benchmark/` or `BENCHMARK.json`
-differ between the two trees, since then the two sides would not be measured
-alike. For each workload in BENCHMARK.json it runs the benchmark command
+Both sides are extracted with `git archive` into temporary directories, so
+each runs from its committed files alone, with no bytecode cache or build
+output of the checkout (uncommitted edits are not measured). The script
+refuses to run when `benchmark/` or `BENCHMARK.json` differ between the two
+trees, since then the two sides would not be measured alike. For each workload in BENCHMARK.json it runs the benchmark command
 (`--trace 0`) for `--pairs` pairs, alternating which side goes first (even
 pairs from 0 run the parent first), then one `--trace 1` pair. Every run's
 result file is kept whole in the output.
@@ -146,24 +146,20 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
-    seconds = spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    dirty = _git("status", "--porcelain", "--", "src", *COMPARED).stdout.decode().strip()
-    if dirty:
-        print(f"error: uncommitted edits in the change's tree:\n{dirty}", file=sys.stderr)
-        return 2
     revs = {side: _git("rev-parse", rev).stdout.decode().strip() for side, rev in zip(SIDES, (args.parent, "HEAD"))}
-    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        _extract(revs["parent"], tmp)
-        trees = {"parent": tmp, "change": ROOT}
-        differ = differing(tmp, ROOT)
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for side in SIDES:
+            _extract(revs[side], trees[side])
+        differ = differing(*trees.values())
         if differ:
             print(f"error: the benchmark differs between the trees: {', '.join(differ)}", file=sys.stderr)
             return 2
+        with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        seconds = spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
         out = {"pairs": {}, "traced": {}}
         for workload in workloads:
             pairs = []
@@ -180,11 +176,12 @@ def main(argv=None) -> int:
     what = (
         f"{args.what} Paired benchmark records: parent = {revs['parent'][:7]}, change = {revs['change'][:7]}. "
         f"Pairs alternate which side runs first (even-numbered pairs from 0 run the parent first); benchmark/ is "
-        f"identical on both sides, and the parent ran from a `git archive` extraction. Seed {args.seed} (only "
+        f"identical on both sides, and each side ran from a `git archive` extraction. Seed {args.seed} (only "
         f"seeded workloads use it). summary is computed from pairs (quartiles by statistics.quantiles("
         f"method='inclusive')); traced holds one --trace 1 pair per workload (per-layer times there are raw host "
         f"ms, not scaled by the reference time). Host: {host}."
     ).strip()
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     command = spec["command"] + [f"--workload <workload> --seed <seed> --seconds {seconds:g} --trace <0|1>"]
     document = {
         "what": what,
