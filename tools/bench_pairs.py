@@ -8,10 +8,11 @@ Both sides are extracted with `git archive` into temporary directories, so
 each runs from its committed files alone, with no bytecode cache or build
 output of the checkout (uncommitted edits are not measured). The script
 refuses to run when `benchmark/` or `BENCHMARK.json` differ between the two
-trees, since then the two sides would not be measured alike. For each workload in BENCHMARK.json it runs the benchmark command
-(`--trace 0`) for `--pairs` pairs, alternating which side goes first (even
-pairs from 0 run the parent first), then one `--trace 1` pair. Every run's
-result file is kept whole in the output.
+trees, since then the two sides would not be measured alike. For each
+workload in BENCHMARK.json it runs the benchmark command (`--trace 0`, for
+BENCHMARK.json's `run_seconds`) for `--pairs` pairs, alternating which side
+goes first (even pairs from 0 run the parent first), then one `--trace 1`
+pair. Every run's result file is kept whole in the output.
 
 The output has the keys `what`, `command`, `summary` (per workload and
 end-to-end metric: each side's median and inclusive quartiles, the pairs in
@@ -80,13 +81,13 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def differing(a: str, b: str, paths=COMPARED) -> list[str]:
-    """The files under `paths` that differ between trees `a` and `b`, or
+def differing(a: str, b: str) -> list[str]:
+    """The files under `COMPARED` that differ between trees `a` and `b`, or
     exist in one only; `__pycache__` is ignored."""
 
     def files(top):
         found = set()
-        for path in paths:
+        for path in COMPARED:
             full = os.path.join(top, path)
             if os.path.isfile(full):
                 found.add(path)
