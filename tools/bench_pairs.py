@@ -8,11 +8,12 @@ Both sides are extracted with `git archive` into temporary directories, so
 each runs from its committed files alone, with no bytecode cache or build
 output of the checkout (uncommitted edits are not measured). The script
 refuses to run when `benchmark/` or `BENCHMARK.json` differ between the two
-trees, since then the two sides would not be measured alike. For each
+commits, since then the two sides would not be measured alike. For each
 workload in BENCHMARK.json it runs the benchmark command (`--trace 0`, for
-BENCHMARK.json's `run_seconds`) for `--pairs` pairs, alternating which side
+BENCHMARK.json's `run_seconds`) for `PAIRS` pairs, alternating which side
 goes first (even pairs from 0 run the parent first), then one `--trace 1`
-pair. Every run's result file is kept whole in the output.
+pair. Every run's result file is kept whole in the output, which is written
+as one compact JSON line.
 
 The output has the keys `what`, `command`, `summary` (per workload and
 end-to-end metric: each side's median and inclusive quartiles, the pairs in
@@ -23,7 +24,6 @@ side), `pairs` and `traced`. Standard library only.
 from __future__ import annotations
 
 import argparse
-import filecmp
 import io
 import json
 import os
@@ -38,6 +38,7 @@ from statistics import median, quantiles
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMPARED = ("benchmark", "BENCHMARK.json")  # must be identical on both sides
 SIDES = ("parent", "change")
+PAIRS = 10  # untraced pairs per workload
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -81,27 +82,6 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def differing(a: str, b: str) -> list[str]:
-    """The files under `COMPARED` that differ between trees `a` and `b`, or
-    exist in one only; `__pycache__` is ignored."""
-
-    def files(top):
-        found = set()
-        for path in COMPARED:
-            full = os.path.join(top, path)
-            if os.path.isfile(full):
-                found.add(path)
-            for dirpath, dirnames, filenames in os.walk(full):
-                dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-                found.update(os.path.relpath(os.path.join(dirpath, f), top) for f in filenames)
-        return found
-
-    in_a, in_b = files(a), files(b)
-    differ = in_a ^ in_b
-    differ.update(f for f in in_a & in_b if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False))
-    return sorted(differ)
-
-
 def _git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, check=True)
 
@@ -139,7 +119,6 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV", help="the commit the change is measured against")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload (default 10)")
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed; only seeded workloads use it")
     parser.add_argument("--what", default="", help="what the change is, put first in the output's `what`")
     return parser.parse_args(argv)
@@ -148,15 +127,15 @@ def _parse(argv):
 def main(argv=None) -> int:
     args = _parse(argv)
     revs = {side: _git("rev-parse", rev).stdout.decode().strip() for side, rev in zip(SIDES, (args.parent, "HEAD"))}
+    differ = _git("diff", "--name-only", revs["parent"], revs["change"], "--", *COMPARED).stdout.decode().split()
+    if differ:
+        print(f"error: the benchmark differs between the commits: {', '.join(differ)}", file=sys.stderr)
+        return 2
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
         for side in SIDES:
             _extract(revs[side], trees[side])
-        differ = differing(*trees.values())
-        if differ:
-            print(f"error: the benchmark differs between the trees: {', '.join(differ)}", file=sys.stderr)
-            return 2
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
         seconds = spec["run_seconds"]
@@ -164,9 +143,9 @@ def main(argv=None) -> int:
         out = {"pairs": {}, "traced": {}}
         for workload in workloads:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = list(SIDES) if i % 2 == 0 else list(reversed(SIDES))
-                print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
+                print(f"{workload} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
                 pairs.append(_pair(trees, order, spec["command"], workload, args.seed, seconds, 0))
             out["pairs"][workload] = {"seed": args.seed, "pairs": pairs}
             print(f"{workload} traced pair", file=sys.stderr, flush=True)
@@ -191,7 +170,7 @@ def main(argv=None) -> int:
         **out,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=1)
+        json.dump(document, fh)
         fh.write("\n")
     for w in workloads:
         m = document["summary"][w]["metrics"]["wall_s"]
