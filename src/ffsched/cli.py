@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .errors import EmitError, FfschedError
-from .experiment import emit_traces, format_summary, format_trace_csv, run_experiment
+from .experiment import emit_traces, format_summary, run_experiment, trace_lines
 from .fuzzy import compile_lookup_table, diff_report, format_table, load_golden_table
 from .scenario import MODES, ScenarioConfig, default_scenario, load_scenario, validate_scenario
 
@@ -127,7 +127,7 @@ def _cmd_run(args) -> int:
         trace_path, summary_path = emit_traces(args.out, result)
         print(f"wrote {trace_path} and {summary_path}")
     if args.trace:
-        sys.stdout.write(format_trace_csv(result))
+        sys.stdout.writelines(trace_lines(result))
     sys.stdout.write(format_summary(result.summary))
     return 0
 

@@ -9,8 +9,7 @@ exact closed-form solution, so step size never affects accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import cos, expm1, hypot, pi, sin
+from math import cos, expm1, hypot, inf, pi, sin
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,17 @@ class PidGains:
     the scheduler may command, including preemption-induced actuation
     delays of most of a period. They are deliberately frozen so scheduling
     modes stay comparable.
+
+    `deriv_time_constant`, Td/N, the time constant of the derivative's
+    first-order filter, is computed once at construction and stored as a
+    plain attribute, not a field (so `==`, `hash`, `repr` and
+    `dataclasses.replace` see only the four gains). `pid_compute` reads the
+    gains once per control job; a lazily cached value would create the
+    instance `__dict__`, which takes every attribute load on the instance
+    off CPython's specialised path. When `kp * deriv_filter` underflows to 0
+    the value is +inf rather than a division error: `validate_scenario`
+    rejects that case when `kd > 0`, and `pid_compute` never reads the value
+    when `kd == 0`.
     """
 
     kp: float = 1.3
@@ -66,11 +76,8 @@ class PidGains:
     def __post_init__(self):
         if self.deriv_filter <= 0:
             raise ValueError("deriv_filter must be positive")
-
-    @cached_property
-    def deriv_time_constant(self) -> float:
-        """Td/N, the time constant of the derivative's first-order filter."""
-        return self.kd / ((self.kp if self.kp > 0 else 1.0) * self.deriv_filter)
+        scale = (self.kp if self.kp > 0 else 1.0) * self.deriv_filter
+        object.__setattr__(self, "deriv_time_constant", self.kd / scale if scale else inf)
 
 
 def pid_compute(

@@ -32,7 +32,8 @@ def apply_periods(
     for h in periods_ns:
         if h <= 0:
             raise ValueError("periods must be positive")
-        new_periods.append(min(h_max_ns, max(h_min_ns, round(eta * h))))
+        scaled = round(eta * h)
+        new_periods.append(h_min_ns if scaled < h_min_ns else h_max_ns if scaled > h_max_ns else scaled)
     return tuple(new_periods)
 
 

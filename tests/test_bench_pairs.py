@@ -60,3 +60,26 @@ def test_single_pair_has_degenerate_quartiles():
     assert wall["parent_quartiles"] == [2.0, 2.0]
     assert wall["change_better_in"] == 1
 
+
+
+def test_report_has_one_line_per_workload_and_metric_then_failed_calls():
+    pairs = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 2.5, 4.5, 1.0])
+    rates = _pairs([10, 20, 30, 40], [11, 19, 31, 40], "rate")
+    summary = {
+        "a": {"seed": 1, "metrics": bench_pairs.summarize(pairs, {"wall_s": "lower"})},
+        "b": {"seed": 1, "metrics": bench_pairs.summarize(rates, {"rate": "higher", "absent": "lower"})},
+    }
+    assert bench_pairs.report(summary) == [
+        "a wall_s: 3 -> 2 (-33.3%), change better in 3/5 (1 ties), median gap 1 vs parent quartile spread 2",
+        "a failed calls: parent 0, change 0",
+        "b rate: 25 -> 25 (+0.0%), change better in 2/4 (1 ties), median gap 0 vs parent quartile spread 15",
+        "b failed calls: parent 0, change 0",
+    ]
+    assert "failed" in summary["a"]["metrics"]  # the summary itself is left as it was
+
+
+def test_report_of_a_zero_parent_median_has_no_relative_change():
+    summary = {"a": {"seed": 1, "metrics": bench_pairs.summarize(_pairs([0.0], [0.0], "err"), {"err": "lower"})}}
+    assert bench_pairs.report(summary)[0] == (
+        "a err: 0 -> 0 (n/a), change better in 0/1 (1 ties), median gap 0 vs parent quartile spread 0"
+    )

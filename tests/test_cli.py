@@ -53,6 +53,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert out.startswith("t,u_meas,u_raw,eta,h_tau1,h_tau2,")
 
+    def test_trace_flag_prints_the_written_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["run", *FAST, "--out", str(out_dir), "--trace"]) == 0
+        trace, summary = (out_dir / "trace.csv").read_text(), (out_dir / "summary.txt").read_text()
+        wrote = f"wrote {out_dir / 'trace.csv'} and {out_dir / 'summary.txt'}\n"
+        assert capsys.readouterr().out == wrote + trace + summary
+
     def test_out_writes_files(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         assert main(["run", *FAST, "--out", str(out_dir)]) == 0
@@ -237,11 +244,14 @@ class TestExitCodes:
         rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
         assert rows and all(math.isfinite(float(row.split(",")[2])) for row in rows)  # u_raw
 
-    def test_underflowing_derivative_filter_is_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kd, code", [("", 4), ("kd = 0\n", 0)], ids=["default-kd", "kd-0"])
+    def test_underflowing_derivative_filter(self, tmp_path, capsys, kd, code):
+        # the product underflows to 0.0; only a filter that runs (kd > 0) divides by it
         scenario = tmp_path / "pid.cfg"
-        scenario.write_text("[pid]\nkp = 1e-200\nderiv_filter = 1e-200\n")  # the product underflows to 0.0
-        assert main(["run", *FAST, "--scenario", str(scenario)]) == 4
-        assert capsys.readouterr().err.startswith("error[scenario-semantic]: pid: kp * deriv_filter")
+        scenario.write_text("[pid]\nkp = 1e-200\nderiv_filter = 1e-200\n" + kd)
+        assert main(["run", *FAST, "--scenario", str(scenario)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error[scenario-semantic]: pid: kp * deriv_filter") if code else err == ""
 
     def test_loop_past_the_float_range_is_4(self, tmp_path, capsys):
         scenario = tmp_path / "gain.cfg"

@@ -1,8 +1,13 @@
 """Plant discretization, PID behaviour, and the reference path."""
 
+import ast
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+
+import ffsched
 
 from ffsched.control import (
     PidGains,
@@ -98,6 +103,25 @@ class TestPid:
         with pytest.raises(ValueError):
             PidGains(deriv_filter=0.0)
 
+    def test_deriv_time_constant_is_a_plain_attribute_set_at_construction(self):
+        gains = PidGains()
+        assert gains.deriv_time_constant == 0.035 / (1.3 * 25.0)
+        assert [f.name for f in fields(PidGains)] == ["kp", "ki", "kd", "deriv_filter"]
+        assert "deriv_time_constant" not in repr(gains)
+        assert PidGains(kp=1.3) == gains and hash(PidGains(kp=1.3)) == hash(gains)
+        assert replace(gains, kd=0.07).deriv_time_constant == 0.07 / (1.3 * 25.0)  # replace recomputes it
+        assert PidGains(kp=0.0, kd=0.5, deriv_filter=2.0).deriv_time_constant == 0.25  # kp <= 0 counts as 1
+
+    @pytest.mark.parametrize("kd", [0.0, 0.035])
+    def test_underflowing_filter_scale_constructs(self, kd):
+        # kp * deriv_filter underflows to 0.0; validate_scenario alone rejects
+        # it, and only when kd > 0, where the filter would divide by it
+        gains = PidGains(kp=1e-200, deriv_filter=1e-200, kd=kd)
+        assert gains.deriv_time_constant == math.inf
+        if kd == 0.0:
+            _, _, deriv = pid_compute(gains, 0.004, 0.0, 0.0, 0.0, ref=1.0, meas=0.5)
+            assert deriv == 0.0
+
 
 class TestReference:
     def test_endpoints_and_top(self):
@@ -145,3 +169,18 @@ class TestReference:
     def test_tracking_error_is_euclidean(self):
         assert tracking_error((1.0, 2.0), (4.0, 6.0)) == 5.0
         assert tracking_error((0.5, 0.5), (0.5, 0.5)) == 0.0
+
+
+def test_package_uses_no_cached_property():
+    # a cached property stores its value in the instance __dict__, creating
+    # it, and on CPython 3.11 that takes every attribute load on the instance
+    # off the specialised path: on hot objects such as PidGains and the
+    # quantization grids, compute derived values in __post_init__ instead
+    src = Path(ffsched.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "cached_property":
+                offenders.append(f"{path.relative_to(src)}:{getattr(node, 'lineno', '?')}")
+    assert offenders == []

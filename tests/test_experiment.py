@@ -13,9 +13,9 @@ from ffsched.experiment import (
     TraceRecord,
     emit_traces,
     format_summary,
-    format_trace_csv,
     run_experiment,
     trace_header,
+    trace_lines,
 )
 from ffsched.control import PlantParams, ReferencePath, reference_at
 from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, Kernel, seconds_to_ns
@@ -26,6 +26,10 @@ from test_pins import _flickering_scenario
 from test_rtsim import _CountingSchedule, _span_entries
 
 H_MIN, H_MAX = 0.001, 0.007
+
+
+def _trace_csv(result):
+    return "".join(trace_lines(result))
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +49,12 @@ def noise_free():
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, fuzzy_result):
         again = run_experiment(default_scenario(), seed=1)
-        assert format_trace_csv(again) == format_trace_csv(fuzzy_result)
+        assert _trace_csv(again) == _trace_csv(fuzzy_result)
         assert again.summary == fuzzy_result.summary
 
     def test_seed_changes_the_trace(self, fuzzy_result):
         other = run_experiment(default_scenario(), seed=2)
-        assert format_trace_csv(other) != format_trace_csv(fuzzy_result)
+        assert _trace_csv(other) != _trace_csv(fuzzy_result)
 
     def test_emitted_files_are_identical(self, fuzzy_result, tmp_path):
         t1, s1 = emit_traces(str(tmp_path / "a"), fuzzy_result)
@@ -71,7 +75,7 @@ class TestTraceShape:
     def test_header_names_follow_control_tasks(self, fuzzy_result):
         assert fuzzy_result.control_names == ("tau1", "tau2")
         assert trace_header(("tau1", "tau2")) == "t,u_meas,u_raw,eta,h_tau1,h_tau2,x_ref,y_ref,x_act,y_act,err"
-        assert format_trace_csv(fuzzy_result).splitlines()[0] == trace_header(("tau1", "tau2"))
+        assert _trace_csv(fuzzy_result).splitlines()[0] == trace_header(("tau1", "tau2"))
 
     def test_measured_utilization_is_clamped_raw_is_not(self, fuzzy_result):
         assert all(0.0 <= r.u_meas <= 1.0 for r in fuzzy_result.records)
@@ -86,7 +90,7 @@ class TestTraceShape:
             TraceRecord(0.02, 1.0, -0.5, 1.0000000000000002, (0.004, 0.005), (0.0, 0.0), (1.5, -0.0), math.inf),
         )
         result = ExperimentResult(control_names=("a", "b"), records=records, summary=None)
-        lines = format_trace_csv(result).splitlines()
+        lines = _trace_csv(result).splitlines()
         assert lines[0] == trace_header(("a", "b"))
         for line, r in zip(lines[1:], records, strict=True):
             cells = (r.t_s, r.u_meas, r.u_raw, r.eta, *r.periods_s, *r.ref, *r.act, r.err)
@@ -275,7 +279,7 @@ class TestReplayMatchesJobHooks:
     def _assert_identical(cfg, seed):
         replayed, hooked = run_experiment(cfg, seed), run_with_job_hooks(cfg, seed)
         assert replayed.records == hooked.records
-        assert format_trace_csv(replayed) == format_trace_csv(hooked)  # also tells -0.0 from 0.0
+        assert _trace_csv(replayed) == _trace_csv(hooked)  # also tells -0.0 from 0.0
         assert replayed.summary == hooked.summary
         return replayed
 

@@ -1,6 +1,7 @@
 """Quantization grids and triangular membership families."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -50,6 +51,14 @@ class TestUniverses:
         assert 0.5 * sum(RESCALE_UNIVERSE.span) == pytest.approx(1.0)
         assert RESCALE_UNIVERSE.quantize(0.5) == 7
         assert RESCALE_UNIVERSE.quantize(-0.5) == -7
+
+    def test_gain_is_a_plain_attribute_set_at_construction(self):
+        assert [f.name for f in fields(QuantizedUniverse)] == ["q_max", "span"]
+        assert "gain" not in repr(ERROR_UNIVERSE)
+        twin = QuantizedUniverse(6, (-0.3, 0.3))
+        assert twin == ERROR_UNIVERSE and hash(twin) == hash(ERROR_UNIVERSE)
+        assert replace(ERROR_UNIVERSE, q_max=3).gain == 10.0  # replace recomputes it
+        assert QuantizedUniverse(1, (0.0, 5e-324)).gain == math.inf  # half the width would round to 0
 
     @pytest.mark.parametrize(
         "x, level",

@@ -18,7 +18,9 @@ as one compact JSON line.
 The output has the keys `what`, `command`, `summary` (per workload and
 end-to-end metric: each side's median and inclusive quartiles, the pairs in
 which the change is better, ties and the pair count, plus failed calls per
-side), `pairs` and `traced`. Standard library only.
+side), `pairs` and `traced`. It ends by printing one line per workload and
+end-to-end metric with the numbers a claim and a no-regression check are
+judged by. Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,31 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         }
     summary["failed"] = {side: sum(p[side]["result"]["failed"] for p in pairs) for side in SIDES}
     return summary
+
+
+def report(summary: dict) -> list[str]:
+    """The lines printed at the end, from the output's `summary`: per
+    workload, one per end-to-end metric with both medians, the relative
+    change, the pairs the change won (ties count for neither side), the gap
+    between the medians and the parent's quartile spread; then one with the
+    failed calls of each side.
+    """
+
+    lines = []
+    for workload, entry in summary.items():
+        metrics = dict(entry["metrics"])
+        failed = metrics.pop("failed")
+        for name, m in metrics.items():
+            a, b = m["parent_median"], m["change_median"]
+            relative = f"{(b - a) / a:+.1%}" if a else "n/a"
+            q1, q3 = m["parent_quartiles"]
+            lines.append(
+                f"{workload} {name}: {a:.6g} -> {b:.6g} ({relative}), change better in "
+                f"{m['change_better_in']}/{m['pairs']} ({m['ties']} ties), median gap {abs(b - a):.3g} "
+                f"vs parent quartile spread {q3 - q1:.3g}"
+            )
+        lines.append(f"{workload} failed calls: parent {failed['parent']}, change {failed['change']}")
+    return lines
 
 
 def _value(record: dict, name: str) -> float | None:
@@ -172,10 +199,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
         fh.write("\n")
-    for w in workloads:
-        m = document["summary"][w]["metrics"]["wall_s"]
-        print(f"{w}: wall_s {m['parent_median']:.4f} -> {m['change_median']:.4f}, change better in "
-              f"{m['change_better_in']}/{m['pairs']}, parent quartiles {m['parent_quartiles']}")
+    print("\n".join(report(document["summary"])))
     return 0
 
 
