@@ -16,8 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import EmitError, FfschedError
-from .experiment import emit_traces, format_summary, run_experiment, trace_lines
+from .errors import FfschedError
+from .experiment import emit_traces, format_summary, run_experiment, trace_lines, write_lines
 from .fuzzy import compile_lookup_table, diff_report, format_table, load_golden_table
 from .scenario import MODES, ScenarioConfig, default_scenario, load_scenario, validate_scenario
 
@@ -105,15 +105,8 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario) if args.scenario else default_scenario()
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.horizon is not None:
-        overrides["horizon_s"] = args.horizon
-    if args.target is not None:
-        overrides["target"] = args.target
-    if args.fs_period is not None:
-        overrides["fs_period_s"] = args.fs_period
+    flags = (("mode", "mode"), ("horizon", "horizon_s"), ("target", "target"), ("fs_period", "fs_period_s"))
+    overrides = {field: value for flag, field in flags if (value := getattr(args, flag)) is not None}
     if overrides:
         cfg = replace(cfg, **overrides)
         validate_scenario(cfg)
@@ -136,7 +129,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     header = (
         "mode,noise_std,seed,mean_tracking_error,max_tracking_error,"
-        "mean_utilization,mean_utilization_final,missed_total"
+        "mean_utilization,mean_utilization_final,missed_total\n"
     )
     lines = [header]
     for level in args.noise:
@@ -147,14 +140,14 @@ def _cmd_sweep(args) -> int:
             lines.append(
                 f"{summary.mode},{level!r},{seed},{summary.mean_tracking_error!r},"
                 f"{summary.max_tracking_error!r},{summary.mean_utilization!r},"
-                f"{summary.mean_utilization_final!r},{missed}"
+                f"{summary.mean_utilization_final!r},{missed}\n"
             )
-    text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(os.path.join(args.out, "sweep_summary.csv"), text, mkdir=args.out)
-        print(f"wrote {os.path.join(args.out, 'sweep_summary.csv')}")
+        path = os.path.join(args.out, "sweep_summary.csv")
+        write_lines(path, lines, mkdir=args.out)
+        print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -167,7 +160,7 @@ def _cmd_table(args) -> int:
     else:
         text = format_table(golden)
     if args.out:
-        _write_text(args.out, text)
+        write_lines(args.out, [text])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -199,16 +192,6 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
-
-
-def _write_text(path: str, text: str, mkdir: str | None = None) -> None:
-    try:
-        if mkdir:
-            os.makedirs(mkdir, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise EmitError(f"cannot write {path}: {exc}") from exc
 
 
 if __name__ == "__main__":

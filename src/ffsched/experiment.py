@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import cos, expm1, pi, sin
 from statistics import fmean
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,13 +211,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     records: list[TraceRecord] = []
     # user task periods in `specs` order, kept in step with the kernel below
     periods_now = {name: spec.period_ns for name, spec in specs.items()}
-    warmed_up = False  # the very first invocation only starts the first window
     new_tuple = tuple.__new__
 
     def schedule_step(t_inv_ns: int) -> None:
-        nonlocal warmed_up
-        if not warmed_up:
-            warmed_up = True
+        # the scheduler is released at 0 and, at priority 1, starts there; that
+        # first invocation only starts the first window
+        if t_inv_ns == 0:
             return
         window = kernel.window_snapshot(t_inv_ns)
         u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
@@ -338,17 +337,25 @@ def format_summary(summary: RunSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_lines(path: str, lines: Iterable[str], mkdir: str | None = None) -> None:
+    """Write `lines`, each ending in a newline, to the UTF-8 file `path` as
+    they come, after creating the directory `mkdir` if one is given; every
+    output file goes through here. An OSError becomes an EmitError."""
+
+    try:
+        if mkdir:
+            os.makedirs(mkdir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise EmitError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_traces(out_dir: str, result: ExperimentResult) -> tuple[str, str]:
     """Write trace.csv and summary.txt under `out_dir`; returns their paths."""
 
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        trace_path = os.path.join(out_dir, "trace.csv")
-        summary_path = os.path.join(out_dir, "summary.txt")
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(trace_lines(result))
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_summary(result.summary))
-    except OSError as exc:
-        raise EmitError(f"cannot write traces under {out_dir}: {exc}") from exc
+    trace_path = os.path.join(out_dir, "trace.csv")
+    summary_path = os.path.join(out_dir, "summary.txt")
+    write_lines(trace_path, trace_lines(result), mkdir=out_dir)
+    write_lines(summary_path, [format_summary(result.summary)])
     return trace_path, summary_path

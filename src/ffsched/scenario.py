@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
@@ -48,15 +48,22 @@ SCHEDULER_TASK = "sched"  # implicit highest-priority task; not declarable
 _SECTION_RE = re.compile(r"^\[([a-z]+)(?:[ \t]+([A-Za-z0-9_\-]+))?\]$")
 _KEY_RE = re.compile(r"^[a-z_]+$")
 
+# Each section's keys in document order, each mapped to the field it sets: a
+# ScenarioConfig field, a TaskConfig field for [task], or for [plant] and
+# [pid] a field of the model in the ScenarioConfig field of that name. A
+# value is parsed as a number unless `_PARSERS` names its field. Sections
+# are read in this order, so a document with several errors always
+# reports the same one first.
 _SECTION_KEYS = {
-    "run": ("horizon", "mode"),
-    "scheduler": ("target", "period", "exec", "h_min", "h_max"),
-    "noise": ("exec_std", "util_std"),
-    "plant": ("pole_rate", "input_gain"),
-    "pid": ("kp", "ki", "kd", "deriv_filter"),
-    "reference": ("duration",),
-    "task": ("kind", "priority", "period", "exec"),
+    "run": dict(horizon="horizon_s", mode="mode"),
+    "scheduler": dict(target="target", period="fs_period_s", exec="fs_exec_s", h_min="h_min_s", h_max="h_max_s"),
+    "noise": dict(exec_std="exec_std", util_std="util_std"),
+    "reference": dict(duration="ref_duration_s"),
+    "task": dict(kind="kind", priority="priority", period="period_s", exec="exec_segments"),
+    "plant": dict(pole_rate="pole_rate", input_gain="input_gain"),
+    "pid": dict(kp="kp", ki="ki", kd="kd", deriv_filter="deriv_filter"),
 }
+_MODEL_SECTIONS = ("plant", "pid")
 
 
 @dataclass(frozen=True)
@@ -205,31 +212,19 @@ def _build(sections) -> ScenarioConfig:
                 raise ScenarioSemanticError(f"line {lineno}: duplicate section [{name}]")
             plain[name] = keys
 
-    run = plain.get("run", {})
-    sched = plain.get("scheduler", {})
-    noise = plain.get("noise", {})
-    plant = plain.get("plant", {})
-    pid = plain.get("pid", {})
-    ref = plain.get("reference", {})
-
-    fields = dict(
-        mode=run["mode"][0] if "mode" in run else base.mode,
-        horizon_s=_number(run, "horizon", base.horizon_s),
-        target=_number(sched, "target", base.target),
-        fs_period_s=_number(sched, "period", base.fs_period_s),
-        fs_exec_s=_number(sched, "exec", base.fs_exec_s),
-        h_min_s=_number(sched, "h_min", base.h_min_s),
-        h_max_s=_number(sched, "h_max", base.h_max_s),
-        exec_std=_number(noise, "exec_std", base.exec_std),
-        util_std=_number(noise, "util_std", base.util_std),
-        ref_duration_s=_number(ref, "duration", base.ref_duration_s),
-        tasks=_build_tasks(task_sections) if task_sections else base.tasks,
-    )
-    # the [plant] and [pid] keys are the models' field names
-    plant_kw = {key: _number(plant, key, getattr(base.plant, key)) for key in _SECTION_KEYS["plant"]}
-    pid_kw = {key: _number(pid, key, getattr(base.pid, key)) for key in _SECTION_KEYS["pid"]}
+    fields: dict[str, object] = {}
+    for section in _SECTION_KEYS:
+        if section == "task":
+            if task_sections:
+                fields["tasks"] = _build_tasks(task_sections)
+        elif section in _MODEL_SECTIONS:  # the model is built once every value is read
+            fields[section] = _read(section, plain.get(section, {}))
+        else:
+            fields.update(_read(section, plain.get(section, {})))
     try:
-        cfg = ScenarioConfig(plant=PlantParams(**plant_kw), pid=PidGains(**pid_kw), **fields)
+        for section in _MODEL_SECTIONS:
+            fields[section] = replace(getattr(base, section), **fields[section])
+        cfg = replace(base, **fields)
     except ValueError as exc:  # the models' own guards, kept for library callers
         raise ScenarioSemanticError(str(exc)) from None
     validate_scenario(cfg)
@@ -239,24 +234,19 @@ def _build(sections) -> ScenarioConfig:
 def _build_tasks(task_sections) -> tuple[TaskConfig, ...]:
     tasks = []
     for name, keys, lineno in task_sections:
-        for required in ("kind", "priority", "period", "exec"):
-            if required not in keys:
-                raise ScenarioSemanticError(f"line {lineno}: [task {name}] is missing key {required!r}")
-        kind_text = keys["kind"][0]
-        if kind_text not in ("control", "load"):
-            raise ScenarioSemanticError(
-                f"line {keys['kind'][1]}: task kind must be control or load, got {kind_text!r}"
-            )
-        tasks.append(
-            TaskConfig(
-                name=name,
-                kind=TaskKind.CONTROL if kind_text == "control" else TaskKind.LOAD,
-                priority=_int_value(keys["priority"]),
-                period_s=_to_float(*keys["period"]),
-                exec_segments=_parse_exec(*keys["exec"]),
-            )
-        )
+        for key in _SECTION_KEYS["task"]:
+            if key not in keys:
+                raise ScenarioSemanticError(f"line {lineno}: [task {name}] is missing key {key!r}")
+        tasks.append(TaskConfig(name=name, **_read("task", keys)))
     return tuple(tasks)
+
+
+def _read(section: str, keys: dict[str, tuple[str, int]]) -> dict[str, object]:
+    """Parse the keys of `section` found in `keys`, in table order, into the
+    fields they set."""
+
+    key_fields = _SECTION_KEYS[section].items()
+    return {field: _PARSERS.get(field, _to_float)(*keys[key]) for key, field in key_fields if key in keys}
 
 
 def _parse_exec(value: str, lineno: int) -> tuple[tuple[float, float, float], ...]:
@@ -413,10 +403,6 @@ def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ..
     return horizon_ns, h_min_ns, h_max_ns, tuple(specs)
 
 
-def _number(keys, key, default):
-    return _to_float(*keys[key]) if key in keys else default
-
-
 def _to_float(text: str, lineno: int) -> float:
     try:
         return float(text)
@@ -424,9 +410,18 @@ def _to_float(text: str, lineno: int) -> float:
         raise ScenarioSyntaxError(f"expected a number, got {text!r}", lineno, 1) from None
 
 
-def _int_value(entry: tuple[str, int]) -> int:
-    text, lineno = entry
+def _int_value(text: str, lineno: int) -> int:
     try:
         return int(text)
     except ValueError:
         raise ScenarioSyntaxError(f"expected an integer, got {text!r}", lineno, 1) from None
+
+
+def _kind(text: str, lineno: int) -> TaskKind:
+    if text not in ("control", "load"):
+        raise ScenarioSemanticError(f"line {lineno}: task kind must be control or load, got {text!r}")
+    return TaskKind.CONTROL if text == "control" else TaskKind.LOAD
+
+
+# the parser of each field whose value is not a number
+_PARSERS = {"mode": lambda text, lineno: text, "kind": _kind, "priority": _int_value, "exec_segments": _parse_exec}

@@ -96,12 +96,9 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     records: list[TraceRecord] = []
     # user task periods in `specs` order, kept in step with the kernel below
     periods_now = {name: spec.period_ns for name, spec in specs.items()}
-    warmed_up = False  # the very first invocation only starts the first window
 
     def schedule_step(t_inv_ns: int) -> None:
-        nonlocal warmed_up
-        if not warmed_up:
-            warmed_up = True
+        if t_inv_ns == 0:  # the first invocation only starts the first window
             return
         window = kernel.window_snapshot(t_inv_ns)
         u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)

@@ -61,7 +61,6 @@ def test_single_pair_has_degenerate_quartiles():
     assert wall["change_better_in"] == 1
 
 
-
 def test_report_has_one_line_per_workload_and_metric_then_failed_calls():
     pairs = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 2.5, 4.5, 1.0])
     rates = _pairs([10, 20, 30, 40], [11, 19, 31, 40], "rate")
@@ -83,3 +82,28 @@ def test_report_of_a_zero_parent_median_has_no_relative_change():
     assert bench_pairs.report(summary)[0] == (
         "a err: 0 -> 0 (n/a), change better in 0/1 (1 ties), median gap 0 vs parent quartile spread 0"
     )
+
+
+def test_traced_report_scales_each_layer_by_its_own_runs_reference_time():
+    values = {  # name: (parent, change)
+        "host.ref_ms": (20.0, 25.0),
+        "rtsim.Kernel.run.self_ms": (100.0, 110.0),
+        "control.plant_step.self_ms": (0.0, 0.0),
+        "rtsim.self_ms": (150.0, 150.0),
+        "wall_s": (1.0, 1.0),
+    }
+    parent = _record(**{name: a for name, (a, _) in values.items()})
+    change = _record(**{name: b for name, (_, b) in values.items()})
+    traced = {"horizon40": [{"order": ["parent", "change"], "parent": parent, "change": change}]}
+    assert bench_pairs.traced_report(traced) == [
+        # 110 / 25 against 100 / 20: the host ran 25% slower, the layer 10%, so it gained 12%
+        "horizon40 traced rtsim.Kernel.run.self_ms: 100 -> 110 ms raw, -12.0% scaled by host.ref_ms",
+        "horizon40 traced control.plant_step.self_ms: 0 -> 0 ms raw, n/a scaled by host.ref_ms",
+        "horizon40 traced rtsim.self_ms: 150 -> 150 ms raw, -20.0% scaled by host.ref_ms",
+    ]
+
+
+def test_traced_report_skips_a_layer_the_change_lacks():
+    parent = _record(**{"host.ref_ms": 20.0, "gone.self_ms": 5.0})
+    change = _record(**{"host.ref_ms": 20.0})
+    assert bench_pairs.traced_report({"a": [{"order": ["parent", "change"], "parent": parent, "change": change}]}) == []

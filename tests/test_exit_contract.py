@@ -61,7 +61,7 @@ def _section(draw):
         header = f"[task {draw(st.sampled_from(('tau1', 'tau2', 'a', 'b', 'sched')))}]"
     else:
         header = draw(st.sampled_from((f"[{name}]", f"[{name}]", f"[{name}", "[bogus]")))
-    keys = draw(st.lists(st.sampled_from(_SECTION_KEYS[name] + ("bogus",)), max_size=4))
+    keys = draw(st.lists(st.sampled_from((*_SECTION_KEYS[name], "bogus")), max_size=4))
     lines = [header]
     for key in keys:
         value = draw(_value(key)) if key in SANE else draw(st.sampled_from(EDGE))

@@ -2,17 +2,21 @@
 
 import ast
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ffsched
+from ffsched.cli import _build_parser, _load_config
 from ffsched.control import PidGains, PlantParams
 from ffsched.errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
 from ffsched.experiment import run_experiment
 from ffsched.rtsim import ExecSchedule, TaskKind, TaskSpec
 from ffsched.scenario import (
+    _SECTION_KEYS,
+    TaskConfig,
     default_scenario,
     kernel_times,
     load_scenario,
@@ -112,6 +116,102 @@ class TestOverrides:
             THREE_TASKS.replace("exec = 0.001", "exec = 0-1: 0.001, 2-3: 0.002, 1-2: 0.0015")
         )
         assert cfg.tasks[2].exec_segments == ((0.0, 1.0, 0.001), (1.0, 2.0, 0.0015), (2.0, 3.0, 0.002))
+
+
+# Every section key, the field it sets ("plant.x" and "pid.x" are fields of
+# that model) and a valid value other than the default. Written out here, not
+# read from the parser's table, so that a swapped mapping fails.
+KEY_FIELDS = [
+    ("run", "horizon", "horizon_s", 2.5),
+    ("run", "mode", "mode", "ideal"),
+    ("scheduler", "target", "target", 0.7),
+    ("scheduler", "period", "fs_period_s", 0.01),
+    ("scheduler", "exec", "fs_exec_s", 0.0002),
+    ("scheduler", "h_min", "h_min_s", 0.002),
+    ("scheduler", "h_max", "h_max_s", 0.006),
+    ("noise", "exec_std", "exec_std", 0.2),
+    ("noise", "util_std", "util_std", 0.02),
+    ("plant", "pole_rate", "plant.pole_rate", 3.5),
+    ("plant", "input_gain", "plant.input_gain", 1500.0),
+    ("pid", "kp", "pid.kp", 2.0),
+    ("pid", "ki", "pid.ki", 2.5),
+    ("pid", "kd", "pid.kd", 0.05),
+    ("pid", "deriv_filter", "pid.deriv_filter", 20.0),
+    ("reference", "duration", "ref_duration_s", 5.0),
+]
+# each command-line override, the field it sets and a value other than the default
+OVERRIDE_FIELDS = [
+    ("--mode", "mode", "open"),
+    ("--horizon", "horizon_s", 2.5),
+    ("--target", "target", 0.7),
+    ("--fs-period", "fs_period_s", 0.01),
+]
+
+
+def _default_with(field, value):
+    """The default scenario with `field` (or `model.field`) set to `value`."""
+
+    cfg = default_scenario()
+    model, _, name = field.rpartition(".")
+    if model:
+        return replace(cfg, **{model: replace(getattr(cfg, model), **{name: value})})
+    return replace(cfg, **{name: value})
+
+
+class TestEachKeySetsItsField:
+    @pytest.mark.parametrize("section, key, field, value", KEY_FIELDS, ids=[f"{s}.{k}" for s, k, _, _ in KEY_FIELDS])
+    def test_section_key(self, section, key, field, value):
+        cfg = parse_scenario(f"[{section}]\n{key} = {value}\n")
+        assert cfg != default_scenario()
+        assert cfg == _default_with(field, value)
+
+    @pytest.mark.parametrize("flag, field, value", OVERRIDE_FIELDS, ids=[f for f, _, _ in OVERRIDE_FIELDS])
+    def test_override_flag(self, flag, field, value):
+        cfg = _load_config(_build_parser().parse_args(["run", flag, str(value)]))
+        assert cfg != default_scenario()
+        assert cfg == _default_with(field, value)
+
+    def test_task_keys(self):
+        # every value differs from the others, so a swapped field shows
+        cfg = parse_scenario(THREE_TASKS)
+        assert cfg.tasks[2] == TaskConfig(
+            name="c", kind=TaskKind.LOAD, priority=4, period_s=0.005, exec_segments=((0.0, math.inf, 0.001),)
+        )
+
+    def test_every_key_is_listed_here(self):
+        listed = {(section, key) for section, key, _, _ in KEY_FIELDS}
+        table = {(section, key) for section, keys in _SECTION_KEYS.items() if section != "task" for key in keys}
+        assert listed == table
+
+
+def _docstring_grammar():
+    """Section -> keys, from the grammar block of the scenario module's docstring."""
+
+    block = ffsched.scenario.__doc__.split("Grammar, line oriented::\n\n", 1)[1].split("\n\n", 1)[0]
+    headers = (re.match(r"\s*\[(\w+)[^]]*\]\s+(.*)", line) for line in block.splitlines())
+    return {m[1]: m[2].split(", ") for m in headers if m}
+
+
+def _readme_grammar():
+    """Section -> keys, from README's `ini` block: a plain section lists its
+    keys as `key = default` in the header's comment, a task section as lines."""
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    sections: dict[str, list[str]] = {}
+    for line in block.splitlines():
+        body, _, comment = line.partition("#")
+        if body.startswith("["):
+            keys = sections.setdefault(re.match(r"\[(\w+)", body)[1], [])
+            keys += re.findall(r"(\w+) =", comment)
+        elif "=" in body:
+            keys.append(body.split("=")[0].strip())
+    return sections
+
+
+@pytest.mark.parametrize("grammar", [_docstring_grammar, _readme_grammar], ids=["docstring", "README"])
+def test_docs_list_the_parsed_sections_and_keys(grammar):
+    assert grammar() == {section: list(keys) for section, keys in _SECTION_KEYS.items()}
 
 
 class TestSyntaxErrors:

@@ -20,7 +20,9 @@ end-to-end metric: each side's median and inclusive quartiles, the pairs in
 which the change is better, ties and the pair count, plus failed calls per
 side), `pairs` and `traced`. It ends by printing one line per workload and
 end-to-end metric with the numbers a claim and a no-regression check are
-judged by. Standard library only.
+judged by, then one per workload and per-layer `*.self_ms` metric of the
+traced pair, compared after scaling by each run's own `host.ref_ms`.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +96,27 @@ def report(summary: dict) -> list[str]:
                 f"vs parent quartile spread {q3 - q1:.3g}"
             )
         lines.append(f"{workload} failed calls: parent {failed['parent']}, change {failed['change']}")
+    return lines
+
+
+def traced_report(traced: dict) -> list[str]:
+    """The lines printed after `report`'s, from the output's `traced`: per
+    workload, one per per-layer `*.self_ms` metric of the traced pair, with
+    both raw host values and the change relative to the parent once each
+    run's value is divided by its own `host.ref_ms`, so that the host's drift
+    between the two runs does not read as a layer change.
+    """
+
+    lines = []
+    for workload, (pair,) in traced.items():
+        parent, change = pair["parent"], pair["change"]
+        ref_a, ref_b = _value(parent, "host.ref_ms"), _value(change, "host.ref_ms")
+        for name in parent["result"]["metrics"]:
+            a, b = _value(parent, name), _value(change, name)
+            if not name.endswith(".self_ms") or b is None:
+                continue
+            scaled = f"{(b / ref_b) / (a / ref_a) - 1:+.1%}" if a and ref_a and ref_b else "n/a"
+            lines.append(f"{workload} traced {name}: {a:.6g} -> {b:.6g} ms raw, {scaled} scaled by host.ref_ms")
     return lines
 
 
@@ -199,7 +222,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
         fh.write("\n")
-    print("\n".join(report(document["summary"])))
+    print("\n".join(report(document["summary"]) + traced_report(document["traced"])))
     return 0
 
 
