@@ -52,6 +52,7 @@ from .rtsim import (
     NS,
     ExecDraws,
     Kernel,
+    NormalBlocks,
     TaskKind,
     TaskSpec,
     TaskStats,
@@ -121,11 +122,16 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     reference = reference_at
     pid = pid_compute
     exec_std = cfg.exec_std
+    mode, util_std = cfg.mode, cfg.util_std
 
     # user task i draws from private noise stream [seed, i] when exec_std != 0;
-    # one more stream for the measurement
+    # one more stream for the measurement when util_std > 0, served a block
+    # at a time; a run with neither noise builds no Generator, so it never
+    # imports numpy.random
     stream_of = {t.name: i for i, t in enumerate(cfg.tasks)}
-    util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
+    util_rng = None
+    if util_std > 0:
+        util_rng = NormalBlocks(np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)])))
 
     def exec_time_of(spec: TaskSpec) -> Callable[[int], int]:
         schedule = spec.exec_schedule
@@ -206,7 +212,6 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     next(loop_x), next(loop_y)
 
     fuzzy = FuzzyFeedbackScheduler(target=cfg.target)
-    mode, util_std = cfg.mode, cfg.util_std
     name_x, name_y = ctrl_names
     records: list[TraceRecord] = []
     # user task periods in `specs` order, kept in step with the kernel below
@@ -243,9 +248,11 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         record = (t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref))
         records.append(new_tuple(TraceRecord, record))  # skips TraceRecord.__new__
 
-    def on_start(name: str, release_ns: int, start_ns: int) -> None:
-        if name == SCHEDULER_TASK:
-            schedule_step(start_ns)
+    def on_start(name: str, release_ns: int, start_ns: int) -> bool | None:
+        # only the scheduler's starts matter; every other task opts out at its first job
+        if name != SCHEDULER_TASK:
+            return False
+        schedule_step(start_ns)
 
     kernel = Kernel(task_specs, exec_time_of=exec_time_of, on_job_start=on_start)
     set_period = kernel.set_period
@@ -308,11 +315,16 @@ def trace_header(control_names: tuple[str, str]) -> str:
 
 def trace_lines(result: ExperimentResult) -> Iterator[str]:
     """The lines of trace.csv, each ending in a newline: the header, then one
-    row per record. Written as they are formatted, the trace is never held
-    whole in memory."""
+    row per record, each cell the `repr` of its value. Written as they are
+    formatted, the trace is never held whole in memory. `u_raw` is formatted
+    only when it is not the `u_meas` object itself, which it is whenever the
+    measurement was not clamped; the test is identity, not equality, since
+    `0.0 == -0.0` while their reprs differ."""
     yield trace_header(result.control_names) + "\n"
     for t_s, u_meas, u_raw, eta, (h_x, h_y), (x_ref, y_ref), (x_act, y_act), err in result.records:
-        yield f"{t_s!r},{u_meas!r},{u_raw!r},{eta!r},{h_x!r},{h_y!r},{x_ref!r},{y_ref!r},{x_act!r},{y_act!r},{err!r}\n"
+        meas = repr(u_meas)
+        raw = meas if u_raw is u_meas else repr(u_raw)
+        yield f"{t_s!r},{meas},{raw},{eta!r},{h_x!r},{h_y!r},{x_ref!r},{y_ref!r},{x_act!r},{y_act!r},{err!r}\n"
 
 
 def format_summary(summary: RunSummary) -> str:

@@ -142,17 +142,19 @@ class WindowData(NamedTuple):
     `samples` holds the execution times of the jobs released before `end_ns`
     since the previous snapshot, `releases` their release instants and
     `finishes` the completion instants before `end_ns` since the previous
-    snapshot, all in time order. The co-simulation replays its control loops
-    from `releases` and `finishes` once per scheduler invocation instead of
-    in per-job hooks. That is exact because the loops never feed back into
-    the kernel: the scheduler reads only the utilization measured from
-    `samples`.
+    snapshot, all in time order. The lists are the kernel's own filed lists,
+    handed over uncopied: from the snapshot on they belong to the caller,
+    and the kernel never touches them again. The co-simulation replays its
+    control loops from `releases` and `finishes` once per scheduler
+    invocation instead of in per-job hooks. That is exact because the loops
+    never feed back into the kernel: the scheduler reads only the
+    utilization measured from `samples`.
     """
 
     end_ns: int
-    samples: Mapping[str, tuple[int, ...]]
-    releases: Mapping[str, tuple[int, ...]]
-    finishes: Mapping[str, tuple[int, ...]]
+    samples: Mapping[str, list[int]]
+    releases: Mapping[str, list[int]]
+    finishes: Mapping[str, list[int]]
 
 
 class UtilizationSample(NamedTuple):
@@ -256,10 +258,33 @@ class ExecDraws:
         return self._times[j]
 
 
+class NormalBlocks:
+    """Standard-normal values from `rng`, drawn `NOISE_BLOCK` at a time and
+    served one per `standard_normal()` call.
+
+    For numpy's Generator that is the same sequence repeated scalar
+    `rng.standard_normal()` calls yield, at one numpy call per block instead
+    of one per value. Nothing is drawn until asked for.
+    """
+
+    __slots__ = ("_rng", "_values")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._values = iter(())  # the current block's values not yet served
+
+    def standard_normal(self) -> float:
+        z = next(self._values, None)
+        if z is None:
+            self._values = iter(self._rng.standard_normal(NOISE_BLOCK).tolist())
+            z = next(self._values)
+        return z
+
+
 def measure_utilization(
     window: WindowData,
     periods_ns: Mapping[str, int],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | NormalBlocks | None = None,
     noise_std: float = 0.0,
 ) -> UtilizationSample:
     """Estimate CPU utilization from one window of released jobs.
@@ -267,7 +292,11 @@ def measure_utilization(
     Each task named in `periods_ns` contributes the mean sampled execution
     time of its window jobs divided by its current period; tasks absent from
     the mapping (e.g. the scheduler itself) are ignored. Measurement noise,
-    when enabled, is additive Gaussian on the total before clamping to [0, 1].
+    when enabled, is additive Gaussian on the total before clamping to [0, 1]:
+    one `rng.standard_normal()` value per call, where `rng` is any object with
+    that method (a numpy Generator, or a `NormalBlocks` over one). A `raw`
+    inside the interval is returned as `value` itself, the same object, and
+    one at or below 0 (-0.0 included) as +0.0.
     """
 
     total = 0.0
@@ -282,7 +311,7 @@ def measure_utilization(
         if rng is None:
             raise ValueError("noise_std > 0 requires an rng")
         raw += noise_std * float(rng.standard_normal())
-    value = min(1.0, max(0.0, raw))
+    value = 0.0 if raw <= 0.0 else 1.0 if raw > 1.0 else raw
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"clamped utilization out of range: {value}")
     return tuple.__new__(UtilizationSample, (value, raw))  # skips UtilizationSample.__new__
@@ -294,6 +323,7 @@ class _TaskRuntime:
     name: str
     period_ns: int
     exec_time: Callable[[int], int]  # release_ns -> exec_ns, bound once per task
+    on_job_start: StartHook | None  # None once the hook has opted the task out
     next_release_ns: int = 0
     # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
     # complete FIFO, so the head's index is `completed`, and `released` is
@@ -314,7 +344,7 @@ class _TaskRuntime:
 _NEVER = float("inf")  # later than any release; the release pass's starting minimum
 
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
-StartHook = Callable[[str, int, int], None]  # (task name, release_ns, start_ns)
+StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
 ExecTimeFn = Callable[[TaskSpec], Callable[[int], int]]  # spec -> (release_ns -> exec_ns)
 
@@ -329,7 +359,10 @@ class Kernel:
     noise). The default source is the task's `exec_schedule.mean_at`.
     `on_job_release` fires at the release instant (the time-triggered point
     where a control job latches its inputs), `on_job_start` the first time a
-    job gets the CPU, `on_job_finish` when it completes. A deadline equals
+    job gets the CPU, `on_job_finish` when it completes. A start hook that
+    returns `False` for a task's job opts that task out: the kernel never
+    calls it for the task again (any other return, `None` included, changes
+    nothing). A deadline equals
     the release plus the period in force at that release, and a miss is
     counted when the job completes after it, not on it. `now_ns` holds the
     instant of the event served at each source and hook call, and `until_ns`
@@ -355,10 +388,9 @@ class Kernel:
         if len({s.priority for s in specs}) != len(specs):
             raise ValueError("task priorities must be unique")
         source_of = exec_time_of or (lambda spec: spec.exec_schedule.mean_at)
-        self._tasks = {s.name: _TaskRuntime(s, s.name, s.period_ns, source_of(s)) for s in specs}
+        self._tasks = {s.name: _TaskRuntime(s, s.name, s.period_ns, source_of(s), on_job_start) for s in specs}
         self._by_priority = sorted(self._tasks.values(), key=lambda rt: rt.spec.priority)
         self._on_job_release = on_job_release
-        self._on_job_start = on_job_start
         self._on_job_finish = on_job_finish
         self._record_segments = record_segments
         self.segments: list[Segment] = []
@@ -381,29 +413,31 @@ class Kernel:
         return TaskStats(rt.completed + len(rt.queue), rt.completed, rt.missed, rt.preemptions)
 
     def window_snapshot(self, window_end_ns: int) -> WindowData:
-        """Take (and clear) the releases, execution samples and completions
-        filed before `window_end_ns`.
+        """Take the releases, execution samples and completions filed before
+        `window_end_ns`.
 
-        Events at or after the boundary stay filed for the next window, so
-        back-to-back snapshots partition the release and completion timelines
-        exactly: each event lands in one window, and the windows keep time
-        order. A replay that has advanced to the boundary meets an event on
-        the boundary itself at the start of the next window, with a zero
-        step.
+        The filed lists themselves become the window's: the events at or
+        after the boundary move to fresh lists that stay filed for the next
+        window, so back-to-back snapshots partition the release and
+        completion timelines exactly: each event lands in one window, and the
+        windows keep time order. A replay that has advanced to the boundary
+        meets an event on the boundary itself at the start of the next
+        window, with a zero step.
         """
 
-        samples: dict[str, tuple[int, ...]] = {}
-        releases: dict[str, tuple[int, ...]] = {}
-        finishes: dict[str, tuple[int, ...]] = {}
+        samples: dict[str, list[int]] = {}
+        releases: dict[str, list[int]] = {}
+        finishes: dict[str, list[int]] = {}
         for rt in self._by_priority:
             name = rt.name
-            n = bisect_left(rt.pending_releases, window_end_ns)  # releases before the boundary
-            samples[name] = tuple(rt.pending_execs[:n])
-            releases[name] = tuple(rt.pending_releases[:n])
-            del rt.pending_releases[:n], rt.pending_execs[:n]
-            n = bisect_left(rt.pending_finishes, window_end_ns)
-            finishes[name] = tuple(rt.pending_finishes[:n])
-            del rt.pending_finishes[:n]
+            filed, execs, done = rt.pending_releases, rt.pending_execs, rt.pending_finishes
+            n = bisect_left(filed, window_end_ns)  # releases before the boundary
+            rt.pending_releases, rt.pending_execs = filed[n:], execs[n:]
+            del filed[n:], execs[n:]
+            n = bisect_left(done, window_end_ns)
+            rt.pending_finishes = done[n:]
+            del done[n:]
+            releases[name], samples[name], finishes[name] = filed, execs, done
         return tuple.__new__(WindowData, (window_end_ns, samples, releases, finishes))  # skips WindowData.__new__
 
     def run(self, until_ns: int) -> None:
@@ -418,7 +452,6 @@ class Kernel:
             raise ValueError("cannot run backwards")
         by_priority = self._by_priority
         on_job_release = self._on_job_release
-        on_job_start = self._on_job_start
         on_job_finish = self._on_job_finish
         record_segments = self._record_segments
         new_tuple = tuple.__new__  # builds a JobRecord without its Python-level __new__
@@ -467,9 +500,11 @@ class Kernel:
                     if start_ns < 0:  # the job's first time on the CPU
                         start_ns = rt.head_start_ns = now
                         end = now + exec_ns
+                        on_job_start = rt.on_job_start
                         if on_job_start is not None:
                             self.now_ns = now
-                            on_job_start(rt.name, release_ns, now)
+                            if on_job_start(rt.name, release_ns, now) is False:
+                                rt.on_job_start = None
                     else:
                         end = now + rt.head_remaining_ns
                     if end > bound:

@@ -10,8 +10,10 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _record(failed=0, **values):
-    return {"result": {"failed": failed, "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}}}
+def _record(failed=0, units=None, **values):
+    units = units or {}
+    metrics = {k: {"value": v, "unit": units.get(k, "u")} for k, v in values.items()}
+    return {"result": {"failed": failed, "metrics": metrics}}
 
 
 def _pairs(parent, change, name="wall_s"):
@@ -107,3 +109,24 @@ def test_traced_report_skips_a_layer_the_change_lacks():
     parent = _record(**{"host.ref_ms": 20.0, "gone.self_ms": 5.0})
     change = _record(**{"host.ref_ms": 20.0})
     assert bench_pairs.traced_report({"a": [{"order": ["parent", "change"], "parent": parent, "change": change}]}) == []
+
+
+def test_traced_report_prints_the_counts_that_differ():
+    values = {  # name: (parent, change, unit)
+        "host.ref_ms": (20.0, 20.0, "ms"),
+        "experiment.hooks.calls": (27902, 2007, "count"),
+        "rtsim.Kernel.run.calls": (1, 1, "count"),
+        "rtsim.Kernel.run.self_ms": (100.0, 90.0, "ms"),
+        "rtsim.jobs_released": (27900, 27901, "count"),
+        "rtsim.noise_draws": (2106, 2106, "count"),
+        "rtsim.ns_per_job": (3500.0, 3400.0, "ns"),
+    }
+    units = {name: unit for name, (_, _, unit) in values.items()}
+    parent = _record(units=units, **{name: a for name, (a, _, _) in values.items()})
+    change = _record(units=units, **{name: b for name, (_, b, _) in values.items()})
+    traced = {"horizon40": [{"order": ["parent", "change"], "parent": parent, "change": change}]}
+    assert bench_pairs.traced_report(traced) == [
+        "horizon40 traced experiment.hooks.calls: 27902 -> 2007",
+        "horizon40 traced rtsim.Kernel.run.self_ms: 100 -> 90 ms raw, -10.0% scaled by host.ref_ms",
+        "horizon40 traced rtsim.jobs_released: 27900 -> 27901",
+    ]

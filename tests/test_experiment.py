@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict, deque
 from dataclasses import replace
 
@@ -88,6 +91,9 @@ class TestTraceShape:
             TraceRecord(-0.0, 5e-324, 1e308, math.inf, (-math.inf, 0.001), (-0.0, 2.2250738585072014e-308),
                         (1e-310, -1e308), 0.1),
             TraceRecord(0.02, 1.0, -0.5, 1.0000000000000002, (0.004, 0.005), (0.0, 0.0), (1.5, -0.0), math.inf),
+            # an unclamped measurement is one object in both cells; equal values need not be
+            TraceRecord(0.04, u := 0.3, u, 1.0, (0.004, 0.005), (0.0, 0.0), (0.0, 0.0), 0.0),
+            TraceRecord(0.06, 0.0, -0.0, 1.0, (0.004, 0.005), (0.0, 0.0), (0.0, 0.0), 0.0),
         )
         result = ExperimentResult(control_names=("a", "b"), records=records, summary=None)
         lines = _trace_csv(result).splitlines()
@@ -268,6 +274,51 @@ class TestKernelInvariantsInTheLoop:
                 assert rels[rec.index + 1] == rec.deadline_ns, (name, rec)
         periods_seen = {r.deadline_ns - r.release_ns for r in kernel.finishes["tau1"]}
         assert (len(periods_seen) > 1) == (mode != "open")
+
+
+class TestStartHookOptOut:
+    def test_hook_runs_for_scheduler_starts_and_one_first_job_per_other_task(self, monkeypatch):
+        calls = []
+
+        class CountingKernel(Kernel):
+            # wraps the start hook as benchmark/tracing.py does, passing its return on
+            def __init__(self, tasks, *, on_job_start, **kwargs):
+                def counted(name, release_ns, start_ns):
+                    calls.append(name)
+                    return on_job_start(name, release_ns, start_ns)
+
+                super().__init__(tasks, on_job_start=counted, **kwargs)
+
+        monkeypatch.setattr(experiment, "Kernel", CountingKernel)
+        cfg = replace(default_scenario(), horizon_s=1.0)
+        result = run_experiment(cfg, seed=1)
+        # one scheduler start per record, plus the one at 0 that starts the first window
+        assert calls.count(SCHEDULER_TASK) == result.summary.invocations + 1
+        assert sorted(name for name in calls if name != SCHEDULER_TASK) == sorted(t.name for t in cfg.tasks)
+        assert len(calls) == result.summary.invocations + 1 + len(cfg.tasks)
+
+
+class TestLazyNoise:
+    RUN = """
+import sys
+import ffsched.cli
+rc = ffsched.cli.main(["run", "--scenario", sys.argv[1], "--horizon", "0.5"])
+print(rc, "numpy.random" in sys.modules)
+"""
+
+    @pytest.mark.parametrize("util_std, imported", [(0, False), (0.1, True)])
+    def test_noise_free_run_never_imports_numpy_random(self, tmp_path, util_std, imported):
+        scenario = tmp_path / "quiet.cfg"
+        scenario.write_text(f"[noise]\nexec_std = 0\nutil_std = {util_std}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN, str(scenario)],
+            env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {imported}"
 
 
 class TestReplayMatchesJobHooks:

@@ -1,5 +1,6 @@
 """Discrete-event kernel: hand-checked timelines, hooks, noise helpers."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from ffsched.rtsim import (
     ExecDraws,
     ExecSchedule,
     Kernel,
+    NormalBlocks,
     Segment,
     TaskKind,
     TaskSpec,
@@ -248,6 +250,21 @@ class TestKernelTimeline:
             ("A", 20 * MS, 20 * MS),
         ]
 
+    @pytest.mark.parametrize("b_returns, b_starts", [(False, 1), (None, 3), (0, 3)])
+    def test_start_hook_returning_false_opts_the_task_out(self, b_returns, b_starts):
+        starts = []
+
+        def on_start(name, release_ns, start_ns):
+            starts.append(name)
+            return b_returns if name == "B" else None
+
+        kernel = Kernel([_task("A", 1, 10, 3), _task("B", 2, 15, 6)], on_job_start=on_start)
+        kernel.run(45 * MS)
+        # only False stops the calls for B, after its first job; A is never opted out
+        assert starts.count("B") == b_starts
+        assert starts.count("A") == kernel.stats("A").completed == 5
+        assert kernel.stats("B").completed == 3  # B's release at 45 ms gets no CPU
+
 
 class TestExecTimeSource:
     """`exec_time_of` is a per-task factory; the source it returns is called per release."""
@@ -387,18 +404,30 @@ class TestWindowSnapshot:
         kernel = Kernel([_task("t", 1, 10, 2)])
         kernel.run(35 * MS)
         first = kernel.window_snapshot(20 * MS)
-        assert first.samples["t"] == (2 * MS, 2 * MS)
+        assert first.samples["t"] == [2 * MS, 2 * MS]
         # a second snapshot at the same boundary finds nothing left
-        assert kernel.window_snapshot(20 * MS).samples["t"] == ()
+        assert kernel.window_snapshot(20 * MS).samples["t"] == []
         second = kernel.window_snapshot(40 * MS)
-        assert second.samples["t"] == (2 * MS, 2 * MS)
+        assert second.samples["t"] == [2 * MS, 2 * MS]
+
+    def test_snapshot_lists_belong_to_the_caller(self):
+        kernel = Kernel([_task("a", 1, 10, 2), _task("b", 2, 15, 6)])
+        kernel.run(25 * MS)
+        first = kernel.window_snapshot(20 * MS)  # leaves a's release at 20 ms filed
+        kept = [{name: list(events) for name, events in timeline.items()} for timeline in first[1:]]
+        assert kept[1] == {"a": [0, 10 * MS], "b": [0, 15 * MS]}
+        kernel.run(60 * MS)
+        second = kernel.window_snapshot(60 * MS)
+        # the kernel filed nothing more into the lists it handed over
+        assert [dict(timeline) for timeline in first[1:]] == kept
+        assert second.releases == {"a": [20 * MS, 30 * MS, 40 * MS, 50 * MS], "b": [30 * MS, 45 * MS]}
 
     def test_samples_filed_at_release_not_completion(self):
         # exec 15 ms overruns the 10 ms period; releases still file samples
         kernel = Kernel([_task("t", 1, 10, 15)])
         kernel.run(20 * MS)
         snap = kernel.window_snapshot(20 * MS)
-        assert snap.samples["t"] == (15 * MS, 15 * MS)
+        assert snap.samples["t"] == [15 * MS, 15 * MS]
 
 
     @pytest.mark.parametrize("seed", range(12))
@@ -438,7 +467,7 @@ class TestWindowSnapshot:
         windows.append(kernel.window_snapshot(horizon + 1))
 
         # an event on a window's end instant belongs to the next window
-        assert all(windows[0].releases[name] == () for name in names)
+        assert all(windows[0].releases[name] == [] for name in names)
         assert all(windows[1].releases[name][0] == 0 for name in names)
         start = 0
         for window in windows:
@@ -520,6 +549,15 @@ class TestNoiseHelpers:
         assert draws.draw(0) == 1_000_000
         assert rng.bit_generator.state != state  # the first time asked for refills
 
+    def test_normal_blocks_match_scalar_draws(self):
+        n = 3 * NOISE_BLOCK + 17  # four blocks, the last one partly used
+        scalar = np.random.default_rng(7)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        blocks = NormalBlocks(rng)
+        assert rng.bit_generator.state == state  # nothing drawn until asked for
+        assert [blocks.standard_normal() for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+
     def test_sample_execution_time_validation(self):
         with pytest.raises(ValueError):
             sample_execution_time(0, np.zeros(1), 0.0)
@@ -550,6 +588,18 @@ class TestNoiseHelpers:
         under = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(-20.0), noise_std=0.05)
         assert under.raw == pytest.approx(-0.6)
         assert under.value == 0.0
+
+    def test_measure_utilization_clamp_keeps_the_sign_and_the_object(self):
+        window = _window({"a": (4 * MS,)})
+        inside = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(2.0), noise_std=0.05)
+        assert inside.value is inside.raw
+        # raw is never -0.0 (the sum starts at +0.0, and x + -x is +0.0), so
+        # the clamp is checked at a subnormal below zero and at zero itself
+        empty = _window({"a": ()})
+        for z in (-1e-320, 0.0):
+            below = measure_utilization(empty, {"a": 10 * MS}, rng=_StubRng(z), noise_std=1.0)
+            assert below.raw == z
+            assert math.copysign(1.0, below.value) == 1.0
 
     def test_window_and_sample_are_read_only(self):
         window = _window({"a": (4 * MS,)})

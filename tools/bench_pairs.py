@@ -21,7 +21,8 @@ which the change is better, ties and the pair count, plus failed calls per
 side), `pairs` and `traced`. It ends by printing one line per workload and
 end-to-end metric with the numbers a claim and a no-regression check are
 judged by, then one per workload and per-layer `*.self_ms` metric of the
-traced pair, compared after scaling by each run's own `host.ref_ms`.
+traced pair, compared after scaling by each run's own `host.ref_ms`, and one
+per per-layer count that differs between the traced pair's two sides.
 Standard library only.
 """
 
@@ -104,19 +105,24 @@ def traced_report(traced: dict) -> list[str]:
     workload, one per per-layer `*.self_ms` metric of the traced pair, with
     both raw host values and the change relative to the parent once each
     run's value is divided by its own `host.ref_ms`, so that the host's drift
-    between the two runs does not read as a layer change.
+    between the two runs does not read as a layer change; and one per
+    per-layer count (unit `count`: the `*.calls` and the `rtsim.*` counts
+    among them) whose value differs between the two sides.
     """
 
     lines = []
     for workload, (pair,) in traced.items():
         parent, change = pair["parent"], pair["change"]
         ref_a, ref_b = _value(parent, "host.ref_ms"), _value(change, "host.ref_ms")
-        for name in parent["result"]["metrics"]:
-            a, b = _value(parent, name), _value(change, name)
-            if not name.endswith(".self_ms") or b is None:
+        for name, metric in parent["result"]["metrics"].items():
+            a, b = metric["value"], _value(change, name)
+            if b is None:
                 continue
-            scaled = f"{(b / ref_b) / (a / ref_a) - 1:+.1%}" if a and ref_a and ref_b else "n/a"
-            lines.append(f"{workload} traced {name}: {a:.6g} -> {b:.6g} ms raw, {scaled} scaled by host.ref_ms")
+            if name.endswith(".self_ms"):
+                scaled = f"{(b / ref_b) / (a / ref_a) - 1:+.1%}" if a and ref_a and ref_b else "n/a"
+                lines.append(f"{workload} traced {name}: {a:.6g} -> {b:.6g} ms raw, {scaled} scaled by host.ref_ms")
+            elif metric["unit"] == "count" and a != b:
+                lines.append(f"{workload} traced {name}: {a} -> {b}")
     return lines
 
 
