@@ -34,11 +34,10 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import cos, expm1, pi, sin
 from statistics import fmean
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
-
-import numpy as np
 
 from .control import (
     ReferencePath,
@@ -52,11 +51,11 @@ from .rtsim import (
     NS,
     ExecDraws,
     Kernel,
-    NormalBlocks,
     TaskKind,
     TaskSpec,
     TaskStats,
     measure_utilization,
+    normal_blocks,
     sample_execution_time,
 )
 from .scenario import SCHEDULER_TASK, ScenarioConfig, validate_scenario
@@ -102,7 +101,11 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     Each axis's loop state lives in the locals of its own `control_loop`
     generator (axis 0 = x, 1 = y), which calls `pid_compute` and evaluates the
     plant's closed form and the reference path inline; `tests/hook_wiring.py`
-    checks it against the `control.py` formulas it copies. `cfg` goes
+    checks it against the `control.py` formulas it copies. User task i
+    draws its execution-time noise from `normal_blocks(seed, i)` and the
+    measurement its noise from stream `len(cfg.tasks)`. A stream is read
+    only while its noise is on, and builds its Generator at the first read,
+    so a run with neither noise never imports `numpy.random`. `cfg` goes
     through `validate_scenario` first, so a configuration built in Python
     meets the rules a parsed one does.
     """
@@ -124,21 +127,15 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     exec_std = cfg.exec_std
     mode, util_std = cfg.mode, cfg.util_std
 
-    # user task i draws from private noise stream [seed, i] when exec_std != 0;
-    # one more stream for the measurement when util_std > 0, served a block
-    # at a time; a run with neither noise builds no Generator, so it never
-    # imports numpy.random
     stream_of = {t.name: i for i, t in enumerate(cfg.tasks)}
-    util_rng = None
-    if util_std > 0:
-        util_rng = NormalBlocks(np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)])))
+    util_normals = chain.from_iterable(block.tolist() for block in normal_blocks(seed, len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec) -> Callable[[int], int]:
         schedule = spec.exec_schedule
         i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         if i is None or not exec_std:
             return schedule.mean_at
-        return ExecDraws(schedule, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample).draw
+        return ExecDraws(schedule, normal_blocks(seed, i), exec_std, sample).draw
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float
@@ -218,13 +215,16 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     periods_now = {name: spec.period_ns for name, spec in specs.items()}
     new_tuple = tuple.__new__
 
-    def schedule_step(t_inv_ns: int) -> None:
+    def schedule_step(name: str, release_ns: int, t_inv_ns: int) -> bool | None:
+        """The kernel's start hook: invokes the scheduler when its job starts."""
+        if name != SCHEDULER_TASK:
+            return False  # every other task opts out at its first job
         # the scheduler is released at 0 and, at priority 1, starts there; that
         # first invocation only starts the first window
         if t_inv_ns == 0:
-            return
+            return None
         window = kernel.window_snapshot(t_inv_ns)
-        u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
+        u_meas, u_raw = measure_utilization(window, periods_now, util_normals, util_std)
         current = (periods_now[name_x], periods_now[name_y])
         if mode == "fuzzy":
             eta = fuzzy.step(u_meas)
@@ -248,13 +248,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         record = (t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref))
         records.append(new_tuple(TraceRecord, record))  # skips TraceRecord.__new__
 
-    def on_start(name: str, release_ns: int, start_ns: int) -> bool | None:
-        # only the scheduler's starts matter; every other task opts out at its first job
-        if name != SCHEDULER_TASK:
-            return False
-        schedule_step(start_ns)
-
-    kernel = Kernel(task_specs, exec_time_of=exec_time_of, on_job_start=on_start)
+    kernel = Kernel(task_specs, exec_time_of=exec_time_of, on_job_start=schedule_step)
     set_period = kernel.set_period
     kernel.run(horizon_ns)
 

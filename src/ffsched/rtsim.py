@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from math import fsum, inf
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -164,8 +164,24 @@ class UtilizationSample(NamedTuple):
     raw: float
 
 
-NOISE_BLOCK = 256  # standard-normal values drawn per refill of an ExecDraws
+NOISE_BLOCK = 256  # standard-normal values per block of a noise stream
 EXEC_FLOOR_FRAC = 0.01  # shortest drawn execution time, as a fraction of the mean
+
+
+def normal_blocks(seed: int, stream: int) -> Iterator[np.ndarray]:
+    """Noise stream `stream` of the run seeded `seed`: the standard-normal
+    values of numpy's Generator over `SeedSequence([seed, stream])`, yielded
+    `NOISE_BLOCK` at a time. The blocks follow one another in the order that
+    repeated scalar `standard_normal()` calls on that Generator yield.
+
+    This is the only place a run's random values are drawn. The Generator is
+    built at the first `next`, so a stream nobody reads never imports
+    `numpy.random`.
+    """
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    while True:
+        yield rng.standard_normal(NOISE_BLOCK)
 
 
 def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> list[int]:
@@ -188,7 +204,7 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> 
 
 
 class ExecDraws:
-    """One task's noisy execution times, converted `NOISE_BLOCK` jobs at a time.
+    """One task's noisy execution times, converted a block of normals at a time.
 
     `draw(release_ns)` is the task's execution-time source. It keeps the span
     of `schedule.span_at` that its last release fell in, with that span's mean
@@ -196,32 +212,32 @@ class ExecDraws:
     span returns the next converted time without a lookup; a release outside
     it (one that crosses a segment end, 0 or the final end, either way) looks
     the schedule up once and gets exactly the mean `mean_at` returns. Each
-    refill takes the next `NOISE_BLOCK` values of `rng.standard_normal(n)`,
-    which for numpy's Generator is the same sequence that repeated scalar
-    `rng.standard_normal()` calls yield, and turns them into times with one
-    `sample` call (`sample_execution_time`'s signature). A mean first asked
-    for mid-block converts the rest of the block from there, and that
-    conversion is kept until the next refill, so a block costs one `sample`
-    call per distinct mean however often the means alternate. Nothing is
-    drawn until asked for.
+    refill takes the next array of standard-normal values from the iterator
+    `blocks` (a run's is `normal_blocks`; any non-empty block size will do)
+    and turns it into times with one `sample` call (`sample_execution_time`'s
+    signature). A mean first asked for mid-block converts the rest of the
+    block from there, and that conversion is kept until the next refill, so a
+    block costs one `sample` call per distinct mean however often the means
+    alternate. Nothing is taken from `blocks` until a time is asked for.
     """
 
     __slots__ = (
-        "_schedule", "_rng", "_rel_std", "_sample", "_normals", "_converted", "_next", "_lo", "_hi", "_mean", "_times"
+        "_schedule", "_blocks", "_rel_std", "_sample", "_normals", "_converted",
+        "_next", "_lo", "_hi", "_mean", "_times",
     )
 
-    def __init__(self, schedule: ExecSchedule, rng: np.random.Generator, rel_std: float, sample: Callable):
+    def __init__(self, schedule: ExecSchedule, blocks: Iterator[np.ndarray], rel_std: float, sample: Callable):
         self._schedule = schedule
-        self._rng = rng
+        self._blocks = blocks
         self._rel_std = rel_std
         self._sample = sample
         self._normals = np.empty(0)
         # per mean, the times converted from the block index it was first
         # asked for at to the end of the block; cleared on refill
         self._converted: dict[int, list[int]] = {}
-        # the block's next value as a negative index (-NOISE_BLOCK at a fresh
-        # block, 0 once used up), which indexes every conversion of the block
-        # however late it started; used up, so the first call refills
+        # the block's next value as a negative index (minus its length at a
+        # fresh block, 0 once used up), which indexes every conversion of the
+        # block however late it started; used up, so the first call refills
         self._next = 0
         # the span [lo, hi) the last release fell in, its mean and that
         # mean's conversion of the block; empty until the first call
@@ -242,9 +258,9 @@ class ExecDraws:
         mean_ns = self._mean
         stale = not j
         if stale:
-            self._normals = self._rng.standard_normal(NOISE_BLOCK)
+            normals = self._normals = next(self._blocks)
             self._converted.clear()
-            j = -NOISE_BLOCK
+            j = -len(normals)
         if not self._lo <= release_ns < self._hi:
             self._lo, self._hi, mean_ns = self._schedule.span_at(release_ns)
             stale = stale or mean_ns != self._mean
@@ -258,33 +274,10 @@ class ExecDraws:
         return self._times[j]
 
 
-class NormalBlocks:
-    """Standard-normal values from `rng`, drawn `NOISE_BLOCK` at a time and
-    served one per `standard_normal()` call.
-
-    For numpy's Generator that is the same sequence repeated scalar
-    `rng.standard_normal()` calls yield, at one numpy call per block instead
-    of one per value. Nothing is drawn until asked for.
-    """
-
-    __slots__ = ("_rng", "_values")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._values = iter(())  # the current block's values not yet served
-
-    def standard_normal(self) -> float:
-        z = next(self._values, None)
-        if z is None:
-            self._values = iter(self._rng.standard_normal(NOISE_BLOCK).tolist())
-            z = next(self._values)
-        return z
-
-
 def measure_utilization(
     window: WindowData,
     periods_ns: Mapping[str, int],
-    rng: np.random.Generator | NormalBlocks | None = None,
+    normals: Iterator[float] | None = None,
     noise_std: float = 0.0,
 ) -> UtilizationSample:
     """Estimate CPU utilization from one window of released jobs.
@@ -293,8 +286,7 @@ def measure_utilization(
     time of its window jobs divided by its current period; tasks absent from
     the mapping (e.g. the scheduler itself) are ignored. Measurement noise,
     when enabled, is additive Gaussian on the total before clamping to [0, 1]:
-    one `rng.standard_normal()` value per call, where `rng` is any object with
-    that method (a numpy Generator, or a `NormalBlocks` over one). A `raw`
+    `noise_std` times the next float of `normals`, one per call. A `raw`
     inside the interval is returned as `value` itself, the same object, and
     one at or below 0 (-0.0 included) as +0.0.
     """
@@ -308,9 +300,9 @@ def measure_utilization(
             total += fsum(samples) / len(samples) / period_ns  # statistics.fmean's arithmetic
     raw = total
     if noise_std > 0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        raw += noise_std * float(rng.standard_normal())
+        if normals is None:
+            raise ValueError("noise_std > 0 requires normals")
+        raw += noise_std * next(normals)
     value = 0.0 if raw <= 0.0 else 1.0 if raw > 1.0 else raw
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"clamped utilization out of range: {value}")

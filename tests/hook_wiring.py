@@ -58,14 +58,25 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     exec_std = cfg.exec_std
 
     # per user task, the draw of a private noise stream (untouched when
-    # exec_std = 0); one more stream for the measurement
+    # exec_std = 0); one more stream for the measurement, drawn a value at a
+    # time. Each stream seeds its own Generator, so this wiring does not
+    # share `rtsim.normal_blocks` with the run it checks.
+    def stream(i: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence([seed, i]))
+
+    def blocks(rng: np.random.Generator):
+        while True:
+            yield rng.standard_normal(100)  # not NOISE_BLOCK: the times must not depend on the block size
+
+    def scalars(rng: np.random.Generator):
+        while True:
+            yield float(rng.standard_normal())
+
     exec_draw = {
-        t.name: ExecDraws(
-            specs[t.name].exec_schedule, np.random.default_rng(np.random.SeedSequence([seed, i])), exec_std, sample
-        ).draw
+        t.name: ExecDraws(specs[t.name].exec_schedule, blocks(stream(i)), exec_std, sample).draw
         for i, t in enumerate(cfg.tasks)
     }
-    util_rng = np.random.default_rng(np.random.SeedSequence([seed, len(cfg.tasks)]))
+    util_normals = scalars(stream(len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec):
         draw = exec_draw.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
@@ -101,7 +112,7 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         if t_inv_ns == 0:  # the first invocation only starts the first window
             return
         window = kernel.window_snapshot(t_inv_ns)
-        u_meas, u_raw = measure_utilization(window, periods_now, util_rng, util_std)
+        u_meas, u_raw = measure_utilization(window, periods_now, util_normals, util_std)
         current = (periods_now[name_x], periods_now[name_y])
         if mode == "fuzzy":
             eta = fuzzy.step(u_meas)

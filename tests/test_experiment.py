@@ -412,12 +412,12 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ("drawn",)
 
-            def __init__(self, schedule, rng, rel_std, sample):
+            def __init__(self, schedule, blocks, rel_std, sample):
                 def counted(mean_ns, normals, rel_std):
                     conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
                     return sample(mean_ns, normals, rel_std)
 
-                super().__init__(schedule, rng, rel_std, counted)
+                super().__init__(schedule, blocks, rel_std, counted)
                 self.drawn = 0
 
             def draw(self, release_ns):
@@ -441,9 +441,9 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ("releases",)
 
-            def __init__(self, schedule, rng, rel_std, sample):
+            def __init__(self, schedule, blocks, rel_std, sample):
                 counting = _CountingSchedule(schedule)
-                super().__init__(counting, rng, rel_std, sample)
+                super().__init__(counting, blocks, rel_std, sample)
                 self.releases = []
                 tallies.append((schedule, self.releases, counting.asked))
 

@@ -1,13 +1,17 @@
 """Discrete-event kernel: hand-checked timelines, hooks, noise helpers."""
 
+import ast
+import inspect
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffsched
 import ffsched.experiment as experiment
 from ffsched.experiment import run_experiment
 from ffsched.rtsim import (
@@ -15,12 +19,12 @@ from ffsched.rtsim import (
     ExecDraws,
     ExecSchedule,
     Kernel,
-    NormalBlocks,
     Segment,
     TaskKind,
     TaskSpec,
     WindowData,
     measure_utilization,
+    normal_blocks,
     sample_execution_time,
 )
 from ffsched.scenario import default_scenario
@@ -42,14 +46,11 @@ def _task(name, priority, period_ms, exec_ms, kind=TaskKind.LOAD):
     )
 
 
-class _StubRng:
-    """Stands in for a Generator when a test needs an exact normal draw."""
-
-    def __init__(self, z: float):
-        self.z = z
-
-    def standard_normal(self) -> float:
-        return self.z
+def _blocks(rng, size=NOISE_BLOCK):
+    """`rng`'s standard-normal values in blocks of `size`, an `ExecDraws`'s
+    `blocks` over a test's own Generator."""
+    while True:
+        yield rng.standard_normal(size)
 
 
 def _one_ns_segments(means) -> ExecSchedule:
@@ -502,21 +503,26 @@ class TestNoiseHelpers:
         got = sample_execution_time(1_000_000, np.array([-50.0]), 0.1)
         assert got == [10_000]  # floored at 1% of the mean
 
-    def test_exec_draws_match_scalar_draws(self):
-        n = 2 * NOISE_BLOCK + 17  # three refills, the last one partly used
+    @pytest.mark.parametrize("size", [NOISE_BLOCK, 5])
+    def test_exec_draws_match_scalar_draws(self, size):
+        n = 2 * size + 17  # at least three refills, the last one partly used
         scalar = np.random.default_rng(7)
         passthrough = ExecDraws(
-            ExecSchedule.constant(1), np.random.default_rng(7), 1.0, lambda mean_ns, normals, rel_std: normals.tolist()
+            ExecSchedule.constant(1),
+            _blocks(np.random.default_rng(7), size),
+            1.0,
+            lambda mean_ns, normals, rel_std: normals.tolist(),
         )
         assert [passthrough.draw(k) for k in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(ExecSchedule.constant(1_000_000), np.random.default_rng(7), 0.1, sample_execution_time)
+        blocks = _blocks(np.random.default_rng(7), size)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000), blocks, 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
         assert [draws.draw(k * MS) for k in range(n)] == expected
         # means that alternate mid-block reuse their conversions at later jobs
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(_one_ns_segments(means), np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(_one_ns_segments(means), _blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
         assert [draws.draw(k) for k in range(n)] == expected
 
@@ -524,7 +530,7 @@ class TestNoiseHelpers:
         schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000))))
         releases = [0, 4 * MS, 10 * MS, 25 * MS]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(schedule, np.random.default_rng(7), 0.1, sample_execution_time)
+        draws = ExecDraws(schedule, _blocks(np.random.default_rng(7)), 0.1, sample_execution_time)
         means = (1_000_000, 1_000_000, 3_000_000, 3_000_000)  # the last release holds the final segment's mean
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
         assert [draws.draw(t) for t in releases] == expected
@@ -544,19 +550,46 @@ class TestNoiseHelpers:
     def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        draws = ExecDraws(ExecSchedule.constant(1_000_000), rng, 0.0, sample_execution_time)
+        draws = ExecDraws(ExecSchedule.constant(1_000_000), _blocks(rng), 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
         assert draws.draw(0) == 1_000_000
         assert rng.bit_generator.state != state  # the first time asked for refills
 
-    def test_normal_blocks_match_scalar_draws(self):
-        n = 3 * NOISE_BLOCK + 17  # four blocks, the last one partly used
-        scalar = np.random.default_rng(7)
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        blocks = NormalBlocks(rng)
-        assert rng.bit_generator.state == state  # nothing drawn until asked for
-        assert [blocks.standard_normal() for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+    @pytest.mark.parametrize("seed, stream", [(7, 0), (3, 4)])
+    def test_normal_blocks_match_scalar_draws(self, seed, stream):
+        n = 3  # blocks
+        blocks = normal_blocks(seed, stream)
+        assert inspect.getgeneratorstate(blocks) == inspect.GEN_CREATED  # nothing built until asked for
+        drawn = [next(blocks) for _ in range(n)]
+        assert [len(block) for block in drawn] == [NOISE_BLOCK] * n
+        scalar = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+        expected = [float(scalar.standard_normal()) for _ in range(n * NOISE_BLOCK)]
+        assert [z for block in drawn for z in block.tolist()] == expected
+
+    def test_only_normal_blocks_draws_random_values(self):
+        # any other module or function seeding or drawing a stream would be a
+        # second owner of how the run's noise is drawn
+        src = Path(ffsched.__file__).parent
+        drawers = {"default_rng", "SeedSequence", "Generator", "standard_normal"}
+
+        def called(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    yield node, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.relative_to(src).as_posix() == "rtsim.py":
+                (owner,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "normal_blocks"]
+                assert {name for _, name in called(owner)} >= drawers - {"Generator"}
+                allowed = {id(node) for node, _ in called(owner)}
+            for node, name in called(tree):
+                if name in drawers and id(node) not in allowed:
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}: {name}")
+        assert offenders == []
 
     def test_sample_execution_time_validation(self):
         with pytest.raises(ValueError):
@@ -579,25 +612,25 @@ class TestNoiseHelpers:
 
     def test_measure_utilization_additive_noise_and_clamp(self):
         window = _window({"a": (4 * MS,)})
-        noisy = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(2.0), noise_std=0.05)
+        noisy = measure_utilization(window, {"a": 10 * MS}, normals=iter([2.0]), noise_std=0.05)
         assert noisy.raw == pytest.approx(0.5)
         assert noisy.value == pytest.approx(0.5)
-        over = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(20.0), noise_std=0.05)
+        over = measure_utilization(window, {"a": 10 * MS}, normals=iter([20.0]), noise_std=0.05)
         assert over.raw == pytest.approx(1.4)
         assert over.value == 1.0
-        under = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(-20.0), noise_std=0.05)
+        under = measure_utilization(window, {"a": 10 * MS}, normals=iter([-20.0]), noise_std=0.05)
         assert under.raw == pytest.approx(-0.6)
         assert under.value == 0.0
 
     def test_measure_utilization_clamp_keeps_the_sign_and_the_object(self):
         window = _window({"a": (4 * MS,)})
-        inside = measure_utilization(window, {"a": 10 * MS}, rng=_StubRng(2.0), noise_std=0.05)
+        inside = measure_utilization(window, {"a": 10 * MS}, normals=iter([2.0]), noise_std=0.05)
         assert inside.value is inside.raw
         # raw is never -0.0 (the sum starts at +0.0, and x + -x is +0.0), so
         # the clamp is checked at a subnormal below zero and at zero itself
         empty = _window({"a": ()})
         for z in (-1e-320, 0.0):
-            below = measure_utilization(empty, {"a": 10 * MS}, rng=_StubRng(z), noise_std=1.0)
+            below = measure_utilization(empty, {"a": 10 * MS}, normals=iter([z]), noise_std=1.0)
             assert below.raw == z
             assert math.copysign(1.0, below.value) == 1.0
 
@@ -686,16 +719,17 @@ class TestBatchedSampler:
         # 2 * (1 + z) is 1.5, 2.5 and 3.5: round half to even gives 2, 2 and 4
         assert sample_execution_time(2, np.array([-0.25, 0.25, 0.75]), 1.0) == [2, 2, 4]
 
-    def _calls(self, seed, means, rel_std=0.2):
-        """Times from `ExecDraws` for each mean in turn, the scalar oracle's
-        times over the same generator, and the sizes of the `sample` calls."""
+    def _calls(self, seed, means, rel_std=0.2, size=NOISE_BLOCK):
+        """Times from `ExecDraws` over blocks of `size` for each mean in turn,
+        the scalar oracle's times over the same generator, and the sizes of
+        the `sample` calls."""
         sizes = []
 
         def sample(mean_ns, normals, rel_std):
             sizes.append(len(normals))
             return sample_execution_time(mean_ns, normals, rel_std)
 
-        draws = ExecDraws(_one_ns_segments(means), np.random.default_rng(seed), rel_std, sample)
+        draws = ExecDraws(_one_ns_segments(means), _blocks(np.random.default_rng(seed), size), rel_std, sample)
         got = [draws.draw(k) for k in range(len(means))]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
@@ -707,13 +741,14 @@ class TestBatchedSampler:
         assert got == expected
         assert len(sizes) == len(means)
 
-    def test_exec_draws_mean_changing_at_block_boundaries(self):
-        n = 3 * NOISE_BLOCK
+    @pytest.mark.parametrize("size", [NOISE_BLOCK, 5])  # the refill follows the block's own length
+    def test_exec_draws_mean_changing_at_block_boundaries(self, size):
+        n = 3 * size
         # a new mean exactly at the second refill, and one draw before the third
-        means = [600_000] * NOISE_BLOCK + [1_200_000] * (NOISE_BLOCK - 1) + [900_000] * (NOISE_BLOCK + 1)
-        got, expected, sizes = self._calls(5, means)
+        means = [600_000] * size + [1_200_000] * (size - 1) + [900_000] * (size + 1)
+        got, expected, sizes = self._calls(5, means, size=size)
         assert got == expected and len(got) == n
-        assert sizes == [NOISE_BLOCK, NOISE_BLOCK, 1, NOISE_BLOCK]  # only the rest of a block is redone
+        assert sizes == [size, size, 1, size]  # only the rest of a block is redone
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=_schedule_and_releases(), rel_std=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), seed=st.integers(0, 99))
@@ -722,7 +757,7 @@ class TestBatchedSampler:
         scalar normal draws, with one schedule lookup per span entered."""
         schedule, releases = case
         counting = _CountingSchedule(schedule)
-        draws = ExecDraws(counting, np.random.default_rng(seed), rel_std, sample_execution_time)
+        draws = ExecDraws(counting, _blocks(np.random.default_rng(seed)), rel_std, sample_execution_time)
         got = [draws.draw(t) for t in releases]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(schedule.mean_at(t), float(scalar.standard_normal()), rel_std) for t in releases]
