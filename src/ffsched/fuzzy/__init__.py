@@ -11,13 +11,11 @@ from .quantization import (
 from .rules import DEFAULT_RULES, RuleBase
 from .table import (
     LookupTable,
-    agreement_within,
     compile_lookup_table,
     diff_report,
     format_table,
     load_golden_table,
     lookup,
-    parse_table_text,
 )
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "MembershipFamily",
     "QuantizedUniverse",
     "RuleBase",
-    "agreement_within",
     "compile_lookup_table",
     "defuzzify_centroid",
     "diff_report",
@@ -39,6 +36,5 @@ __all__ = [
     "infer",
     "load_golden_table",
     "lookup",
-    "parse_table_text",
     "round_half_away",
 ]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .membership import INPUT_FAMILY, OUTPUT_FAMILY
+
 
 @dataclass(frozen=True)
 class RuleBase:
@@ -28,15 +30,13 @@ class RuleBase:
         return self.output_labels.index(self.matrix[error_index][delta_index])
 
 
-_INPUT = ("NB", "NS", "ZE", "PS", "PB")
-_OUTPUT = ("NB", "NM", "NS", "ZE", "PS", "PM", "PB")
-
 # Negative error means the CPU runs above target, so periods must grow fast;
-# positive error (spare capacity) shrinks them cautiously.
+# positive error (spare capacity) shrinks them cautiously.  The labels are the
+# families' own, so a consequent's index is its index in OUTPUT_FAMILY (`infer`).
 DEFAULT_RULES = RuleBase(
-    error_labels=_INPUT,
-    delta_labels=_INPUT,
-    output_labels=_OUTPUT,
+    error_labels=INPUT_FAMILY.labels,
+    delta_labels=INPUT_FAMILY.labels,
+    output_labels=OUTPUT_FAMILY.labels,
     matrix=(
         ("PB", "PB", "PB", "PB", "PM"),
         ("PB", "PB", "PM", "PS", "ZE"),

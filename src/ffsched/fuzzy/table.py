@@ -1,16 +1,14 @@
-"""Quantized controller output table: offline compilation, golden data, diffing.
+"""Quantized controller output table: the paper's table, offline compilation, diffing.
 
 The runtime scheduler never runs inference; it reads a 13x13 table indexed
-by the quantized error pair.  The table shipped with the package is the
-golden reference; `compile_lookup_table` rebuilds one from the rule base
+by the quantized error pair.  The paper's table, `load_golden_table()`, is
+the golden reference; `compile_lookup_table` rebuilds one from the rule base
 and membership shapes for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from importlib import resources
 
 from ..errors import OutOfRangeError, TableError
 from .inference import defuzzify_centroid, infer
@@ -47,6 +45,28 @@ class LookupTable:
                 raise TableError("columns must be non-increasing in e")
 
 
+# The paper's controller output table (rows e = -6..6, columns ec = -6..6);
+# `__post_init__` checks it at import.
+_GOLDEN_TABLE = LookupTable(
+    cells=(
+        ( 6,  6,  6,  6,  6,  6,  6,  6,  6,  6,  5,  5,  5),
+        ( 6,  6,  6,  6,  5,  5,  5,  4,  4,  4,  3,  3,  3),
+        ( 6,  6,  6,  6,  5,  5,  5,  4,  3,  3,  2,  2,  2),
+        ( 6,  6,  6,  6,  5,  5,  5,  4,  3,  2,  2,  1,  0),
+        ( 5,  4,  4,  4,  3,  3,  3,  3,  2,  2,  1,  0, -1),
+        ( 5,  4,  3,  3,  2,  2,  2,  2,  2,  1,  0,  0, -1),
+        ( 5,  4,  3,  2,  2,  1,  0,  0,  0,  0, -1, -1, -2),
+        ( 4,  3,  2,  2,  2,  1,  0, -1, -1, -1, -2, -2, -3),
+        ( 3,  2,  2,  1,  1,  1,  0, -1, -1, -1, -2, -3, -4),
+        ( 2,  2,  1,  0,  0,  0,  0, -1, -1, -2, -3, -4, -5),
+        ( 2,  1,  0, -1, -2, -2, -2, -2, -2, -3, -3, -4, -5),
+        ( 1,  0,  0, -1, -2, -3, -3, -3, -3, -4, -4, -4, -5),
+        ( 0, -1, -1, -2, -3, -4, -5, -5, -5, -6, -6, -6, -6),
+    ),
+    provenance="golden",
+)
+
+
 def lookup(table: LookupTable, e_q: int, ec_q: int) -> int:
     """O(1) cell read; both indices must be quantized levels in -6..6."""
     q = ERROR_UNIVERSE.q_max
@@ -75,25 +95,9 @@ def compile_lookup_table() -> LookupTable:
     return LookupTable(cells=tuple(rows), provenance="compiled")
 
 
-@cache
 def load_golden_table() -> LookupTable:
-    """Parse the table shipped as package data, once per process; the table
-    is frozen and its cells are tuples, so every caller shares it."""
-    text = resources.files("ffsched.fuzzy").joinpath("data/golden_table.txt").read_text()
-    return parse_table_text(text, provenance="golden")
-
-
-def parse_table_text(text: str, provenance: str = "golden") -> LookupTable:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append(tuple(int(tok) for tok in line.split()))
-        except ValueError as exc:
-            raise TableError(f"line {lineno}: cells must be integers") from exc
-    return LookupTable(cells=tuple(rows), provenance=provenance)
+    """The paper's table; frozen with tuple cells, so every caller shares it."""
+    return _GOLDEN_TABLE
 
 
 def format_table(table: LookupTable) -> str:
@@ -103,18 +107,6 @@ def format_table(table: LookupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def agreement_within(candidate: LookupTable, reference: LookupTable, tolerance: int = 1) -> float:
-    """Fraction of cells where the two tables differ by at most `tolerance`."""
-    n = len(ERROR_UNIVERSE.levels)
-    hits = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if abs(candidate.cells[i][j] - reference.cells[i][j]) <= tolerance
-    )
-    return hits / (n * n)
-
-
 def diff_report(candidate: LookupTable, reference: LookupTable) -> str:
     """Full per-cell difference grid plus agreement statistics."""
     n = len(ERROR_UNIVERSE.levels)
@@ -122,14 +114,14 @@ def diff_report(candidate: LookupTable, reference: LookupTable) -> str:
         f"cell differences ({candidate.provenance} - {reference.provenance}),"
         " rows e=-6..6, columns ec=-6..6"
     ]
-    max_abs = 0
-    for i in range(n):
-        diffs = [candidate.cells[i][j] - reference.cells[i][j] for j in range(n)]
+    max_abs = exact = within = 0
+    for cand_row, ref_row in zip(candidate.cells, reference.cells):
+        diffs = [c - r for c, r in zip(cand_row, ref_row)]
         max_abs = max(max_abs, max(abs(d) for d in diffs))
+        exact += sum(d == 0 for d in diffs)
+        within += sum(abs(d) <= 1 for d in diffs)
         lines.append(" ".join(f"{d:3d}" for d in diffs))
-    within = agreement_within(candidate, reference, tolerance=1)
-    exact = agreement_within(candidate, reference, tolerance=0)
-    lines.append(f"cells equal: {round(exact * n * n)}/{n * n} ({100 * exact:.1f}%)")
-    lines.append(f"cells within +/-1: {round(within * n * n)}/{n * n} ({100 * within:.1f}%)")
+    lines.append(f"cells equal: {exact}/{n * n} ({exact / (n * n):.1%})")
+    lines.append(f"cells within +/-1: {within}/{n * n} ({within / (n * n):.1%})")
     lines.append(f"max abs difference: {max_abs}")
     return "\n".join(lines) + "\n"

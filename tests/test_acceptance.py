@@ -12,19 +12,14 @@ from statistics import fmean
 import pytest
 
 from ffsched.experiment import emit_traces, run_experiment
-from ffsched.fuzzy import (
-    agreement_within,
-    compile_lookup_table,
-    diff_report,
-    load_golden_table,
-)
+from ffsched.fuzzy import compile_lookup_table, diff_report, load_golden_table
 from ffsched.scenario import default_scenario, parse_scenario
 from invariants import (
     check_control_invariants,
     check_fuzzy_invariants,
     check_rtsim_invariants,
 )
-from oracle_tables import GOLDEN_CELLS
+from oracle_tables import GOLDEN_CELLS, share_within
 
 H_MIN, H_MAX = 0.001, 0.007
 TARGET = 0.85
@@ -72,7 +67,7 @@ def test_criterion_2_compiled_table_agreement(tmp_path):
                 assert all(a >= b for a, b in zip(row, row[1:]))
             for col in zip(*table.cells):
                 assert all(a >= b for a, b in zip(col, col[1:]))
-        assert agreement_within(compiled, golden, tolerance=1) >= 0.85
+        assert share_within(compiled, golden, tolerance=1) >= 0.85
         report_path = tmp_path / "table_diff.txt"
         report_path.write_text(diff_report(compiled, golden))
         assert report_path.stat().st_size > 0

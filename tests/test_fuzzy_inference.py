@@ -1,4 +1,5 @@
-"""Max-min inference and centroid defuzzification against hand-worked cases."""
+"""Rule base checks, and max-min inference and centroid defuzzification
+against hand-worked cases."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from ffsched.fuzzy import (
     DEFAULT_RULES,
     INPUT_FAMILY,
     OUTPUT_FAMILY,
+    RuleBase,
     defuzzify_centroid,
     fuzzify,
     infer,
@@ -57,3 +59,28 @@ class TestDefuzzify:
     def test_zero_mass_raises(self):
         with pytest.raises(DegenerateSetError):
             defuzzify_centroid(_aggregate({}), OUTPUT_FAMILY)
+
+
+class TestRuleBase:
+    def test_default_rules_use_the_families_labels(self):
+        assert DEFAULT_RULES.error_labels is INPUT_FAMILY.labels
+        assert DEFAULT_RULES.delta_labels is INPUT_FAMILY.labels
+        assert DEFAULT_RULES.output_labels is OUTPUT_FAMILY.labels
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (DEFAULT_RULES.matrix[:-1], "one matrix row per error label"),
+            (DEFAULT_RULES.matrix[:-1] + (DEFAULT_RULES.matrix[-1][:-1],), "one matrix column per delta label"),
+            (DEFAULT_RULES.matrix[:-1] + (("ZE",) * 4 + ("XX",),), "unknown output label 'XX'"),
+        ],
+        ids=["rows", "columns", "label"],
+    )
+    def test_malformed_matrix_rejected(self, matrix, message):
+        labels = dict(
+            error_labels=DEFAULT_RULES.error_labels,
+            delta_labels=DEFAULT_RULES.delta_labels,
+            output_labels=DEFAULT_RULES.output_labels,
+        )
+        with pytest.raises(ValueError, match=message):
+            RuleBase(matrix=matrix, **labels)

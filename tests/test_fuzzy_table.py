@@ -1,19 +1,19 @@
 """Shipped golden table, offline compilation, and the diff tooling."""
 
+from pathlib import Path
+
 import pytest
 
 from ffsched.errors import OutOfRangeError, TableError
 from ffsched.fuzzy import (
     LookupTable,
-    agreement_within,
     compile_lookup_table,
     diff_report,
     format_table,
     load_golden_table,
     lookup,
-    parse_table_text,
 )
-from oracle_tables import GOLDEN_CELLS
+from oracle_tables import GOLDEN_CELLS, share_within
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,14 @@ class TestGoldenTable:
             lookup(golden, 0, -7)
 
 
+def _zero_rows() -> list[list[int]]:
+    return [[0] * 13 for _ in range(13)]
+
+
+def _table(rows: list[list[int]]) -> LookupTable:
+    return LookupTable(cells=tuple(tuple(r) for r in rows), provenance="golden")
+
+
 def _assert_monotone(table: LookupTable) -> None:
     for row in table.cells:
         assert all(a >= b for a, b in zip(row, row[1:])), row
@@ -66,8 +74,8 @@ class TestCompiledTable:
 
     def test_agreement_with_golden(self, golden, compiled):
         assert compiled.provenance == "compiled"
-        assert agreement_within(compiled, golden, tolerance=1) == 1.0
-        assert agreement_within(compiled, golden, tolerance=0) == pytest.approx(126 / 169)
+        assert share_within(compiled, golden, tolerance=1) == 1.0
+        assert share_within(compiled, golden, tolerance=0) == pytest.approx(126 / 169)
 
     def test_compiled_corners_and_centre(self, compiled):
         assert lookup(compiled, -6, -6) == 6
@@ -87,34 +95,46 @@ class TestCompiledTable:
         assert "cells equal: 169/169 (100.0%)" in report
         assert "max abs difference: 0" in report
 
+    def test_diff_beyond_one_level(self):
+        rows = _zero_rows()
+        rows[0][:2] = [2, 1]
+        report = diff_report(_table(rows), _table(_zero_rows())).splitlines()
+        assert report[1].split() == ["2", "1"] + ["0"] * 11
+        assert report[-3:] == [
+            "cells equal: 167/169 (98.8%)",
+            "cells within +/-1: 168/169 (99.4%)",
+            "max abs difference: 2",
+        ]
 
-class TestParseFormat:
-    def test_round_trip(self, golden):
-        again = parse_table_text(format_table(golden), provenance="golden")
-        assert again.cells == golden.cells
 
-    def test_comments_and_blank_lines_ignored(self):
-        text = "# header\n\n" + "\n".join(" ".join("0" for _ in range(13)) for _ in range(13))
-        table = parse_table_text(text, provenance="compiled")
-        assert table.cells[0] == (0,) * 13
+class TestFormatAndChecks:
+    def test_format_lists_every_cell(self, golden):
+        header, *lines = format_table(golden).splitlines()
+        assert header == "# provenance: golden"
+        assert tuple(tuple(int(tok) for tok in line.split()) for line in lines) == GOLDEN_CELLS
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(TableError):
-            parse_table_text("1 2 3\n4 5 6\n")
-
-    def test_non_integer_cell_rejected(self):
-        bad = "\n".join(" ".join("x" if (i, j) == (5, 5) else "0" for j in range(13)) for i in range(13))
-        with pytest.raises(TableError):
-            parse_table_text(bad)
+            LookupTable(cells=((1, 2, 3), (4, 5, 6)), provenance="golden")
 
     def test_out_of_range_cell_rejected(self):
-        rows = [[0] * 13 for _ in range(13)]
+        rows = _zero_rows()
         rows[0][0] = 8
         with pytest.raises(TableError):
-            LookupTable(cells=tuple(tuple(r) for r in rows), provenance="golden")
+            _table(rows)
 
     def test_monotonicity_violation_rejected(self):
-        rows = [[0] * 13 for _ in range(13)]
+        rows = _zero_rows()
         rows[6][7] = 1  # jumps up along the row
         with pytest.raises(TableError):
-            LookupTable(cells=tuple(tuple(r) for r in rows), provenance="golden")
+            _table(rows)
+
+
+def test_package_ships_only_python_sources():
+    # the golden table is code, so an install cannot miss a data file
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "ffsched"
+    shipped = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert shipped and all(p.suffix == ".py" for p in shipped), shipped
+    pyproject = (root / "pyproject.toml").read_text()
+    assert "package-data" not in pyproject and "package_data" not in pyproject

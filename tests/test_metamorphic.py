@@ -65,3 +65,19 @@ def test_shorter_run_is_a_prefix(mode, seed):
     long = _run(seed, mode=mode, horizon_s=2.0)
     assert len(long.records) > len(short.records) > 0
     assert long.records[: len(short.records)] == short.records
+
+
+def test_open_mode_ignores_the_target():
+    low, high = (_run(3, horizon_s=2.0, mode="open", target=target) for target in (0.6, 0.95))
+    assert high.records == low.records
+    assert high.summary == low.summary
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_order_preserving_priority_relabel_changes_nothing(mode):
+    relabel = {2: 5, 3: 7, 4: 11}
+    tasks = tuple(replace(t, priority=relabel[t.priority]) for t in default_scenario().tasks)
+    base = _run(3, horizon_s=2.0, mode=mode)
+    relabelled = _run(3, horizon_s=2.0, mode=mode, tasks=tasks)
+    assert relabelled.records == base.records
+    assert relabelled.summary == base.summary
