@@ -36,7 +36,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from math import cos, expm1, pi, sin
-from statistics import fmean
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .control import (
@@ -105,9 +104,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     draws its execution-time noise from `normal_blocks(seed, i)` and the
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,
-    so a run with neither noise never imports `numpy.random`. `cfg` goes
-    through `validate_scenario` first, so a configuration built in Python
-    meets the rules a parsed one does.
+    so a run with neither noise never imports `numpy.random`. A task without
+    noise (the scheduler always, every task when `exec_std` is 0) gets no
+    source from `exec_time_of`: the kernel gives its jobs the schedule's
+    mean, looked up once per span. `cfg` goes through `validate_scenario`
+    first, so a configuration built in Python meets the rules a parsed one
+    does.
     """
 
     if seed < 0:
@@ -130,12 +132,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     stream_of = {t.name: i for i, t in enumerate(cfg.tasks)}
     util_normals = chain.from_iterable(block.tolist() for block in normal_blocks(seed, len(cfg.tasks)))
 
-    def exec_time_of(spec: TaskSpec) -> Callable[[int], int]:
-        schedule = spec.exec_schedule
+    def exec_time_of(spec: TaskSpec) -> Callable[[int], int] | None:
+        """A noisy user task's draws; `None`, so the kernel reads the
+        schedule's mean itself, for a noise-free run and for the scheduler."""
         i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         if i is None or not exec_std:
-            return schedule.mean_at
-        return ExecDraws(schedule, normal_blocks(seed, i), exec_std, sample).draw
+            return None
+        return ExecDraws(spec.exec_schedule, normal_blocks(seed, i), exec_std, sample).draw
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float
@@ -278,7 +281,7 @@ def summarize(
         raise ValueError("no scheduler invocations recorded; horizon too short")
     errs = [r.err for r in records]
     try:
-        mean_err = fmean(errs)
+        mean_err = math.fsum(errs) / len(errs)
     except OverflowError:
         mean_err = math.inf
     if not math.isfinite(mean_err):
@@ -295,8 +298,8 @@ def summarize(
         invocations=len(records),
         mean_tracking_error=mean_err,
         max_tracking_error=max(errs),
-        mean_utilization=fmean(r.u_meas for r in records),
-        mean_utilization_final=fmean(finals),
+        mean_utilization=math.fsum(r.u_meas for r in records) / len(records),
+        mean_utilization_final=math.fsum(finals) / len(finals),
         final_periods_s=records[-1].periods_s,
         task_stats=dict(task_stats),
     )

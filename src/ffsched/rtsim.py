@@ -54,6 +54,8 @@ class ExecSchedule:
             raise ValueError("execution schedule needs at least one segment")
         expected_start = 0
         for start, end, mean in self.segments:
+            if type(start) is not int or type(end) is not int or type(mean) is not int:
+                raise ValueError(f"execution segments hold int nanoseconds, got {(start, end, mean)!r}")
             if start != expected_start:
                 raise ValueError(f"execution segments must be contiguous from 0, got start {start}")
             if end <= start:
@@ -314,7 +316,7 @@ class _TaskRuntime:
     spec: TaskSpec
     name: str
     period_ns: int
-    exec_time: Callable[[int], int]  # release_ns -> exec_ns, bound once per task
+    exec_time: Callable[[int], int] | None  # release_ns -> exec_ns, bound once per task; None: the schedule's mean
     on_job_start: StartHook | None  # None once the hook has opted the task out
     next_release_ns: int = 0
     # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
@@ -323,6 +325,10 @@ class _TaskRuntime:
     queue: deque[tuple[int, int, int]] = field(default_factory=deque)
     head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
     head_remaining_ns: int = 0  # the started head job's remaining time, kept when a slice ends early
+    # with no source: the end of the schedule span the last release entered
+    # (0 before the first) and its mean; releases only move forward
+    span_end: float = 0
+    span_mean: int = 0
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
@@ -338,7 +344,7 @@ _NEVER = float("inf")  # later than any release; the release pass's starting min
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
-ExecTimeFn = Callable[[TaskSpec], Callable[[int], int]]  # spec -> (release_ns -> exec_ns)
+ExecTimeFn = Callable[[TaskSpec], Callable[[int], int] | None]  # spec -> (release_ns -> exec_ns), or None
 
 
 class Kernel:
@@ -348,7 +354,9 @@ class Kernel:
     The function it returns is that task's execution-time source: the kernel
     calls it once per release with the release instant and takes the result
     as the job's execution time (this is where callers inject sampling
-    noise). The default source is the task's `exec_schedule.mean_at`.
+    noise). With no factory, or `None` from it, a job runs for the mean of
+    the task's `exec_schedule` at its release, looked up once per span
+    (`span_at`) that the task's releases enter.
     `on_job_release` fires at the release instant (the time-triggered point
     where a control job latches its inputs), `on_job_start` the first time a
     job gets the CPU, `on_job_finish` when it completes. A start hook that
@@ -379,8 +387,10 @@ class Kernel:
             raise ValueError("task names must be unique")
         if len({s.priority for s in specs}) != len(specs):
             raise ValueError("task priorities must be unique")
-        source_of = exec_time_of or (lambda spec: spec.exec_schedule.mean_at)
-        self._tasks = {s.name: _TaskRuntime(s, s.name, s.period_ns, source_of(s), on_job_start) for s in specs}
+        self._tasks = {
+            s.name: _TaskRuntime(s, s.name, s.period_ns, exec_time_of(s) if exec_time_of else None, on_job_start)
+            for s in specs
+        }
         self._by_priority = sorted(self._tasks.values(), key=lambda rt: rt.spec.priority)
         self._on_job_release = on_job_release
         self._on_job_finish = on_job_finish
@@ -460,9 +470,16 @@ class Kernel:
                     release_ns = rt.next_release_ns
                     if release_ns <= now:
                         period = rt.period_ns  # the period in force fixes deadline and successor
-                        exec_ns = int(rt.exec_time(release_ns))
-                        if exec_ns <= 0:
-                            raise ValueError(f"task {rt.name}: sampled execution time must be positive")
+                        exec_time = rt.exec_time
+                        if exec_time is not None:
+                            exec_ns = int(exec_time(release_ns))
+                            if exec_ns <= 0:
+                                raise ValueError(f"task {rt.name}: sampled execution time must be positive")
+                        elif release_ns < rt.span_end:
+                            exec_ns = rt.span_mean
+                        else:
+                            _, rt.span_end, exec_ns = rt.spec.exec_schedule.span_at(release_ns)
+                            rt.span_mean = exec_ns
                         rt.queue.append((release_ns, release_ns + period, exec_ns))
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)

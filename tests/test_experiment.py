@@ -303,6 +303,7 @@ class TestLazyNoise:
 import sys
 import ffsched.cli
 rc = ffsched.cli.main(["run", "--scenario", sys.argv[1], "--horizon", "0.5"])
+assert "statistics" not in sys.modules  # nor decimal and fractions, which it imports
 print(rc, "numpy.random" in sys.modules)
 """
 

@@ -132,6 +132,15 @@ class TestExecSchedule:
         with pytest.raises(ValueError):
             ExecSchedule(segments=((0, 5, 0),))  # nonpositive mean
 
+    @pytest.mark.parametrize(
+        "segment",
+        [(0, 5, 100.0), (0, 5, True), (0, 5.0, 100), (0.0, 5, 100), (0, np.int64(5), 100)],
+    )
+    def test_segments_hold_int_nanoseconds(self, segment):
+        # the kernel hands a noise-free task's mean to its jobs as it stands
+        with pytest.raises(ValueError, match="int nanoseconds"):
+            ExecSchedule(segments=(segment,))
+
 
 class TestTaskSpec:
     def test_validation(self):
@@ -336,6 +345,64 @@ class TestExecTimeSource:
         run_experiment(cfg, seed=1)
         # one per user task when noisy, none at all when noise-free
         assert len(built) == (len(cfg.tasks) if exec_std else 0)
+
+
+class TestScheduleCursor:
+    """With no source, the kernel keeps the schedule span a task's releases
+    last entered; it must give every job what a per-release `mean_at` gives."""
+
+    @staticmethod
+    def _simulate(exec_time_of):
+        specs = [
+            # A's releases land on both segment ends, then pass the last one
+            TaskSpec("A", TaskKind.CONTROL, 1, 10 * MS, ExecSchedule(((0, 20 * MS, 2 * MS), (20 * MS, 50 * MS, 4 * MS)))),
+            TaskSpec("B", TaskKind.LOAD, 2, 7 * MS, ExecSchedule(((0, 35 * MS, 3 * MS), (35 * MS, ExecSchedule.FOREVER, MS)))),
+            TaskSpec("C", TaskKind.LOAD, 3, 10 * MS, ExecSchedule(tuple((k * 5 * MS, (k + 1) * 5 * MS, (1 + k % 3) * MS) for k in range(20)))),
+        ]
+        jobs, windows = [], []
+        kernel = None
+
+        def on_start(name, release_ns, start_ns):
+            if name == "A":
+                window = kernel.window_snapshot(start_ns)
+                windows.append((window.end_ns, window.samples, window.releases))
+
+        kernel = Kernel(
+            specs,
+            exec_time_of=exec_time_of,
+            on_job_start=on_start,
+            on_job_finish=jobs.append,
+            record_segments=True,
+        )
+        kernel.run(33 * MS)
+        kernel.set_period("B", 5 * MS)
+        kernel.run(77 * MS)
+        kernel.set_period("C", 11 * MS)
+        kernel.run(150 * MS)
+        return jobs, kernel.segments, {spec.name: kernel.stats(spec.name) for spec in specs}, windows
+
+    def test_matches_per_release_mean_at(self):
+        cursor = self._simulate(None)
+        assert cursor == self._simulate(lambda spec: spec.exec_schedule.mean_at)
+        jobs, _, stats, windows = cursor
+        execs = {name: [(job.release_ns, job.exec_ns) for job in jobs if job.task == name] for name in "ABC"}
+        assert execs["A"][:7] == [(0, 2 * MS), (10 * MS, 2 * MS), (20 * MS, 4 * MS), (30 * MS, 4 * MS),
+                                  (40 * MS, 4 * MS), (50 * MS, 4 * MS), (60 * MS, 4 * MS)]
+        assert {exec_ns for _, exec_ns in execs["B"]} == {3 * MS, MS}
+        assert {exec_ns for _, exec_ns in execs["C"]} == {MS, 2 * MS, 3 * MS}
+        assert sum(s.preemptions for s in stats.values()) > 0
+        assert len(windows) == stats["A"].completed
+
+    def test_schedule_looked_up_once_per_span_entered(self):
+        schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, MS), (10 * MS, 20 * MS, 3 * MS))))
+        jobs = []
+        kernel = Kernel([TaskSpec("t", TaskKind.LOAD, 1, 5 * MS, schedule)], on_job_finish=jobs.append)
+        kernel.run(30 * MS)
+        assert [job.exec_ns for job in jobs] == [MS, MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS]
+        # 0 and 10 ms each enter a segment, 20 ms the span past the final end;
+        # the release queued at 30 ms lies in that last span
+        assert schedule.asked == [0, 10 * MS, 20 * MS]
+        assert kernel.stats("t").released == 7
 
 
 class TestKernelResume:
