@@ -104,10 +104,11 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     draws its execution-time noise from `normal_blocks(seed, i)` and the
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,
-    so a run with neither noise never imports `numpy.random`. A task without
-    noise (the scheduler always, every task when `exec_std` is 0) gets no
-    source from `exec_time_of`: the kernel gives its jobs the schedule's
-    mean, looked up once per span. `cfg` goes through `validate_scenario`
+    so a run with neither noise never imports `numpy.random`. The kernel
+    finds each release's mean; a noisy task's source, its `ExecDraws.draw`,
+    maps that mean to a time. A task without noise (the scheduler always,
+    every task when `exec_std` is 0) gets no source from `exec_time_of`, so
+    its jobs run for the mean itself. `cfg` goes through `validate_scenario`
     first, so a configuration built in Python meets the rules a parsed one
     does.
     """
@@ -133,12 +134,13 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     util_normals = chain.from_iterable(block.tolist() for block in normal_blocks(seed, len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec) -> Callable[[int], int] | None:
-        """A noisy user task's draws; `None`, so the kernel reads the
-        schedule's mean itself, for a noise-free run and for the scheduler."""
+        """A noisy user task's draws, from the mean the kernel found; `None`,
+        so its jobs run for that mean, for a noise-free run and for the
+        scheduler."""
         i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         if i is None or not exec_std:
             return None
-        return ExecDraws(spec.exec_schedule, normal_blocks(seed, i), exec_std, sample).draw
+        return ExecDraws(normal_blocks(seed, i), exec_std, sample).draw
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

@@ -77,18 +77,15 @@ class ExecSchedule:
             return self._means[-1]
         return self._means[bisect_right(self._ends, t_ns)]  # the first segment ending after t_ns
 
-    def span_at(self, t_ns: int) -> tuple[float, float, int]:
-        """`(lo, hi, mean_at(t_ns))`, where [lo, hi) is the span around `t_ns`
-        over which `mean_at` returns that mean by the same rule: the segment
-        holding `t_ns`, every instant before 0, or every instant from the final
-        segment end on. The open ends are infinite.
+    def span_at(self, t_ns: int) -> tuple[float, int]:
+        """`(end, mean_at(t_ns))` for `t_ns >= 0`, where `mean_at` returns that
+        mean from `t_ns` until `end`: the end of the segment holding `t_ns`,
+        or infinity from the final segment end on. `Kernel.run` is its only
+        caller.
         """
 
-        if t_ns < 0:
-            return -inf, 0, self._means[-1]
-        ends = self._ends
-        k = bisect_right(ends, t_ns)
-        return (ends[k - 1] if k else 0), (ends[k] if k < len(ends) else inf), self._means[k]
+        k = bisect_right(self._ends, t_ns)
+        return (self._ends[k] if k < len(self._ends) else inf), self._means[k]
 
 
 @dataclass(frozen=True)
@@ -102,9 +99,9 @@ class TaskSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("task name must be non-empty")
-        if self.period_ns <= 0:
-            raise ValueError(f"task {self.name}: period must be positive")
-        if self.priority <= 0:
+        if type(self.period_ns) is not int or self.period_ns <= 0:
+            raise ValueError(f"task {self.name}: period must be a positive int of nanoseconds")
+        if type(self.priority) is not int or self.priority <= 0:
             raise ValueError(f"task {self.name}: priority must be a positive integer")
 
 
@@ -208,28 +205,21 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> 
 class ExecDraws:
     """One task's noisy execution times, converted a block of normals at a time.
 
-    `draw(release_ns)` is the task's execution-time source. It keeps the span
-    of `schedule.span_at` that its last release fell in, with that span's mean
-    and the mean's conversion of the current block, so a release inside the
-    span returns the next converted time without a lookup; a release outside
-    it (one that crosses a segment end, 0 or the final end, either way) looks
-    the schedule up once and gets exactly the mean `mean_at` returns. Each
-    refill takes the next array of standard-normal values from the iterator
-    `blocks` (a run's is `normal_blocks`; any non-empty block size will do)
-    and turns it into times with one `sample` call (`sample_execution_time`'s
-    signature). A mean first asked for mid-block converts the rest of the
-    block from there, and that conversion is kept until the next refill, so a
-    block costs one `sample` call per distinct mean however often the means
-    alternate. Nothing is taken from `blocks` until a time is asked for.
+    `draw(mean_ns)` is the task's execution-time source: it maps the mean the
+    kernel found in force at a release to that job's time, spending the next
+    standard-normal value. Each refill takes the next array of values from
+    the iterator `blocks` (a run's is `normal_blocks`; any non-empty block
+    size will do) and turns it into times with one `sample` call
+    (`sample_execution_time`'s signature). A mean first asked for mid-block
+    converts the rest of the block from there, and that conversion is kept
+    until the next refill, so a block costs one `sample` call per distinct
+    mean however often the means alternate. Nothing is taken from `blocks`
+    until a time is asked for.
     """
 
-    __slots__ = (
-        "_schedule", "_blocks", "_rel_std", "_sample", "_normals", "_converted",
-        "_next", "_lo", "_hi", "_mean", "_times",
-    )
+    __slots__ = ("_blocks", "_rel_std", "_sample", "_normals", "_converted", "_next", "_mean", "_times")
 
-    def __init__(self, schedule: ExecSchedule, blocks: Iterator[np.ndarray], rel_std: float, sample: Callable):
-        self._schedule = schedule
+    def __init__(self, blocks: Iterator[np.ndarray], rel_std: float, sample: Callable):
         self._blocks = blocks
         self._rel_std = rel_std
         self._sample = sample
@@ -241,32 +231,19 @@ class ExecDraws:
         # fresh block, 0 once used up), which indexes every conversion of the
         # block however late it started; used up, so the first call refills
         self._next = 0
-        # the span [lo, hi) the last release fell in, its mean and that
-        # mean's conversion of the block; empty until the first call
-        self._lo = self._hi = 0
+        # the mean of the last call and its conversion of the block; 0 (no
+        # mean) until the first call and after each refill
         self._mean = 0
         self._times: list[int] = []
 
-    def draw(self, release_ns: int) -> int:
+    def draw(self, mean_ns: int) -> int:
         j = self._next
-        if self._lo <= release_ns < self._hi and j:
-            self._next = j + 1
-            return self._times[j]
-        return self._enter(release_ns)
-
-    def _enter(self, release_ns: int) -> int:
-        """`draw` for a release outside the span or once the block is used up."""
-        j = self._next
-        mean_ns = self._mean
-        stale = not j
-        if stale:
+        if not j:
             normals = self._normals = next(self._blocks)
             self._converted.clear()
+            self._mean = 0
             j = -len(normals)
-        if not self._lo <= release_ns < self._hi:
-            self._lo, self._hi, mean_ns = self._schedule.span_at(release_ns)
-            stale = stale or mean_ns != self._mean
-        if stale:
+        if mean_ns != self._mean:
             times = self._converted.get(mean_ns)
             if times is None:
                 times = self._converted[mean_ns] = self._sample(mean_ns, self._normals[j:], self._rel_std)
@@ -316,7 +293,7 @@ class _TaskRuntime:
     spec: TaskSpec
     name: str
     period_ns: int
-    exec_time: Callable[[int], int] | None  # release_ns -> exec_ns, bound once per task; None: the schedule's mean
+    exec_time: Callable[[int], int] | None  # mean_ns -> exec_ns, bound once per task; None: the mean itself
     on_job_start: StartHook | None  # None once the hook has opted the task out
     next_release_ns: int = 0
     # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
@@ -325,8 +302,8 @@ class _TaskRuntime:
     queue: deque[tuple[int, int, int]] = field(default_factory=deque)
     head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
     head_remaining_ns: int = 0  # the started head job's remaining time, kept when a slice ends early
-    # with no source: the end of the schedule span the last release entered
-    # (0 before the first) and its mean; releases only move forward
+    # the end of the schedule span the last release entered (0 before the
+    # first) and its mean; releases only move forward from 0
     span_end: float = 0
     span_mean: int = 0
     completed: int = 0
@@ -344,19 +321,20 @@ _NEVER = float("inf")  # later than any release; the release pass's starting min
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
-ExecTimeFn = Callable[[TaskSpec], Callable[[int], int] | None]  # spec -> (release_ns -> exec_ns), or None
+ExecTimeFn = Callable[[TaskSpec], Callable[[int], int] | None]  # spec -> (mean_ns -> exec_ns), or None
 
 
 class Kernel:
     """Single-CPU fixed-priority preemptive kernel.
 
+    At each release the kernel finds the mean of the task's `exec_schedule`
+    in force, the one `mean_at` gives, looking the schedule up (`span_at`)
+    only when the release enters a span past the last one's end.
     `exec_time_of` is called once per task, at construction, with its spec.
     The function it returns is that task's execution-time source: the kernel
-    calls it once per release with the release instant and takes the result
-    as the job's execution time (this is where callers inject sampling
-    noise). With no factory, or `None` from it, a job runs for the mean of
-    the task's `exec_schedule` at its release, looked up once per span
-    (`span_at`) that the task's releases enter.
+    calls it once per release with that mean and takes the result as the
+    job's execution time (this is where callers inject sampling noise). With
+    no factory, or `None` from it, a job runs for the mean itself.
     `on_job_release` fires at the release instant (the time-triggered point
     where a control job latches its inputs), `on_job_start` the first time a
     job gets the CPU, `on_job_finish` when it completes. A start hook that
@@ -406,9 +384,9 @@ class Kernel:
         The next release instant itself stays put, so this is safe to call
         from any hook while `run` is in progress.
         """
-        if period_ns <= 0:
-            raise ValueError(f"task {name}: period must be positive")
-        self._tasks[name].period_ns = int(period_ns)
+        if type(period_ns) is not int or period_ns <= 0:
+            raise ValueError(f"task {name}: period must be a positive int of nanoseconds")
+        self._tasks[name].period_ns = period_ns
 
     def stats(self, name: str) -> TaskStats:
         rt = self._tasks[name]
@@ -470,16 +448,14 @@ class Kernel:
                     release_ns = rt.next_release_ns
                     if release_ns <= now:
                         period = rt.period_ns  # the period in force fixes deadline and successor
+                        if release_ns >= rt.span_end:  # the release enters the schedule's next span
+                            rt.span_end, rt.span_mean = rt.spec.exec_schedule.span_at(release_ns)
+                        exec_ns = rt.span_mean
                         exec_time = rt.exec_time
                         if exec_time is not None:
-                            exec_ns = int(exec_time(release_ns))
+                            exec_ns = int(exec_time(exec_ns))
                             if exec_ns <= 0:
                                 raise ValueError(f"task {rt.name}: sampled execution time must be positive")
-                        elif release_ns < rt.span_end:
-                            exec_ns = rt.span_mean
-                        else:
-                            _, rt.span_end, exec_ns = rt.spec.exec_schedule.span_at(release_ns)
-                            rt.span_mean = exec_ns
                         rt.queue.append((release_ns, release_ns + period, exec_ns))
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)

@@ -293,7 +293,7 @@ def validate_scenario(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpe
     if SCHEDULER_TASK in names:
         raise ScenarioSemanticError(f"task name {SCHEDULER_TASK!r} is reserved for the feedback scheduler")
     for t in cfg.tasks:
-        if not isinstance(t.priority, int) or isinstance(t.priority, bool):
+        if type(t.priority) is not int:
             raise ScenarioSemanticError(f"task {t.name} priority must be an integer, got {t.priority!r}")
         if t.kind not in (TaskKind.CONTROL, TaskKind.LOAD):
             raise ScenarioSemanticError(f"task {t.name} kind must be control or load, got {t.kind!r}")

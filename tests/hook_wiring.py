@@ -72,15 +72,21 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         while True:
             yield float(rng.standard_normal())
 
-    exec_draw = {
-        t.name: ExecDraws(specs[t.name].exec_schedule, blocks(stream(i)), exec_std, sample).draw
-        for i, t in enumerate(cfg.tasks)
-    }
+    exec_draw = {t.name: ExecDraws(blocks(stream(i)), exec_std, sample).draw for i, t in enumerate(cfg.tasks)}
     util_normals = scalars(stream(len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec):
+        """Every task's source, the scheduler's too: it checks the mean the
+        kernel found against a lookup of its own at the release, then draws
+        (or, without noise, keeps the mean)."""
         draw = exec_draw.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
-        return draw if draw is not None and exec_std else spec.exec_schedule.mean_at
+        mean_at = spec.exec_schedule.mean_at
+
+        def exec_time(mean_ns: int) -> int:
+            assert mean_ns == mean_at(kernel.now_ns), (spec.name, kernel.now_ns, mean_ns)
+            return draw(mean_ns) if draw is not None and exec_std else mean_ns
+
+        return exec_time
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

@@ -129,8 +129,7 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
 
         def exec_time_of(spec: TaskSpec):
             # every task's source draws from the one shared rng, in release order
-            mean_at = spec.exec_schedule.mean_at
-            return lambda release_ns: max(1, int(mean_at(release_ns) * rng.uniform(0.3, 1.5)))
+            return lambda mean_ns: max(1, int(mean_ns * rng.uniform(0.3, 1.5)))
 
         kernel = Kernel(
             specs,

@@ -393,9 +393,9 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ()
 
-            def draw(self, release_ns):
+            def draw(self, mean_ns):
                 draws[0] += 1
-                return super().draw(release_ns)
+                return super().draw(mean_ns)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         result = run_experiment(cfg, seed=1)
@@ -413,17 +413,17 @@ class TestNoiseDraws:
         class CountingDraws(ExecDraws):
             __slots__ = ("drawn",)
 
-            def __init__(self, schedule, blocks, rel_std, sample):
+            def __init__(self, blocks, rel_std, sample):
                 def counted(mean_ns, normals, rel_std):
                     conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
                     return sample(mean_ns, normals, rel_std)
 
-                super().__init__(schedule, blocks, rel_std, counted)
+                super().__init__(blocks, rel_std, counted)
                 self.drawn = 0
 
-            def draw(self, release_ns):
+            def draw(self, mean_ns):
                 self.drawn += 1
-                return super().draw(release_ns)
+                return super().draw(mean_ns)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         run_experiment(_flickering_scenario(), seed=1)
@@ -437,26 +437,26 @@ class TestNoiseDraws:
         "scenario, most_spans", [(default_scenario, 5), (_flickering_scenario, None)], ids=["default", "flickering"]
     )
     def test_one_schedule_lookup_per_span_entered(self, monkeypatch, scenario, most_spans):
-        tallies = []  # (schedule, releases drawn for, instants looked up) per noisy task
+        # per task: (schedule, releases, instants the kernel looked up)
+        tallies = {}
 
-        class CountingDraws(ExecDraws):
-            __slots__ = ("releases",)
+        class CountingKernel(Kernel):
+            def __init__(self, tasks, **hooks):
+                counted = []
+                for spec in tasks:
+                    counting = _CountingSchedule(spec.exec_schedule)
+                    tallies[spec.name] = (spec.exec_schedule, [], counting.asked)
+                    counted.append(replace(spec, exec_schedule=counting))
+                assert "on_job_release" not in hooks
+                super().__init__(counted, on_job_release=lambda name, t: tallies[name][1].append(t), **hooks)
 
-            def __init__(self, schedule, blocks, rel_std, sample):
-                counting = _CountingSchedule(schedule)
-                super().__init__(counting, blocks, rel_std, sample)
-                self.releases = []
-                tallies.append((schedule, self.releases, counting.asked))
-
-            def draw(self, release_ns):
-                self.releases.append(release_ns)
-                return super().draw(release_ns)
-
-        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
+        monkeypatch.setattr(experiment, "Kernel", CountingKernel)
         cfg = scenario()
-        run_experiment(cfg, seed=1)
-        assert len(tallies) == len(cfg.tasks)
-        for schedule, releases, asked in tallies:
+        result = run_experiment(cfg, seed=1)
+        assert cfg.exec_std > 0  # the noisy tasks' means come from the kernel too
+        assert list(tallies) == [t.name for t in cfg.tasks] + [SCHEDULER_TASK]
+        for name, (schedule, releases, asked) in tallies.items():
+            assert len(releases) == result.summary.task_stats[name].released
             entries = _span_entries(schedule, releases)
             assert asked == entries
             if most_spans is not None:

@@ -7,12 +7,14 @@ noise streams are private to their consumer, and a run does not depend on
 its horizon. A defect that breaks one of them can keep every pin.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from ffsched.experiment import run_experiment
-from ffsched.scenario import default_scenario
+from ffsched.rtsim import TaskKind
+from ffsched.scenario import TaskConfig, default_scenario
 
 MODES = ("fuzzy", "ideal", "open")
 SEEDS = (1, 2)
@@ -81,3 +83,20 @@ def test_order_preserving_priority_relabel_changes_nothing(mode):
     relabelled = _run(3, horizon_s=2.0, mode=mode, tasks=tasks)
     assert relabelled.records == base.records
     assert relabelled.summary == base.summary
+
+
+@pytest.mark.parametrize("seed", (1, 3))
+@pytest.mark.parametrize("horizon_s", (2.0, 4.0))
+def test_appended_lowest_priority_task_in_open_mode(horizon_s, seed):
+    # a load task below every other one preempts none of them, and open mode
+    # ignores the utilization it adds
+    tau9 = TaskConfig("tau9", TaskKind.LOAD, 9, 0.006, ((0.0, math.inf, 0.0005),))
+    base = _run(seed, horizon_s=horizon_s, mode="open")
+    loaded = _run(seed, horizon_s=horizon_s, mode="open", tasks=(*default_scenario().tasks, tau9))
+    # every column but u_meas and u_raw, which count tau9's load (and take
+    # the measurement noise from the stream after tau9's)
+    assert [(r.t_s, *r[3:]) for r in loaded.records] == [(r.t_s, *r[3:]) for r in base.records]
+    stats = dict(loaded.summary.task_stats)
+    assert stats.pop("tau9").released > 0
+    assert stats == base.summary.task_stats
+    assert [r.u_raw for r in loaded.records] != [r.u_raw for r in base.records]

@@ -53,13 +53,9 @@ def _blocks(rng, size=NOISE_BLOCK):
         yield rng.standard_normal(size)
 
 
-def _one_ns_segments(means) -> ExecSchedule:
-    """A schedule holding `means[k]` over [k, k + 1) ns, so `draw(k)` draws for it."""
-    return ExecSchedule(tuple((k, k + 1, mean) for k, mean in enumerate(means)))
-
-
 class _CountingSchedule:
-    """Stands in for an ExecSchedule and records the instants looked up."""
+    """Stands in for a task's ExecSchedule in the kernel and records the
+    instants it looks up."""
 
     def __init__(self, schedule: ExecSchedule):
         self.schedule = schedule
@@ -72,12 +68,10 @@ class _CountingSchedule:
 
 def _span_entries(schedule: ExecSchedule, releases) -> list[int]:
     """The releases that enter a span other than the previous release's,
-    where the spans are each segment, all of t < 0 and all of t >= the final
-    segment end, found by a linear scan."""
+    where the spans are each segment and all of t >= the final segment end,
+    found by a linear scan; releases are never negative."""
 
     def span_of(t_ns):
-        if t_ns < 0:
-            return -1
         for k, (start, end, _) in enumerate(schedule.segments):
             if start <= t_ns < end:
                 return k
@@ -98,6 +92,24 @@ def _scan_mean_at(schedule: ExecSchedule, t_ns: int) -> int:
         if start <= t_ns < end:
             return mean
     return schedule.segments[-1][2]
+
+
+@st.composite
+def _schedule_and_periods(draw):
+    """A schedule of 1 to 6 short segments, a first period, and the
+    `(until_ns, period_ns)` steps of a run: run to `until_ns`, then take
+    `period_ns` from the next release on. Periods of 1 to 12 ns put releases
+    inside segments, on their ends and far past the final end."""
+    n = draw(st.integers(1, 6))
+    # a few shared means, so neighbouring segments sometimes hold the same one
+    mean = st.one_of(st.sampled_from([1, 700, 1_000_000]), st.integers(1, 10**7))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    ends = [sum(lengths[: k + 1]) for k in range(n)]
+    schedule = ExecSchedule(tuple((end - length, end, draw(mean)) for end, length in zip(ends, lengths)))
+    period = st.one_of(st.just(1), st.integers(1, 12))
+    until = st.one_of(st.integers(0, ends[-1] + 300), st.sampled_from([0] + ends))
+    steps = draw(st.lists(st.tuples(until, period), min_size=1, max_size=6))
+    return schedule, draw(period), sorted(steps)
 
 
 class TestExecSchedule:
@@ -231,8 +243,12 @@ class TestKernelTimeline:
 
     def test_set_period_validation(self):
         kernel = Kernel([_task("t", 1, 10, 1)])
-        with pytest.raises(ValueError):
-            kernel.set_period("t", 0)
+        # a fractional period would truncate to 0, and a run would then
+        # release the task at one instant forever; none is ever run here
+        for period in (0, -MS, 0.5, 2.0 * MS, True, np.int64(MS), math.nan):
+            with pytest.raises(ValueError, match="period"):
+                kernel.set_period("t", period)
+        assert kernel.stats("t").released == 0
         with pytest.raises(ValueError):
             kernel.run(-1)
 
@@ -243,6 +259,14 @@ class TestKernelTimeline:
             Kernel([_task("t", 1, 10, 1), _task("t", 2, 10, 1)])
         with pytest.raises(ValueError):
             Kernel([_task("a", 1, 10, 1), _task("b", 1, 10, 1)])
+        # periods and priorities are ints, as execution segments are
+        schedule = ExecSchedule.constant(MS)
+        for period in (0.5, 10.0 * MS, True, np.int64(10 * MS), math.nan):
+            with pytest.raises(ValueError, match="period"):
+                Kernel([TaskSpec("t", TaskKind.LOAD, 1, period, schedule)])
+        for priority in (math.nan, 1.0, 1.5, True, np.int64(1)):
+            with pytest.raises(ValueError, match="priority"):
+                Kernel([TaskSpec("t", TaskKind.LOAD, priority, 10 * MS, schedule)])
 
     def test_start_hook_fires_once_per_job(self):
         starts = []
@@ -277,7 +301,8 @@ class TestKernelTimeline:
 
 
 class TestExecTimeSource:
-    """`exec_time_of` is a per-task factory; the source it returns is called per release."""
+    """`exec_time_of` is a per-task factory; the source it returns is called
+    per release with the mean the kernel found in force there."""
 
     def test_factory_called_once_per_task_at_construction(self):
         specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 4, 1)]
@@ -285,7 +310,7 @@ class TestExecTimeSource:
 
         def exec_time_of(spec):
             asked.append(spec)
-            return spec.exec_schedule.mean_at
+            return lambda mean_ns: mean_ns
 
         kernel = Kernel(specs, exec_time_of=exec_time_of)
         assert asked == specs
@@ -299,33 +324,40 @@ class TestExecTimeSource:
         calls, releases = [], []
 
         def exec_time_of(spec):
-            mean_at = spec.exec_schedule.mean_at
-
-            def exec_time(release_ns):
-                calls.append((spec.name, release_ns, kernel.now_ns))
-                return mean_at(release_ns)
+            def exec_time(mean_ns):
+                calls.append((spec.name, kernel.now_ns, mean_ns))
+                return 2 * mean_ns
 
             return exec_time
 
-        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 5, 1)]
+        # C's mean steps from 1 to 2 ms at 23 ms, between two of its releases
+        c_schedule = ExecSchedule(((0, 23 * MS, MS), (23 * MS, ExecSchedule.FOREVER, 2 * MS)))
+        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), replace(_task("C", 3, 5, 1), exec_schedule=c_schedule)]
+        jobs = []
         kernel = Kernel(
             specs,
             exec_time_of=exec_time_of,
             on_job_release=lambda name, release_ns: releases.append((name, release_ns)),
+            on_job_finish=jobs.append,
         )
         kernel.run(17 * MS)
         kernel.set_period("A", 7 * MS)
         kernel.run(60 * MS)
-        assert [(name, release_ns) for name, release_ns, _ in calls] == releases
-        assert all(now_ns == release_ns for _, release_ns, now_ns in calls)
-        assert [release_ns for _, release_ns, _ in calls] == sorted(release_ns for _, release_ns, _ in calls)
+        # each call is made at its release, with the mean in force there
+        assert [(name, now_ns) for name, now_ns, _ in calls] == releases
+        spec_of = {spec.name: spec for spec in specs}
+        assert all(mean_ns == spec_of[name].exec_schedule.mean_at(now_ns) for name, now_ns, mean_ns in calls)
+        assert [now_ns for _, now_ns, _ in calls] == sorted(now_ns for _, now_ns, _ in calls)
         for spec in specs:
             assert sum(name == spec.name for name, _, _ in calls) == kernel.stats(spec.name).released
         # jobs released together are asked for in priority order
-        assert calls[:3] == [("A", 0, 0), ("B", 0, 0), ("C", 0, 0)]
+        assert calls[:3] == [("A", 0, 3 * MS), ("B", 0, 6 * MS), ("C", 0, MS)]
+        assert {mean_ns for name, _, mean_ns in calls if name == "C"} == {MS, 2 * MS}
+        # the job runs for what the source returned
+        assert all(job.exec_ns == 2 * spec_of[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
 
     def test_source_result_is_checked(self):
-        kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda release_ns: 0)
+        kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda mean_ns: 0)
         with pytest.raises(ValueError, match="positive"):
             kernel.run(MS)
 
@@ -348,17 +380,23 @@ class TestExecTimeSource:
 
 
 class TestScheduleCursor:
-    """With no source, the kernel keeps the schedule span a task's releases
-    last entered; it must give every job what a per-release `mean_at` gives."""
+    """For every task the kernel keeps the schedule span its releases last
+    entered; it must find at each release the mean a per-release `mean_at`
+    gives, with a source or without, and look the schedule up once per span
+    entered."""
 
-    @staticmethod
-    def _simulate(exec_time_of):
-        specs = [
+    SPECS = {
+        spec.name: spec
+        for spec in (
             # A's releases land on both segment ends, then pass the last one
             TaskSpec("A", TaskKind.CONTROL, 1, 10 * MS, ExecSchedule(((0, 20 * MS, 2 * MS), (20 * MS, 50 * MS, 4 * MS)))),
             TaskSpec("B", TaskKind.LOAD, 2, 7 * MS, ExecSchedule(((0, 35 * MS, 3 * MS), (35 * MS, ExecSchedule.FOREVER, MS)))),
             TaskSpec("C", TaskKind.LOAD, 3, 10 * MS, ExecSchedule(tuple((k * 5 * MS, (k + 1) * 5 * MS, (1 + k % 3) * MS) for k in range(20)))),
-        ]
+        )
+    }
+
+    @classmethod
+    def _simulate(cls, exec_time_of):
         jobs, windows = [], []
         kernel = None
 
@@ -368,7 +406,7 @@ class TestScheduleCursor:
                 windows.append((window.end_ns, window.samples, window.releases))
 
         kernel = Kernel(
-            specs,
+            cls.SPECS.values(),
             exec_time_of=exec_time_of,
             on_job_start=on_start,
             on_job_finish=jobs.append,
@@ -379,12 +417,16 @@ class TestScheduleCursor:
         kernel.run(77 * MS)
         kernel.set_period("C", 11 * MS)
         kernel.run(150 * MS)
-        return jobs, kernel.segments, {spec.name: kernel.stats(spec.name) for spec in specs}, windows
+        return jobs, kernel.segments, {name: kernel.stats(name) for name in cls.SPECS}, windows
 
     def test_matches_per_release_mean_at(self):
         cursor = self._simulate(None)
-        assert cursor == self._simulate(lambda spec: spec.exec_schedule.mean_at)
+        assert cursor == self._simulate(lambda spec: lambda mean_ns: mean_ns)
         jobs, _, stats, windows = cursor
+        assert all(job.exec_ns == self.SPECS[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
+        for _, samples, releases in windows:
+            for name, spec in self.SPECS.items():
+                assert samples[name] == [spec.exec_schedule.mean_at(t) for t in releases[name]]
         execs = {name: [(job.release_ns, job.exec_ns) for job in jobs if job.task == name] for name in "ABC"}
         assert execs["A"][:7] == [(0, 2 * MS), (10 * MS, 2 * MS), (20 * MS, 4 * MS), (30 * MS, 4 * MS),
                                   (40 * MS, 4 * MS), (50 * MS, 4 * MS), (60 * MS, 4 * MS)]
@@ -393,16 +435,104 @@ class TestScheduleCursor:
         assert sum(s.preemptions for s in stats.values()) > 0
         assert len(windows) == stats["A"].completed
 
-    def test_schedule_looked_up_once_per_span_entered(self):
+    @pytest.mark.parametrize("rel_std", [None, 0.1])  # None: no source
+    def test_schedule_looked_up_once_per_span_entered(self, rel_std):
         schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, MS), (10 * MS, 20 * MS, 3 * MS))))
         jobs = []
-        kernel = Kernel([TaskSpec("t", TaskKind.LOAD, 1, 5 * MS, schedule)], on_job_finish=jobs.append)
+        draws = rel_std and ExecDraws(_blocks(np.random.default_rng(7)), rel_std, sample_execution_time).draw
+        kernel = Kernel(
+            [TaskSpec("t", TaskKind.LOAD, 1, 5 * MS, schedule)],
+            exec_time_of=lambda spec: draws,
+            on_job_finish=jobs.append,
+        )
         kernel.run(30 * MS)
-        assert [job.exec_ns for job in jobs] == [MS, MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS]
+        means = [MS, MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS]
+        if rel_std:
+            scalar = np.random.default_rng(7)
+            means = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
+        assert [job.exec_ns for job in jobs] == means
         # 0 and 10 ms each enter a segment, 20 ms the span past the final end;
         # the release queued at 30 ms lies in that last span
         assert schedule.asked == [0, 10 * MS, 20 * MS]
         assert kernel.stats("t").released == 7
+
+    def test_source_gets_the_mean_of_the_span_entered(self):
+        schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000))))
+        draws = ExecDraws(_blocks(np.random.default_rng(7)), 0.1, sample_execution_time)
+        jobs = []
+        kernel = Kernel(
+            [TaskSpec("t", TaskKind.LOAD, 1, 4 * MS, schedule)],
+            exec_time_of=lambda spec: draws.draw,
+            on_job_finish=jobs.append,
+        )
+        # releases at 0, 4, 10 and 25 ms: periods of 4, 6 and 15 ms in turn
+        for until_ns, period_ns in ((1 * MS, 6 * MS), (5 * MS, 15 * MS), (11 * MS, 15 * MS)):
+            kernel.run(until_ns)
+            kernel.set_period("t", period_ns)
+        kernel.run(30 * MS)
+        assert [job.release_ns for job in jobs] == [0, 4 * MS, 10 * MS, 25 * MS]
+        scalar = np.random.default_rng(7)
+        means = (1_000_000, 1_000_000, 3_000_000, 3_000_000)  # the last release holds the final segment's mean
+        expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
+        assert [job.exec_ns for job in jobs] == expected
+        # 4 ms lies in the span entered at 0; 10 ms and 25 ms each enter a new one
+        assert schedule.asked == [0, 10 * MS, 25 * MS]
+
+    def test_only_kernel_run_looks_up_spans(self):
+        # any other caller would be a second owner of which mean applies at
+        # a release; a name or string naming `span_at` counts as a use too
+        src = Path(ffsched.__file__).parent
+
+        def uses(tree):
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute) and node.attr == "span_at"
+                    or isinstance(node, ast.Name) and node.id == "span_at"
+                    or isinstance(node, ast.Constant) and node.value == "span_at"
+                ):
+                    yield node
+
+        offenders, allowed = [], set()
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.relative_to(src).as_posix() == "rtsim.py":
+                (kernel,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Kernel"]
+                (run,) = [f for f in kernel.body if isinstance(f, ast.FunctionDef) and f.name == "run"]
+                allowed = {id(node) for node in uses(run)}
+            offenders += [f"{path.relative_to(src)}:{node.lineno}" for node in uses(tree) if id(node) not in allowed]
+        assert offenders == []
+        assert len(allowed) == 1  # one lookup path for every task
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        case=_schedule_and_periods(),
+        rel_std=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        seed=st.integers(0, 99),
+        size=st.sampled_from([NOISE_BLOCK, 7]),  # 7: many refills per run
+    )
+    def test_cursor_matches_per_release_oracle(self, case, rel_std, seed, size):
+        """Each job's execution time against a per-release `mean_at` lookup,
+        without a source and through noisy draws against scalar normal
+        draws, with one schedule lookup per span entered."""
+        schedule, period_ns, stops = case
+        for noisy in (False, True):
+            counting = _CountingSchedule(schedule)
+            draws = ExecDraws(_blocks(np.random.default_rng(seed), size), rel_std, sample_execution_time)
+            kernel = Kernel(
+                [TaskSpec("t", TaskKind.LOAD, 1, period_ns, counting)],
+                exec_time_of=lambda spec: draws.draw if noisy else None,
+            )
+            for until_ns, next_period_ns in stops:
+                kernel.run(until_ns)
+                kernel.set_period("t", next_period_ns)
+            window = kernel.window_snapshot(ExecSchedule.FOREVER)  # every job released
+            releases = window.releases["t"]
+            expected = [schedule.mean_at(t) for t in releases]
+            if noisy:
+                scalar = np.random.default_rng(seed)
+                expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in expected]
+            assert window.samples["t"] == expected
+            assert counting.asked == _span_entries(schedule, releases)
 
 
 class TestKernelResume:
@@ -509,8 +639,8 @@ class TestWindowSnapshot:
         releases, execs, finishes = ({name: [] for name in names} for _ in range(3))
 
         def exec_time_of(spec):
-            def exec_time(release_ns):
-                exec_ns = max(1, int(spec.exec_schedule.mean_at(release_ns) * rng.uniform(0.3, 1.5)))
+            def exec_time(mean_ns):
+                exec_ns = max(1, int(mean_ns * rng.uniform(0.3, 1.5)))
                 execs[spec.name].append(exec_ns)
                 return exec_ns
 
@@ -575,51 +705,42 @@ class TestNoiseHelpers:
         n = 2 * size + 17  # at least three refills, the last one partly used
         scalar = np.random.default_rng(7)
         passthrough = ExecDraws(
-            ExecSchedule.constant(1),
             _blocks(np.random.default_rng(7), size),
             1.0,
             lambda mean_ns, normals, rel_std: normals.tolist(),
         )
-        assert [passthrough.draw(k) for k in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        assert [passthrough.draw(1) for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
-        blocks = _blocks(np.random.default_rng(7), size)
-        draws = ExecDraws(ExecSchedule.constant(1_000_000), blocks, 0.1, sample_execution_time)
+        draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
-        assert [draws.draw(k * MS) for k in range(n)] == expected
+        assert [draws.draw(1_000_000) for _ in range(n)] == expected
         # means that alternate mid-block reuse their conversions at later jobs
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
-        draws = ExecDraws(_one_ns_segments(means), _blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
+        draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
-        assert [draws.draw(k) for k in range(n)] == expected
-
-    def test_exec_draws_look_up_the_schedule_once_per_span(self):
-        schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, 1_000_000), (10 * MS, 20 * MS, 3_000_000))))
-        releases = [0, 4 * MS, 10 * MS, 25 * MS]
-        scalar = np.random.default_rng(7)
-        draws = ExecDraws(schedule, _blocks(np.random.default_rng(7)), 0.1, sample_execution_time)
-        means = (1_000_000, 1_000_000, 3_000_000, 3_000_000)  # the last release holds the final segment's mean
-        expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
-        assert [draws.draw(t) for t in releases] == expected
-        # 4 ms lies in the span entered at 0; 10 ms and 25 ms each enter a new one
-        assert schedule.asked == [0, 10 * MS, 25 * MS]
+        assert [draws.draw(mean) for mean in means] == expected
 
     def test_span_at_bounds_the_mean_at_lookup(self):
         schedule = ExecSchedule(((0, 5 * MS, 100), (5 * MS, 12 * MS, 200), (12 * MS, 13 * MS, 300)))
-        assert schedule.span_at(-1) == (float("-inf"), 0, 300)
-        assert schedule.span_at(0) == (0, 5 * MS, 100)
-        assert schedule.span_at(5 * MS - 1) == (0, 5 * MS, 100)
-        assert schedule.span_at(5 * MS) == (5 * MS, 12 * MS, 200)
-        assert schedule.span_at(12 * MS) == (12 * MS, 13 * MS, 300)
-        assert schedule.span_at(13 * MS) == (13 * MS, float("inf"), 300)
-        assert schedule.span_at(10**15) == (13 * MS, float("inf"), 300)
+        assert schedule.span_at(0) == (5 * MS, 100)
+        assert schedule.span_at(5 * MS - 1) == (5 * MS, 100)
+        assert schedule.span_at(5 * MS) == (12 * MS, 200)
+        assert schedule.span_at(12 * MS) == (13 * MS, 300)
+        assert schedule.span_at(13 * MS) == (float("inf"), 300)
+        assert schedule.span_at(10**15) == (float("inf"), 300)
+        # the mean holds from the instant asked for until the end
+        for t_ns in (0, 1, 5 * MS - 1, 5 * MS, 12 * MS, 13 * MS, 10**15):
+            end, mean = schedule.span_at(t_ns)
+            assert schedule.mean_at(t_ns) == schedule.mean_at(min(end, 10**16) - 1) == mean
+        assert schedule.mean_at(-1) == 300  # span_at serves only t >= 0; mean_at keeps its before-0 rule
 
     def test_exec_draws_draw_nothing_until_asked(self):
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        draws = ExecDraws(ExecSchedule.constant(1_000_000), _blocks(rng), 0.0, sample_execution_time)
+        draws = ExecDraws(_blocks(rng), 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
-        assert draws.draw(0) == 1_000_000
+        assert draws.draw(1_000_000) == 1_000_000
         assert rng.bit_generator.state != state  # the first time asked for refills
 
     @pytest.mark.parametrize("seed, stream", [(7, 0), (3, 4)])
@@ -733,24 +854,6 @@ def _tie(draw):
     return 2**p, ((k + 0.5) / 2**p - 1.0) / rel_std, rel_std
 
 
-@st.composite
-def _schedule_and_releases(draw):
-    """A schedule of 1 to 6 short segments and a release sequence that mixes
-    sorted runs, repeats, backward jumps, negative instants, exact segment
-    ends and instants past the final end, often longer than a block."""
-    n = draw(st.integers(1, 6))
-    # a few shared means, so neighbouring segments sometimes hold the same one
-    mean = st.one_of(st.sampled_from([1, 700, 1_000_000]), st.integers(1, 10**7))
-    lengths = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
-    ends = [sum(lengths[: k + 1]) for k in range(n)]
-    schedule = ExecSchedule(tuple((end - length, end, draw(mean)) for end, length in zip(ends, lengths)))
-    start = st.one_of(st.integers(-50, ends[-1] + 50), st.sampled_from([0, -1] + ends))
-    # (first instant, step, count): step 0 repeats an instant, and each run
-    # may start before the previous one ended
-    runs = draw(st.lists(st.tuples(start, st.integers(0, 3), st.integers(1, 2 * NOISE_BLOCK)), min_size=1, max_size=8))
-    return schedule, [t + step * k for t, step, count in runs for k in range(count)]
-
-
 class TestBatchedSampler:
     """`sample_execution_time` and `ExecDraws` against the scalar oracle."""
 
@@ -796,8 +899,8 @@ class TestBatchedSampler:
             sizes.append(len(normals))
             return sample_execution_time(mean_ns, normals, rel_std)
 
-        draws = ExecDraws(_one_ns_segments(means), _blocks(np.random.default_rng(seed), size), rel_std, sample)
-        got = [draws.draw(k) for k in range(len(means))]
+        draws = ExecDraws(_blocks(np.random.default_rng(seed), size), rel_std, sample)
+        got = [draws.draw(mean) for mean in means]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
         return got, expected, sizes
@@ -816,20 +919,6 @@ class TestBatchedSampler:
         got, expected, sizes = self._calls(5, means, size=size)
         assert got == expected and len(got) == n
         assert sizes == [size, size, 1, size]  # only the rest of a block is redone
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(case=_schedule_and_releases(), rel_std=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), seed=st.integers(0, 99))
-    def test_cursor_matches_per_release_oracle(self, case, rel_std, seed):
-        """The span cursor's draws against a per-release `mean_at` lookup and
-        scalar normal draws, with one schedule lookup per span entered."""
-        schedule, releases = case
-        counting = _CountingSchedule(schedule)
-        draws = ExecDraws(counting, _blocks(np.random.default_rng(seed)), rel_std, sample_execution_time)
-        got = [draws.draw(t) for t in releases]
-        scalar = np.random.default_rng(seed)
-        expected = [_scalar_time(schedule.mean_at(t), float(scalar.standard_normal()), rel_std) for t in releases]
-        assert got == expected
-        assert counting.asked == _span_entries(schedule, releases)
 
     def test_product_past_forever_raises(self):
         with pytest.raises(ValueError, match="past"):

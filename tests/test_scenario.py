@@ -393,6 +393,8 @@ BUILT_CASES = {
     "infinite pole_rate": _with(plant=PlantParams(pole_rate=math.inf)),
     "NaN priority": _with_task(0, priority=math.nan),
     "fractional priority": _with_task(0, priority=2.5),
+    # the kernel takes priorities of type int only, as it does periods
+    "int subclass priority": _with_task(0, priority=type("Priority", (int,), {})(5)),
     "kind as a string": _with_task(2, kind="load"),
     "scheduler kind": _with_task(2, kind=TaskKind.SCHEDULER),
 }
