@@ -435,22 +435,12 @@ class TestScheduleCursor:
         assert sum(s.preemptions for s in stats.values()) > 0
         assert len(windows) == stats["A"].completed
 
-    @pytest.mark.parametrize("rel_std", [None, 0.1])  # None: no source
-    def test_schedule_looked_up_once_per_span_entered(self, rel_std):
+    def test_schedule_looked_up_once_per_span_entered(self):
         schedule = _CountingSchedule(ExecSchedule(((0, 10 * MS, MS), (10 * MS, 20 * MS, 3 * MS))))
         jobs = []
-        draws = rel_std and ExecDraws(_blocks(np.random.default_rng(7)), rel_std, sample_execution_time).draw
-        kernel = Kernel(
-            [TaskSpec("t", TaskKind.LOAD, 1, 5 * MS, schedule)],
-            exec_time_of=lambda spec: draws,
-            on_job_finish=jobs.append,
-        )
+        kernel = Kernel([TaskSpec("t", TaskKind.LOAD, 1, 5 * MS, schedule)], on_job_finish=jobs.append)
         kernel.run(30 * MS)
-        means = [MS, MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS]
-        if rel_std:
-            scalar = np.random.default_rng(7)
-            means = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
-        assert [job.exec_ns for job in jobs] == means
+        assert [job.exec_ns for job in jobs] == [MS, MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS]
         # 0 and 10 ms each enter a segment, 20 ms the span past the final end;
         # the release queued at 30 ms lies in that last span
         assert schedule.asked == [0, 10 * MS, 20 * MS]
