@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from math import cos, expm1, pi, sin
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .control import (
     ReferencePath,
@@ -49,6 +49,7 @@ from .errors import EmitError, ScenarioSemanticError
 from .rtsim import (
     NS,
     ExecDraws,
+    ExecTimeSource,
     Kernel,
     TaskKind,
     TaskSpec,
@@ -105,12 +106,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,
     so a run with neither noise never imports `numpy.random`. The kernel
-    finds each release's mean; a noisy task's source, its `ExecDraws.draw`,
-    maps that mean to a time. A task without noise (the scheduler always,
-    every task when `exec_std` is 0) gets no source from `exec_time_of`, so
-    its jobs run for the mean itself. `cfg` goes through `validate_scenario`
-    first, so a configuration built in Python meets the rules a parsed one
-    does.
+    finds each release's mean; a noisy task's source, its `ExecDraws.times`,
+    hands it the times of the rest of a noise block at that mean. A task
+    without noise (the scheduler always, every task when `exec_std` is 0)
+    gets no source from `exec_time_of`, so its jobs run for the mean itself.
+    `cfg` goes through `validate_scenario` first, so a configuration built
+    in Python meets the rules a parsed one does.
     """
 
     if seed < 0:
@@ -133,14 +134,14 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     stream_of = {t.name: i for i, t in enumerate(cfg.tasks)}
     util_normals = chain.from_iterable(block.tolist() for block in normal_blocks(seed, len(cfg.tasks)))
 
-    def exec_time_of(spec: TaskSpec) -> Callable[[int], int] | None:
-        """A noisy user task's draws, from the mean the kernel found; `None`,
-        so its jobs run for that mean, for a noise-free run and for the
-        scheduler."""
+    def exec_time_of(spec: TaskSpec) -> ExecTimeSource | None:
+        """A noisy user task's times, by blocks at the mean the kernel found;
+        `None`, so its jobs run for that mean, for a noise-free run and for
+        the scheduler."""
         i = stream_of.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         if i is None or not exec_std:
             return None
-        return ExecDraws(normal_blocks(seed, i), exec_std, sample).draw
+        return ExecDraws(normal_blocks(seed, i), exec_std, sample).times
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

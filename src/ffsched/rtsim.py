@@ -70,7 +70,7 @@ class ExecSchedule:
 
     @classmethod
     def constant(cls, mean_ns: int) -> "ExecSchedule":
-        return cls(((0, cls.FOREVER, int(mean_ns)),))
+        return cls(((0, cls.FOREVER, mean_ns),))
 
     def mean_at(self, t_ns: int) -> int:
         if t_ns < 0:
@@ -205,19 +205,20 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> 
 class ExecDraws:
     """One task's noisy execution times, converted a block of normals at a time.
 
-    `draw(mean_ns)` is the task's execution-time source: it maps the mean the
-    kernel found in force at a release to that job's time, spending the next
-    standard-normal value. Each refill takes the next array of values from
-    the iterator `blocks` (a run's is `normal_blocks`; any non-empty block
-    size will do) and turns it into times with one `sample` call
-    (`sample_execution_time`'s signature). A mean first asked for mid-block
-    converts the rest of the block from there, and that conversion is kept
-    until the next refill, so a block costs one `sample` call per distinct
-    mean however often the means alternate. Nothing is taken from `blocks`
-    until a time is asked for.
+    `times(mean_ns, job)` is the task's execution-time source: the times at
+    the mean the kernel found of job `job` (from 0, never one before the last
+    asked for nor past the next block) and of the rest of its block, each
+    job spending its own standard-normal value. Each refill takes the next
+    array of values from the iterator `blocks` (a run's is `normal_blocks`;
+    any non-empty block size will do) and turns it into times with one
+    `sample` call (`sample_execution_time`'s signature). A mean first asked
+    for mid-block converts the rest of the block from there, and that
+    conversion is kept until the next refill, so a block costs one `sample`
+    call per distinct mean however often the means alternate. Nothing is
+    taken from `blocks` until a time is asked for.
     """
 
-    __slots__ = ("_blocks", "_rel_std", "_sample", "_normals", "_converted", "_next", "_mean", "_times")
+    __slots__ = ("_blocks", "_rel_std", "_sample", "_normals", "_converted", "_end", "_job")
 
     def __init__(self, blocks: Iterator[np.ndarray], rel_std: float, sample: Callable):
         self._blocks = blocks
@@ -227,30 +228,25 @@ class ExecDraws:
         # per mean, the times converted from the block index it was first
         # asked for at to the end of the block; cleared on refill
         self._converted: dict[int, list[int]] = {}
-        # the block's next value as a negative index (minus its length at a
-        # fresh block, 0 once used up), which indexes every conversion of the
-        # block however late it started; used up, so the first call refills
-        self._next = 0
-        # the mean of the last call and its conversion of the block; 0 (no
-        # mean) until the first call and after each refill
-        self._mean = 0
-        self._times: list[int] = []
+        self._end = 0  # the job after the block's last
+        self._job = 0  # the job last asked for
 
-    def draw(self, mean_ns: int) -> int:
-        j = self._next
-        if not j:
+    def times(self, mean_ns: int, job: int) -> list[int]:
+        if job < self._job:
+            raise ValueError(f"job {job} asked for after job {self._job}")
+        self._job = job
+        j = job - self._end  # the job's value as a negative index into the block
+        if j >= 0:
             normals = self._normals = next(self._blocks)
             self._converted.clear()
-            self._mean = 0
-            j = -len(normals)
-        if mean_ns != self._mean:
-            times = self._converted.get(mean_ns)
-            if times is None:
-                times = self._converted[mean_ns] = self._sample(mean_ns, self._normals[j:], self._rel_std)
-            self._mean = mean_ns
-            self._times = times
-        self._next = j + 1
-        return self._times[j]
+            self._end += len(normals)
+            j -= len(normals)
+            if j >= 0:
+                raise ValueError(f"job {job} lies past the next block")
+        times = self._converted.get(mean_ns)
+        if times is None:
+            times = self._converted[mean_ns] = self._sample(mean_ns, self._normals[j:], self._rel_std)
+        return times[j:]
 
 
 def measure_utilization(
@@ -293,7 +289,7 @@ class _TaskRuntime:
     spec: TaskSpec
     name: str
     period_ns: int
-    exec_time: Callable[[int], int] | None  # mean_ns -> exec_ns, bound once per task; None: the mean itself
+    exec_time: ExecTimeSource | None  # bound once per task; None: each job runs for the mean itself
     on_job_start: StartHook | None  # None once the hook has opted the task out
     next_release_ns: int = 0
     # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
@@ -306,6 +302,7 @@ class _TaskRuntime:
     # first) and its mean; releases only move forward from 0
     span_end: float = 0
     span_mean: int = 0
+    exec_times: Iterator[int] = iter(())  # the source's times not yet taken; emptied at span entry
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
@@ -321,7 +318,8 @@ _NEVER = float("inf")  # later than any release; the release pass's starting min
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
-ExecTimeFn = Callable[[TaskSpec], Callable[[int], int] | None]  # spec -> (mean_ns -> exec_ns), or None
+ExecTimeSource = Callable[[int, int], Iterable[int]]  # (mean_ns, job) -> the times of that job and on
+ExecTimeFn = Callable[[TaskSpec], ExecTimeSource | None]  # spec -> the task's source, or None
 
 
 class Kernel:
@@ -331,10 +329,13 @@ class Kernel:
     in force, the one `mean_at` gives, looking the schedule up (`span_at`)
     only when the release enters a span past the last one's end.
     `exec_time_of` is called once per task, at construction, with its spec.
-    The function it returns is that task's execution-time source: the kernel
-    calls it once per release with that mean and takes the result as the
-    job's execution time (this is where callers inject sampling noise). With
-    no factory, or `None` from it, a job runs for the mean itself.
+    The function it returns is that task's execution-time source (this is
+    where callers inject sampling noise): called with that mean and the
+    index of the job being released (from 0), it returns the times of that
+    job and of as many following jobs as it likes (at least one), all at
+    that mean, and the kernel asks again once they run out or a release
+    enters a new span. With no factory, or `None` from it, a job runs for
+    the mean itself.
     `on_job_release` fires at the release instant (the time-triggered point
     where a control job latches its inputs), `on_job_start` the first time a
     job gets the CPU, `on_job_finish` when it completes. A start hook that
@@ -450,12 +451,17 @@ class Kernel:
                         period = rt.period_ns  # the period in force fixes deadline and successor
                         if release_ns >= rt.span_end:  # the release enters the schedule's next span
                             rt.span_end, rt.span_mean = rt.spec.exec_schedule.span_at(release_ns)
-                        exec_ns = rt.span_mean
-                        exec_time = rt.exec_time
-                        if exec_time is not None:
-                            exec_ns = int(exec_time(exec_ns))
-                            if exec_ns <= 0:
-                                raise ValueError(f"task {rt.name}: sampled execution time must be positive")
+                            rt.exec_times = iter(())
+                        if rt.exec_time is None:
+                            exec_ns = rt.span_mean
+                        else:
+                            exec_ns = next(rt.exec_times, 0)
+                            if not exec_ns:  # the source's times are used up or dropped: ask again
+                                times = list(map(int, rt.exec_time(rt.span_mean, rt.completed + len(rt.queue))))
+                                if not times or min(times) <= 0:
+                                    raise ValueError(f"task {rt.name}: sampled execution time must be positive")
+                                rt.exec_times = times = iter(times)
+                                exec_ns = next(times)
                         rt.queue.append((release_ns, release_ns + period, exec_ns))
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)

@@ -72,19 +72,22 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         while True:
             yield float(rng.standard_normal())
 
-    exec_draw = {t.name: ExecDraws(blocks(stream(i)), exec_std, sample).draw for i, t in enumerate(cfg.tasks)}
+    exec_draw = {t.name: ExecDraws(blocks(stream(i)), exec_std, sample).times for i, t in enumerate(cfg.tasks)}
     util_normals = scalars(stream(len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec):
-        """Every task's source, the scheduler's too: it checks the mean the
-        kernel found against a lookup of its own at the release, then draws
-        (or, without noise, keeps the mean)."""
+        """Every task's source, the scheduler's too: it hands out one job's
+        time per call, so the kernel asks it at every release. It checks the
+        mean the kernel found against a lookup of its own at the release and
+        the job index against the task's releases so far, then draws (or,
+        without noise, keeps the mean)."""
         draw = exec_draw.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         mean_at = spec.exec_schedule.mean_at
 
-        def exec_time(mean_ns: int) -> int:
+        def exec_time(mean_ns: int, job: int) -> list[int]:
             assert mean_ns == mean_at(kernel.now_ns), (spec.name, kernel.now_ns, mean_ns)
-            return draw(mean_ns) if draw is not None and exec_std else mean_ns
+            assert job == kernel.stats(spec.name).released, (spec.name, kernel.now_ns, job)
+            return draw(mean_ns, job)[:1] if draw is not None and exec_std else [mean_ns]
 
         return exec_time
 

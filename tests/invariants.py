@@ -128,8 +128,9 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
         finishes: dict[str, list] = defaultdict(list)
 
         def exec_time_of(spec: TaskSpec):
-            # every task's source draws from the one shared rng, in release order
-            return lambda mean_ns: max(1, int(mean_ns * rng.uniform(0.3, 1.5)))
+            # every task's source draws one job's time at a time from the one
+            # shared rng, so the kernel asks it at every release, in release order
+            return lambda mean_ns, job: [max(1, int(mean_ns * rng.uniform(0.3, 1.5)))]
 
         kernel = Kernel(
             specs,

@@ -21,7 +21,7 @@ from ffsched.experiment import (
     trace_lines,
 )
 from ffsched.control import PlantParams, ReferencePath, reference_at
-from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, Kernel, seconds_to_ns
+from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, ExecSchedule, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from hook_wiring import run_with_job_hooks
 from invariants import _verify_case
@@ -325,7 +325,9 @@ print(rc, "numpy.random" in sys.modules)
 class TestReplayMatchesJobHooks:
     """`run_experiment` replays the control loops from each window's job
     timeline; `run_with_job_hooks` drives them from per-job kernel hooks.
-    Both must give identical trace records and summaries."""
+    Both must give identical trace records and summaries. The hook wiring's
+    sources hand out one job's time per call, so the kernel asks them at
+    every release, while the run's hand out the rest of a noise block."""
 
     @staticmethod
     def _assert_identical(cfg, seed):
@@ -387,43 +389,79 @@ class TestReplayMatchesJobHooks:
 
 
 class TestNoiseDraws:
-    def _count_draws(self, cfg, monkeypatch):
-        draws = [0]
+    def _record_calls(self, cfg, monkeypatch):
+        """Run `cfg` at seed 1 and return each user task's `ExecDraws.times`
+        calls as (job, times), every task's execution times as the kernel
+        filed them, and the result."""
+        built, samples = [], {}
 
         class CountingDraws(ExecDraws):
-            __slots__ = ()
+            __slots__ = ("calls",)
 
-            def draw(self, mean_ns):
-                draws[0] += 1
-                return super().draw(mean_ns)
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.calls = []
+                built.append(self)
 
+            def times(self, mean_ns, job):
+                got = super().times(mean_ns, job)
+                self.calls.append((job, got))
+                return got
+
+        class RecordingKernel(Kernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kernels.append(self)
+
+            def window_snapshot(self, window_end_ns):
+                window = super().window_snapshot(window_end_ns)
+                for name, execs in window.samples.items():
+                    samples.setdefault(name, []).extend(execs)
+                return window
+
+        kernels = []
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
+        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
         result = run_experiment(cfg, seed=1)
-        return draws[0], result
+        (kernel,) = kernels
+        kernel.window_snapshot(ExecSchedule.FOREVER)  # the jobs released after the last invocation
+        calls = {t.name: draws.calls for t, draws in zip(cfg.tasks, built)}
+        assert len(calls) == len(built)  # one per user task, or none
+        return calls, samples, result
 
     def test_one_draw_per_user_job(self, monkeypatch):
-        draws, result = self._count_draws(replace(default_scenario(), horizon_s=0.5), monkeypatch)
+        calls, samples, result = self._record_calls(replace(default_scenario(), horizon_s=0.5), monkeypatch)
         stats = result.summary.task_stats
-        assert draws == sum(s.released for name, s in stats.items() if name != SCHEDULER_TASK)
+        assert list(calls) == [name for name in stats if name != SCHEDULER_TASK]
+        for name, task_calls in calls.items():
+            released = stats[name].released
+            # the calls start at job 0 and skip none, and the last one's times reach the last job
+            jobs = [job for job, _ in task_calls] + [released]
+            assert jobs[0] == 0 and all(a < b <= a + len(times) for (a, times), b in zip(task_calls, jobs[1:]))
+            assert jobs[-2] + len(task_calls[-1][1]) >= released
+            # each job ran for the time at its index in the latest call's list
+            handed = [t for (job, times), end in zip(task_calls, jobs[1:]) for t in times[: end - job]]
+            assert handed == samples[name] and len(handed) == released
+            assert len(task_calls) < released / 10  # a block per call, not a job
 
     def test_flickering_means_convert_once_per_block(self, monkeypatch):
         # (task stream, block, mean) of every conversion
         conversions = []
 
         class CountingDraws(ExecDraws):
-            __slots__ = ("drawn",)
+            __slots__ = ("job",)
 
             def __init__(self, blocks, rel_std, sample):
                 def counted(mean_ns, normals, rel_std):
-                    conversions.append((id(self), (self.drawn - 1) // NOISE_BLOCK, mean_ns))
+                    conversions.append((id(self), self.job // NOISE_BLOCK, mean_ns))
                     return sample(mean_ns, normals, rel_std)
 
                 super().__init__(blocks, rel_std, counted)
-                self.drawn = 0
+                self.job = -1
 
-            def draw(self, mean_ns):
-                self.drawn += 1
-                return super().draw(mean_ns)
+            def times(self, mean_ns, job):
+                self.job = job
+                return super().times(mean_ns, job)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
         run_experiment(_flickering_scenario(), seed=1)
@@ -432,6 +470,7 @@ class TestNoiseDraws:
         # ... while the means do change inside blocks
         blocks = {(stream, block) for stream, block, _ in conversions}
         assert len(conversions) > len(blocks)
+        assert min(block for _, block, _ in conversions) == 0
 
     @pytest.mark.parametrize(
         "scenario, most_spans", [(default_scenario, 5), (_flickering_scenario, None)], ids=["default", "flickering"]
@@ -466,6 +505,6 @@ class TestNoiseDraws:
         cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)
         samples = []
         monkeypatch.setattr(experiment, "sample_execution_time", lambda *args: samples.append(args))
-        draws, _ = self._count_draws(cfg, monkeypatch)
-        assert draws == 0
+        calls, _, _ = self._record_calls(cfg, monkeypatch)
+        assert calls == {}
         assert samples == []  # no execution time is converted either

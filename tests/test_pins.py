@@ -86,6 +86,30 @@ def test_sweep_output_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_PIN
 
 
+# every `sample_execution_time` call of the default fuzzy run at seed 1 and
+# of `_flickering_scenario()`, as `(mean_ns, len(normals))`: the call count
+# and the sha256 of the sequence's repr. The calls are the noise layer's
+# numpy work, and the benchmark's tracer counts them as `rtsim.noise_draws`
+CONVERSION_PINS = {
+    "default": (19, "7534eeb90cdfac69525909890c90aeb04a5afdaff23db8e70601494413ea0b64"),
+    "flickering": (5, "6497cfb739681c9cb4fb85c871894042b4222e7198c02298d6727a136a313a85"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CONVERSION_PINS))
+def test_execution_time_conversions_are_pinned(monkeypatch, scenario):
+    calls = []
+    sample = experiment.sample_execution_time
+
+    def recording(mean_ns, normals, rel_std):
+        calls.append((mean_ns, len(normals)))
+        return sample(mean_ns, normals, rel_std)
+
+    monkeypatch.setattr(experiment, "sample_execution_time", recording)
+    run_experiment(default_scenario() if scenario == "default" else _flickering_scenario(), seed=1)
+    assert (len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()) == CONVERSION_PINS[scenario]
+
+
 # sha256 of every JobRecord and Segment the kernel produces in the default
 # fuzzy run at seed 1: no output file shows start instants, job indices or
 # preemption splits, so this pins them directly

@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 from dataclasses import replace
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,12 @@ class TestExecSchedule:
         # the kernel hands a noise-free task's mean to its jobs as it stands
         with pytest.raises(ValueError, match="int nanoseconds"):
             ExecSchedule(segments=(segment,))
+
+    @pytest.mark.parametrize("mean", [1.9, 100.0, True, np.int64(100)])
+    def test_constant_holds_int_nanoseconds(self, mean):
+        # the one-segment form meets the same rule, so no mean is truncated
+        with pytest.raises(ValueError, match="int nanoseconds"):
+            ExecSchedule.constant(mean)
 
 
 class TestTaskSpec:
@@ -302,7 +309,9 @@ class TestKernelTimeline:
 
 class TestExecTimeSource:
     """`exec_time_of` is a per-task factory; the source it returns is called
-    per release with the mean the kernel found in force there."""
+    with the mean the kernel found in force at a release and the job's index,
+    and a source that hands out one job's time per call is asked at every
+    release."""
 
     def test_factory_called_once_per_task_at_construction(self):
         specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 4, 1)]
@@ -310,7 +319,7 @@ class TestExecTimeSource:
 
         def exec_time_of(spec):
             asked.append(spec)
-            return lambda mean_ns: mean_ns
+            return lambda mean_ns, job: [mean_ns]
 
         kernel = Kernel(specs, exec_time_of=exec_time_of)
         assert asked == specs
@@ -324,9 +333,10 @@ class TestExecTimeSource:
         calls, releases = [], []
 
         def exec_time_of(spec):
-            def exec_time(mean_ns):
+            def exec_time(mean_ns, job):
+                assert job == kernel.stats(spec.name).released  # the index of the job being released
                 calls.append((spec.name, kernel.now_ns, mean_ns))
-                return 2 * mean_ns
+                return [2 * mean_ns]
 
             return exec_time
 
@@ -356,10 +366,16 @@ class TestExecTimeSource:
         # the job runs for what the source returned
         assert all(job.exec_ns == 2 * spec_of[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
 
-    def test_source_result_is_checked(self):
-        kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda mean_ns: 0)
-        with pytest.raises(ValueError, match="positive"):
+    @pytest.mark.parametrize(
+        "times", [lambda mean: [0], lambda mean: [], lambda mean: [-1], lambda mean: [mean, mean, -mean]]
+    )
+    def test_source_result_is_checked(self, times):
+        # the whole list is checked when it is handed over, so a bad time for
+        # a later job fails at the first release already
+        kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda mean_ns, job: times(mean_ns))
+        with pytest.raises(ValueError, match="task t: sampled execution time must be positive"):
             kernel.run(MS)
+        assert kernel.stats("t").released == 0
 
     @pytest.mark.parametrize("exec_std", [0.0, 0.1])
     def test_run_experiment_builds_draws_only_for_noisy_runs(self, monkeypatch, exec_std):
@@ -421,7 +437,8 @@ class TestScheduleCursor:
 
     def test_matches_per_release_mean_at(self):
         cursor = self._simulate(None)
-        assert cursor == self._simulate(lambda spec: lambda mean_ns: mean_ns)
+        assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns])
+        assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns] * 5)
         jobs, _, stats, windows = cursor
         assert all(job.exec_ns == self.SPECS[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
         for _, samples, releases in windows:
@@ -452,7 +469,7 @@ class TestScheduleCursor:
         jobs = []
         kernel = Kernel(
             [TaskSpec("t", TaskKind.LOAD, 1, 4 * MS, schedule)],
-            exec_time_of=lambda spec: draws.draw,
+            exec_time_of=lambda spec: draws.times,
             on_job_finish=jobs.append,
         )
         # releases at 0, 4, 10 and 25 ms: periods of 4, 6 and 15 ms in turn
@@ -510,7 +527,7 @@ class TestScheduleCursor:
             draws = ExecDraws(_blocks(np.random.default_rng(seed), size), rel_std, sample_execution_time)
             kernel = Kernel(
                 [TaskSpec("t", TaskKind.LOAD, 1, period_ns, counting)],
-                exec_time_of=lambda spec: draws.draw if noisy else None,
+                exec_time_of=lambda spec: draws.times if noisy else None,
             )
             for until_ns, next_period_ns in stops:
                 kernel.run(until_ns)
@@ -524,6 +541,54 @@ class TestScheduleCursor:
             assert window.samples["t"] == expected
             assert counting.asked == _span_entries(schedule, releases)
 
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=_schedule_and_periods(), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    def test_chunking_does_not_matter(self, case, lengths):
+        """A source may hand out any number of jobs' times per call: lists
+        of the generated lengths in turn, some running past a span end (the
+        kernel drops their rest), must give the same jobs, windows and stats
+        as one-element lists, and every call gets the mean in force at the
+        release and the index of the job released."""
+        schedule, period_ns, stops = case
+
+        def time_of(mean_ns, job):  # a pure function of the mean and the job
+            return mean_ns * (1 + job % 3) + job
+
+        def simulate(lengths):
+            calls, jobs, windows = [], [], []
+            chunks = cycle(lengths)
+
+            def exec_time_of(spec):
+                def exec_time(mean_ns, job):
+                    calls.append((spec.name, job, mean_ns))
+                    assert mean_ns == schedule.mean_at(kernel.now_ns)
+                    assert job == kernel.stats(spec.name).released
+                    return [time_of(mean_ns, j) for j in range(job, job + next(chunks))]
+
+                return exec_time
+
+            # "u" is released between "t"'s releases and preempted by them
+            tasks = [TaskSpec("t", TaskKind.LOAD, 1, period_ns, schedule), TaskSpec("u", TaskKind.LOAD, 2, 5, schedule)]
+            kernel = Kernel(tasks, exec_time_of=exec_time_of, on_job_finish=jobs.append)
+            for until_ns, next_period_ns in stops:
+                kernel.run(until_ns)
+                kernel.set_period("t", next_period_ns)
+                windows.append(kernel.window_snapshot(until_ns))
+            windows.append(kernel.window_snapshot(ExecSchedule.FOREVER))  # every job released
+            return calls, (jobs, windows, [kernel.stats(name) for name in "tu"])
+
+        calls, chunked = simulate(lengths)
+        per_job_calls, per_job = simulate([1])
+        assert chunked == per_job
+        for name in "tu":
+            released = [t for window in per_job[1] for t in window.releases[name]]
+            assert [(job, mean) for task, job, mean in per_job_calls if task == name] == [
+                (job, schedule.mean_at(t)) for job, t in enumerate(released)
+            ]
+            samples = [x for window in per_job[1] for x in window.samples[name]]
+            assert samples == [time_of(schedule.mean_at(t), job) for job, t in enumerate(released)]
+        assert len(calls) <= len(per_job_calls)
 
 class TestKernelResume:
     """`run` keeps its clock, running task and next release in locals; a run
@@ -629,10 +694,10 @@ class TestWindowSnapshot:
         releases, execs, finishes = ({name: [] for name in names} for _ in range(3))
 
         def exec_time_of(spec):
-            def exec_time(mean_ns):
+            def exec_time(mean_ns, job):
                 exec_ns = max(1, int(mean_ns * rng.uniform(0.3, 1.5)))
                 execs[spec.name].append(exec_ns)
-                return exec_ns
+                return [exec_ns]
 
             return exec_time
 
@@ -699,17 +764,25 @@ class TestNoiseHelpers:
             1.0,
             lambda mean_ns, normals, rel_std: normals.tolist(),
         )
-        assert [passthrough.draw(1) for _ in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        assert [passthrough.times(1, j)[0] for j in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
         draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
-        assert [draws.draw(1_000_000) for _ in range(n)] == expected
+        assert [draws.times(1_000_000, j)[0] for j in range(n)] == expected
+        # asked at each block's first job, the times come a whole block at a time
+        draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
+        by_block = [draws.times(1_000_000, j) for j in range(0, n, size)]
+        assert all(len(times) == size for times in by_block)
+        assert [t for times in by_block for t in times][:n] == expected
         # means that alternate mid-block reuse their conversions at later jobs
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
         draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
-        assert [draws.draw(mean) for mean in means] == expected
+        got = [draws.times(mean, j) for j, mean in enumerate(means)]
+        assert [times[0] for times in got] == expected
+        # each call hands over its job and the rest of the job's block
+        assert [len(times) for times in got] == [size - j % size for j in range(n)]
 
     def test_span_at_bounds_the_mean_at_lookup(self):
         schedule = ExecSchedule(((0, 5 * MS, 100), (5 * MS, 12 * MS, 200), (12 * MS, 13 * MS, 300)))
@@ -730,8 +803,18 @@ class TestNoiseHelpers:
         state = rng.bit_generator.state
         draws = ExecDraws(_blocks(rng), 0.0, sample_execution_time)
         assert rng.bit_generator.state == state
-        assert draws.draw(1_000_000) == 1_000_000
+        assert draws.times(1_000_000, 0) == [1_000_000] * NOISE_BLOCK
         assert rng.bit_generator.state != state  # the first time asked for refills
+
+    def test_exec_draws_refuse_an_earlier_job_or_one_past_the_next_block(self):
+        draws = ExecDraws(_blocks(np.random.default_rng(7), 5), 0.0, sample_execution_time)
+        assert draws.times(100, 3) == [100, 100]  # jobs 3 and 4 of the first block
+        assert draws.times(200, 3) == [200, 200]  # the same job again, at another mean
+        with pytest.raises(ValueError, match="job 2 asked for after job 3"):
+            draws.times(100, 2)
+        assert draws.times(100, 9) == [100]  # the next block's last job
+        with pytest.raises(ValueError, match="job 15 lies past the next block"):
+            draws.times(100, 15)  # jobs 10 to 14 would be skipped
 
     @pytest.mark.parametrize("seed, stream", [(7, 0), (3, 4)])
     def test_normal_blocks_match_scalar_draws(self, seed, stream):
@@ -890,7 +973,7 @@ class TestBatchedSampler:
             return sample_execution_time(mean_ns, normals, rel_std)
 
         draws = ExecDraws(_blocks(np.random.default_rng(seed), size), rel_std, sample)
-        got = [draws.draw(mean) for mean in means]
+        got = [draws.times(mean, j)[0] for j, mean in enumerate(means)]
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
         return got, expected, sizes
