@@ -541,7 +541,6 @@ class TestScheduleCursor:
             assert window.samples["t"] == expected
             assert counting.asked == _span_entries(schedule, releases)
 
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=_schedule_and_periods(), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8))
     def test_chunking_does_not_matter(self, case, lengths):
@@ -589,6 +588,7 @@ class TestScheduleCursor:
             samples = [x for window in per_job[1] for x in window.samples[name]]
             assert samples == [time_of(schedule.mean_at(t), job) for job, t in enumerate(released)]
         assert len(calls) <= len(per_job_calls)
+
 
 class TestKernelResume:
     """`run` keeps its clock, running task and next release in locals; a run
