@@ -19,6 +19,7 @@ from dataclasses import replace
 from .errors import FfschedError
 from .experiment import emit_traces, format_summary, run_experiment, trace_lines, write_lines
 from .fuzzy import compile_lookup_table, diff_report, format_table, load_golden_table
+from .rtsim import NORMAL_BOUND
 from .scenario import MODES, ScenarioConfig, default_scenario, load_scenario, validate_scenario
 
 EXIT_CODES = {
@@ -174,8 +175,10 @@ def _noise_grid(text: str) -> tuple[float, ...]:
         levels = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    if not all(0 <= 40 * level < math.inf for level in levels):  # as validate_scenario bounds util_std
-        raise argparse.ArgumentTypeError(f"levels must be non-negative with 40 * level finite, got {text!r}")
+    if not all(0 <= NORMAL_BOUND * level < math.inf for level in levels):  # as validate_scenario bounds util_std
+        raise argparse.ArgumentTypeError(
+            f"levels must be non-negative with {NORMAL_BOUND:g} * level finite, got {text!r}"
+        )
     return levels
 
 

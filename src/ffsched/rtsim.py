@@ -164,6 +164,9 @@ class UtilizationSample(NamedTuple):
 
 
 NOISE_BLOCK = 256  # standard-normal values per block of a noise stream
+# a standard-normal draw from numpy never reaches this bound (its ziggurat
+# tail stops below 14), so a limit scaled by it holds for every draw
+NORMAL_BOUND = 40.0
 EXEC_FLOOR_FRAC = 0.01  # shortest drawn execution time, as a fraction of the mean
 
 
@@ -313,8 +316,6 @@ class _TaskRuntime:
     pending_finishes: list[int] = field(default_factory=list)
 
 
-_NEVER = float("inf")  # later than any release; the release pass's starting minimum
-
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
@@ -341,11 +342,11 @@ class Kernel:
     job gets the CPU, `on_job_finish` when it completes. A start hook that
     returns `False` for a task's job opts that task out: the kernel never
     calls it for the task again (any other return, `None` included, changes
-    nothing). A deadline equals
-    the release plus the period in force at that release, and a miss is
-    counted when the job completes after it, not on it. `now_ns` holds the
-    instant of the event served at each source and hook call, and `until_ns`
-    once `run` returns; hooks may call `set_period` and `window_snapshot`.
+    nothing). A deadline equals the release plus the period in force at that
+    release, and a miss is counted when the job completes after it, not on
+    it. `now_ns` holds the instant of the event served at each source and
+    hook call, and `until_ns` once `run` returns; hooks may call
+    `set_period` and `window_snapshot`.
     """
 
     def __init__(
@@ -444,7 +445,7 @@ class Kernel:
                 # earliest pending release in the same pass; no dispatch pass
                 # runs past a release, so a due release is due exactly now
                 self.now_ns = now
-                next_release = _NEVER
+                next_release = inf  # later than any release; the pass's starting minimum
                 for rt in by_priority:
                     release_ns = rt.next_release_ns
                     if release_ns <= now:

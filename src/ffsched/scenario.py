@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
-from .rtsim import NS, ExecSchedule, TaskKind, TaskSpec, seconds_to_ns
+from .rtsim import NORMAL_BOUND, NS, ExecSchedule, TaskKind, TaskSpec, seconds_to_ns
 
 MODES = ("fuzzy", "ideal", "open")
 SCHEDULER_TASK = "sched"  # implicit highest-priority task; not declarable
@@ -310,8 +310,8 @@ def validate_scenario(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpe
             f"pid: kp * deriv_filter ({pid.kp:g} * {pid.deriv_filter:g}) underflows to 0, "
             "and the derivative filter divides by it"
         )
-    # numpy's normal draws stay below 40 (see kernel_times), so u_raw stays finite
-    if not math.isfinite(40.0 * cfg.util_std):
+    # numpy's normal draws stay below NORMAL_BOUND, so u_raw stays finite
+    if not math.isfinite(NORMAL_BOUND * cfg.util_std):
         raise ScenarioSemanticError(f"util_std {cfg.util_std!r} lets the utilization measurement overflow")
     return kernel_times(cfg)
 
@@ -392,10 +392,9 @@ def kernel_times(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[TaskSpec, ..
             segments.append((start_ns, end_ns, mean_ns))
             start_ns = end_ns
         specs.append(TaskSpec(task.name, task.kind, task.priority, period_ns, ExecSchedule(tuple(segments))))
-    # a standard-normal draw from numpy never reaches 40 (its ziggurat tail
-    # stops below 14), so no execution time can be drawn past this bound
+    # no execution time can be drawn past this bound (see NORMAL_BOUND)
     max_mean_ns = max(mean_ns for spec in specs for _, _, mean_ns in spec.exec_schedule.segments)
-    if not max_mean_ns * (1.0 + 40.0 * cfg.exec_std) <= forever:
+    if not max_mean_ns * (1.0 + NORMAL_BOUND * cfg.exec_std) <= forever:
         raise ScenarioSemanticError(
             f"exec_std {cfg.exec_std!r} lets execution times exceed {forever} ns"
         )

@@ -1,7 +1,7 @@
 """Hand-transcribed reference copy of the control look-up table.
 
 Kept outside the package on purpose: the tests compare the table literal
-in `ffsched.fuzzy.table` against this copy, so a silent edit to that
+in `ffsched.fuzzy` against this copy, so a silent edit to that
 literal cannot vouch for itself.  Rows run e = -6..6 top to bottom,
 columns ec = -6..6 left to right.
 """

@@ -2,10 +2,10 @@
 
 The sha256 of `trace.csv` and `summary.txt` for every scheduling mode at
 seed 1 on the default 4 s scenario and for a scenario whose mean execution
-times change between consecutive jobs, and of a short noise sweep's
-`sweep_summary.csv`. A refactor or speed-up of the simulation
-must leave them as they are; a change that is meant to alter the numbers
-re-takes these pins and says why.
+times change between consecutive jobs, of a short noise sweep's
+`sweep_summary.csv`, and of the `table` command's output. A refactor or
+speed-up of the simulation must leave them as they are; a change that is
+meant to alter the numbers re-takes these pins and says why.
 """
 
 import hashlib
@@ -43,6 +43,14 @@ FLICKER_PINS = {
 
 # sweep_summary.csv of `ffsched sweep --seeds 2 --horizon 1`
 SWEEP_PIN = "6a0b613b532687fed357409429c323365fddc2c7394399e204c1a5357d4ee906"
+
+# stdout of `ffsched table` with each option: the golden table, the compiled
+# one, and their per-cell difference report
+TABLE_PINS = {
+    "": "e8b9386f797282ca3b7f37ad52ea1486f63d91eeef743091462a86ed807d15fa",
+    "--compile": "2cda78557681bf34e31644507b3a024897724550d4f9d6f710033fdf0ca81c22",
+    "--diff": "e580e47742fbd39f993484c6da33ed87d9708f288edceffab6dcd086afe8c499",
+}
 
 
 @pytest.mark.parametrize("mode", sorted(PINS))
@@ -84,6 +92,12 @@ def test_sweep_output_is_pinned(tmp_path, capsys):
     assert main(["sweep", "--seeds", "2", "--horizon", "1", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "sweep_summary.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_PIN
+
+
+@pytest.mark.parametrize("option", sorted(TABLE_PINS))
+def test_table_output_is_pinned(option, capsys):
+    assert main(["table", *option.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TABLE_PINS[option]
 
 
 # every `sample_execution_time` call of the default fuzzy run at seed 1 and
