@@ -126,15 +126,6 @@ class TaskStats:
     preemptions: int
 
 
-class Segment(NamedTuple):
-    """A contiguous stretch of CPU given to one job (recorded on request)."""
-
-    task: str
-    index: int
-    start_ns: int
-    end_ns: int
-
-
 class WindowData(NamedTuple):
     """The job timeline of one sampling window, per task name.
 
@@ -357,7 +348,6 @@ class Kernel:
         on_job_release: ReleaseHook | None = None,
         on_job_start: StartHook | None = None,
         on_job_finish: FinishHook | None = None,
-        record_segments: bool = False,
     ):
         specs = list(tasks)
         if not specs:
@@ -374,8 +364,6 @@ class Kernel:
         self._by_priority = sorted(self._tasks.values(), key=lambda rt: rt.spec.priority)
         self._on_job_release = on_job_release
         self._on_job_finish = on_job_finish
-        self._record_segments = record_segments
-        self.segments: list[Segment] = []
         self._running: _TaskRuntime | None = None
         self._next_release_ns = 0  # earliest pending release over all tasks
         self.now_ns = 0
@@ -430,12 +418,13 @@ class Kernel:
         """
 
         now = self.now_ns
+        if type(until_ns) is not int:
+            raise ValueError(f"until_ns must be an int of nanoseconds, got {until_ns!r}")
         if until_ns < now:
             raise ValueError("cannot run backwards")
         by_priority = self._by_priority
         on_job_release = self._on_job_release
         on_job_finish = self._on_job_finish
-        record_segments = self._record_segments
         new_tuple = tuple.__new__  # builds a JobRecord without its Python-level __new__
         running = self._running  # the task whose head job holds the CPU unfinished
         next_release = self._next_release_ns  # earliest pending release over all tasks
@@ -500,13 +489,9 @@ class Kernel:
                     else:
                         end = now + rt.head_remaining_ns
                     if end > bound:
-                        if record_segments:
-                            self._append_segment(rt.name, rt.completed, now, bound)
                         rt.head_remaining_ns = end - bound
                         now = bound
                         break
-                    if record_segments:
-                        self._append_segment(rt.name, rt.completed, now, end)
                     now = end
                     queue.popleft()
                     rt.completed += 1
@@ -529,11 +514,3 @@ class Kernel:
         self.now_ns = now
         self._running = running
         self._next_release_ns = next_release
-
-    def _append_segment(self, task: str, index: int, start_ns: int, end_ns: int) -> None:
-        if self.segments:
-            last = self.segments[-1]
-            if last.task == task and last.index == index and last.end_ns == start_ns:
-                self.segments[-1] = last._replace(end_ns=end_ns)
-                return
-        self.segments.append(Segment(task, index, start_ns, end_ns))

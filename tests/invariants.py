@@ -2,7 +2,9 @@
 
 Each checker runs `cases` independent random trials and raises AssertionError
 with context on the first violation; it returns the number of trials so
-callers can assert the workload actually happened.
+callers can assert the workload actually happened. The kernel checks read
+the schedule off `reference_dispatch.dispatch` fed with the kernel's own job
+stream, after holding the kernel's job records and preemption counts to it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ffsched.fuzzy import (
 )
 from ffsched.rtsim import ExecSchedule, Kernel, TaskKind, TaskSpec
 from ffsched.schedulers import FuzzyFeedbackScheduler
+from reference_dispatch import dispatch
 
 MS = 1_000_000
 
@@ -104,8 +107,30 @@ def check_control_invariants(cases: int, seed: int = 2002) -> int:
     return cases
 
 
+class JobStreamKernel(Kernel):
+    """A `Kernel` that keeps a copy of every job its window snapshots hand
+    out. `job_stream()` takes a final snapshot and returns each task's
+    `(release_ns, exec_ns)` pairs in release order, the input of
+    `reference_dispatch.dispatch`."""
+
+    def __init__(self, tasks, **kwargs):
+        self._jobs = defaultdict(list)
+        super().__init__(tasks, **kwargs)
+
+    def window_snapshot(self, window_end_ns):
+        window = super().window_snapshot(window_end_ns)
+        for name, releases in window.releases.items():
+            self._jobs[name] += zip(releases, window.samples[name])
+        return window
+
+    def job_stream(self) -> dict[str, list[tuple[int, int]]]:
+        self.window_snapshot(ExecSchedule.FOREVER)
+        return dict(self._jobs)
+
+
 def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
-    """Work conservation, priority correctness and accounting on random task sets."""
+    """Agreement with the reference dispatcher, work conservation, priority
+    correctness and accounting on random task sets."""
 
     rng = np.random.default_rng(seed)
     for _ in range(cases):
@@ -132,12 +157,11 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
             # shared rng, so the kernel asks it at every release, in release order
             return lambda mean_ns, job: [max(1, int(mean_ns * rng.uniform(0.3, 1.5)))]
 
-        kernel = Kernel(
+        kernel = JobStreamKernel(
             specs,
             exec_time_of=exec_time_of,
             on_job_release=lambda name, rel: releases[name].append(rel),
             on_job_finish=lambda rec: finishes[rec.task].append(rec),
-            record_segments=True,
         )
         # run in chunks with period changes in between to exercise re-perioding
         boundaries = sorted(int(rng.integers(1, horizon)) for _ in range(int(rng.integers(0, 3))))
@@ -152,8 +176,19 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
 
 
 def _verify_case(specs, kernel, releases, finishes, horizon) -> None:
+    """Checks one run of a `JobStreamKernel` up to `horizon`; `releases` and
+    `finishes` hold what its release and finish hooks got, per task."""
     prio = {s.name: s.priority for s in specs}
-    segs = kernel.segments
+    jobs = kernel.job_stream()
+    segs, completions, preemptions = dispatch(jobs, prio, horizon)
+    # the kernel dispatched its job stream as the reference does
+    for s_ in specs:
+        name = s_.name
+        assert [release_ns for release_ns, _ in jobs[name]] == releases[name], name
+        kernel_jobs = [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in finishes[name]]
+        assert kernel_jobs == [c for c in completions if c.task == name], name
+        assert kernel.stats(name).preemptions == preemptions[name], name
+
     for a, b in zip(segs, segs[1:]):
         assert a.end_ns <= b.start_ns, f"overlapping segments {a} {b}"
         assert a.start_ns < a.end_ns

@@ -24,7 +24,7 @@ from ffsched.control import PlantParams, ReferencePath, reference_at
 from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, ExecSchedule, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
 from hook_wiring import run_with_job_hooks
-from invariants import _verify_case
+from invariants import JobStreamKernel, _verify_case
 from test_pins import _flickering_scenario
 from test_rtsim import _CountingSchedule, _span_entries
 
@@ -236,13 +236,15 @@ class TestReferenceEndPoint:
 class TestKernelInvariantsInTheLoop:
     """The kernel invariants of the synthetic suites, checked on the real
     co-simulation, where the scheduler re-periods tasks from inside the
-    kernel's job-start hook."""
+    kernel's job-start hook: the kernel dispatches the run's job stream as
+    the reference dispatcher does, and the reference's schedule of it keeps
+    the invariants."""
 
     @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
     def test_invariants_hold(self, mode, monkeypatch):
         kernels = []
 
-        class RecordingKernel(Kernel):
+        class RecordingKernel(JobStreamKernel):
             def __init__(self, tasks, *, on_job_release=None, on_job_finish=None, **kwargs):
                 # the run replays its loops from window snapshots, not per-job hooks
                 assert on_job_release is None and on_job_finish is None
@@ -256,9 +258,7 @@ class TestKernelInvariantsInTheLoop:
                 def finish(rec):
                     self.finishes[rec.task].append(rec)
 
-                super().__init__(
-                    self.specs, on_job_release=release, on_job_finish=finish, record_segments=True, **kwargs
-                )
+                super().__init__(self.specs, on_job_release=release, on_job_finish=finish, **kwargs)
                 kernels.append(self)
 
         monkeypatch.setattr(experiment, "Kernel", RecordingKernel)

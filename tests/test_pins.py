@@ -3,22 +3,28 @@
 The sha256 of `trace.csv` and `summary.txt` for every scheduling mode at
 seed 1 on the default 4 s scenario and for a scenario whose mean execution
 times change between consecutive jobs, of a short noise sweep's
-`sweep_summary.csv`, and of the `table` command's output. A refactor or
+`sweep_summary.csv`, and of the `table` command's output, and of the two
+inputs from outside the package that all of them rest on. A refactor or
 speed-up of the simulation must leave them as they are; a change that is
 meant to alter the numbers re-takes these pins and says why.
 """
 
 import hashlib
+import math
 import os
 from dataclasses import replace
+from itertools import islice
 
+import numpy as np
 import pytest
 
 import ffsched.experiment as experiment
 from ffsched.cli import main
 from ffsched.experiment import emit_traces, run_experiment
-from ffsched.rtsim import Kernel
+from ffsched.rtsim import normal_blocks, seconds_to_ns
 from ffsched.scenario import default_scenario, validate_scenario
+from invariants import JobStreamKernel
+from reference_dispatch import dispatch
 
 PINS = {
     "fuzzy": {
@@ -124,9 +130,10 @@ def test_execution_time_conversions_are_pinned(monkeypatch, scenario):
     assert (len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()) == CONVERSION_PINS[scenario]
 
 
-# sha256 of every JobRecord and Segment the kernel produces in the default
-# fuzzy run at seed 1: no output file shows start instants, job indices or
-# preemption splits, so this pins them directly
+# sha256 of every JobRecord the kernel produces in the default fuzzy run at
+# seed 1, and of the segments the reference dispatcher makes of its job
+# stream: no output file shows start instants, job indices or preemption
+# splits, so this pins them directly
 JOB_STREAM_PINS = {
     "jobs": "1d60cb32b6747887d49e6908eac7124c363bb46a7e00963d055258bd0787d435",
     "segments": "3acd024ac7a17b22fe83f8b64ad06582b7f7c3903c2a7927d6e1b87439e8cf5d",
@@ -136,19 +143,55 @@ JOB_STREAM_PINS = {
 def test_default_scenario_job_stream_is_pinned(monkeypatch):
     kernels = []
 
-    class RecordingKernel(Kernel):
+    class RecordingKernel(JobStreamKernel):
         def __init__(self, tasks, **kwargs):
+            self.specs = list(tasks)
             self.jobs = []
-            super().__init__(tasks, on_job_finish=self.jobs.append, record_segments=True, **kwargs)
+            super().__init__(self.specs, on_job_finish=self.jobs.append, **kwargs)
             kernels.append(self)
 
     monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
-    run_experiment(default_scenario(), seed=1)
+    cfg = default_scenario()
+    run_experiment(cfg, seed=1)
     (kernel,) = kernels
-    assert len(kernel.jobs) > 3000 and len(kernel.segments) > len(kernel.jobs)
+    priorities = {spec.name: spec.priority for spec in kernel.specs}
+    segments, completions, preemptions = dispatch(kernel.job_stream(), priorities, seconds_to_ns(cfg.horizon_s))
+    assert [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in kernel.jobs] == completions
+    assert preemptions == {name: kernel.stats(name).preemptions for name in priorities}
+    assert len(kernel.jobs) > 3000 and len(segments) > len(kernel.jobs)
     assert any(r.missed for r in kernel.jobs) and any(r.start_ns > r.release_ns for r in kernel.jobs)
     digests = {
         "jobs": hashlib.sha256(repr([tuple(r) for r in kernel.jobs]).encode()).hexdigest(),
-        "segments": hashlib.sha256(repr([tuple(s) for s in kernel.segments]).encode()).hexdigest(),
+        "segments": hashlib.sha256(repr([tuple(s) for s in segments]).encode()).hexdigest(),
     }
     assert digests == JOB_STREAM_PINS
+
+
+# Every output above rests on two inputs from outside the package: numpy's
+# standard-normal stream and the platform's libm. These pin them by name, so
+# a numpy or libm that moves fails here first, not in a dozen output pins.
+# sha256 of the first four blocks of `normal_blocks(seed, stream)`, as
+# little-endian float64
+NORMAL_BLOCK_PINS = {
+    (1, 0): "08cc9137285d85e1dd709d1b4df097b2a9df3cc722961ccba60bc21a43f325d1",
+    (1, 3): "d66108ba83a913ed3962f96a55c2c53f0a7a338cca8681add14a2bf968a837c2",
+    (97, 1): "91645ff5af75d75f5c1de3f260145dbf79734722ff04bf1bd6f0c7b84b98a1ed",
+}
+
+# sha256 of the reprs of `expm1`, `sin` and `cos`, the functions of the
+# plant's discretization and the reference path, on k / 2**e for |k| <= 512:
+# arguments up to 128 in magnitude, and down to tiny ones
+LIBM_ARGS = [math.ldexp(k, -e) for e in (2, 8, 20, 40) for k in range(-512, 513)]
+LIBM_PIN = "916f5ff223d5f6abe526ebf0a312d7f9dac544d0e2df6163225add877ffced46"
+
+
+@pytest.mark.parametrize("seed_stream", sorted(NORMAL_BLOCK_PINS))
+def test_numpy_normal_stream_is_pinned(seed_stream):
+    blocks = islice(normal_blocks(*seed_stream), 4)
+    data = b"".join(np.asarray(block, dtype="<f8").tobytes() for block in blocks)
+    assert hashlib.sha256(data).hexdigest() == NORMAL_BLOCK_PINS[seed_stream]
+
+
+def test_libm_is_pinned():
+    text = "\n".join(f"{x!r} {math.expm1(x)!r} {math.sin(x)!r} {math.cos(x)!r}" for x in LIBM_ARGS)
+    assert hashlib.sha256(text.encode()).hexdigest() == LIBM_PIN

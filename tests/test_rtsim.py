@@ -20,7 +20,6 @@ from ffsched.rtsim import (
     ExecDraws,
     ExecSchedule,
     Kernel,
-    Segment,
     TaskKind,
     TaskSpec,
     WindowData,
@@ -29,6 +28,7 @@ from ffsched.rtsim import (
     sample_execution_time,
 )
 from ffsched.scenario import default_scenario
+from reference_dispatch import Segment, dispatch
 
 MS = 1_000_000
 
@@ -174,9 +174,14 @@ class TestTaskSpec:
 class TestKernelTimeline:
     def test_two_task_hand_timeline(self):
         # A: priority 1, period 10 ms, exec 3 ms; B: priority 2, period 15 ms, exec 6 ms
-        kernel = Kernel([_task("A", 1, 10, 3), _task("B", 2, 15, 6)], record_segments=True)
+        records = []
+        kernel = Kernel([_task("A", 1, 10, 3), _task("B", 2, 15, 6)], on_job_finish=records.append)
         kernel.run(30 * MS)
-        assert kernel.segments == [
+        jobs = {"A": [(t * MS, 3 * MS) for t in (0, 10, 20, 30)], "B": [(t * MS, 6 * MS) for t in (0, 15, 30)]}
+        window = kernel.window_snapshot(ExecSchedule.FOREVER)
+        assert {name: list(zip(window.releases[name], window.samples[name])) for name in "AB"} == jobs
+        segments, completions, preemptions = dispatch(jobs, {"A": 1, "B": 2}, 30 * MS)
+        assert segments == [
             Segment("A", 0, 0 * MS, 3 * MS),
             Segment("B", 0, 3 * MS, 9 * MS),
             Segment("A", 1, 10 * MS, 13 * MS),
@@ -184,7 +189,9 @@ class TestKernelTimeline:
             Segment("A", 2, 20 * MS, 23 * MS),
             Segment("B", 1, 23 * MS, 24 * MS),
         ]
+        assert [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in records] == completions
         a, b = kernel.stats("A"), kernel.stats("B")
+        assert preemptions == {"A": a.preemptions, "B": b.preemptions}
         # releases landing exactly on the horizon are queued but get no CPU
         assert (a.released, a.completed, a.missed, a.preemptions) == (4, 3, 0, 0)
         assert (b.released, b.completed, b.missed, b.preemptions) == (3, 2, 0, 1)
@@ -258,6 +265,17 @@ class TestKernelTimeline:
         assert kernel.stats("t").released == 0
         with pytest.raises(ValueError):
             kernel.run(-1)
+
+    @pytest.mark.parametrize("until_ns", [4.5 * MS, math.nan, True, np.int64(MS)])
+    def test_run_takes_int_nanoseconds(self, until_ns):
+        # a NaN would never reach `now >= until_ns` and spin forever, and a
+        # float would leak float instants into the job records
+        kernel = Kernel([_task("t", 1, 10, 1)])
+        kernel.run(2 * MS)
+        with pytest.raises(ValueError, match="int of nanoseconds"):
+            kernel.run(until_ns)
+        assert kernel.now_ns == 2 * MS
+        assert kernel.stats("t").released == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -426,20 +444,19 @@ class TestScheduleCursor:
             exec_time_of=exec_time_of,
             on_job_start=on_start,
             on_job_finish=jobs.append,
-            record_segments=True,
         )
         kernel.run(33 * MS)
         kernel.set_period("B", 5 * MS)
         kernel.run(77 * MS)
         kernel.set_period("C", 11 * MS)
         kernel.run(150 * MS)
-        return jobs, kernel.segments, {name: kernel.stats(name) for name in cls.SPECS}, windows
+        return jobs, {name: kernel.stats(name) for name in cls.SPECS}, windows
 
     def test_matches_per_release_mean_at(self):
         cursor = self._simulate(None)
         assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns])
         assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns] * 5)
-        jobs, _, stats, windows = cursor
+        jobs, stats, windows = cursor
         assert all(job.exec_ns == self.SPECS[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
         for _, samples, releases in windows:
             for name, spec in self.SPECS.items():
@@ -624,13 +641,12 @@ class TestKernelResume:
             on_job_release=on_release,
             on_job_start=on_start,
             on_job_finish=on_finish,
-            record_segments=True,
         )
         for stop in stops:
             kernel.run(stop)
         assert late_hooks == []
         stats = {name: kernel.stats(name) for name in "ABC"}
-        return releases, starts, finishes, kernel.segments, stats
+        return releases, starts, finishes, stats
 
     @pytest.mark.parametrize(
         "stops",
@@ -644,7 +660,7 @@ class TestKernelResume:
     def test_split_run_matches_one_run(self, stops):
         whole = self._simulate([120 * MS])
         assert self._simulate(stops) == whole
-        releases, _, finishes, _, stats = whole
+        releases, _, finishes, stats = whole
         assert sum(s.preemptions for s in stats.values()) > 0
         assert any(r.missed for r in finishes)
         # the start hook's re-perioding reached the release timeline
