@@ -106,10 +106,11 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,
     so a run with neither noise never imports `numpy.random`. The kernel
-    finds each release's mean; a noisy task's source, its `ExecDraws.times`,
-    hands it the times of the rest of a noise block at that mean. A task
-    without noise (the scheduler always, every task when `exec_std` is 0)
-    gets no source from `exec_time_of`, so its jobs run for the mean itself.
+    finds each release's mean; when a release enters a span of the mean
+    schedule, a noisy task's source, its `ExecDraws.times`, hands it an
+    iterator over the times of every later job at that mean. A task without
+    noise (the scheduler always, every task when `exec_std` is 0) gets no
+    source from `exec_time_of`, so its jobs run for the mean itself.
     `cfg` goes through `validate_scenario` first, so a configuration built
     in Python meets the rules a parsed one does.
     """

@@ -14,6 +14,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from math import fsum, inf
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -199,48 +200,42 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> 
 class ExecDraws:
     """One task's noisy execution times, converted a block of normals at a time.
 
-    `times(mean_ns, job)` is the task's execution-time source: the times at
-    the mean the kernel found of job `job` (from 0, never one before the last
-    asked for nor past the next block) and of the rest of its block, each
-    job spending its own standard-normal value. Each refill takes the next
-    array of values from the iterator `blocks` (a run's is `normal_blocks`;
-    any non-empty block size will do) and turns it into times with one
-    `sample` call (`sample_execution_time`'s signature). A mean first asked
-    for mid-block converts the rest of the block from there, and that
-    conversion is kept until the next refill, so a block costs one `sample`
-    call per distinct mean however often the means alternate. Nothing is
-    taken from `blocks` until a time is asked for.
+    `times(mean_ns, job)` is the task's execution-time source: an iterator
+    over the times at the mean the kernel found of job `job` (from 0, in the
+    block last taken or the next one) and of every later job, each job
+    spending its own standard-normal value. It converts the rest of the
+    job's block with one `sample` call (`sample_execution_time`'s
+    signature), then each later block with one more as the iterator reaches
+    it; a block is the next array of values from the iterator `blocks` (a
+    run's is `normal_blocks`; any non-empty block size will do). Nothing is
+    taken from `blocks` until a time is asked for, and an iterator is read
+    only until the next `times` call.
     """
 
-    __slots__ = ("_blocks", "_rel_std", "_sample", "_normals", "_converted", "_end", "_job")
+    __slots__ = ("_blocks", "_rel_std", "_sample", "_normals", "_end")
 
     def __init__(self, blocks: Iterator[np.ndarray], rel_std: float, sample: Callable):
         self._blocks = blocks
         self._rel_std = rel_std
         self._sample = sample
-        self._normals = np.empty(0)
-        # per mean, the times converted from the block index it was first
-        # asked for at to the end of the block; cleared on refill
-        self._converted: dict[int, list[int]] = {}
+        self._normals = np.empty(0)  # the block last taken
         self._end = 0  # the job after the block's last
-        self._job = 0  # the job last asked for
 
-    def times(self, mean_ns: int, job: int) -> list[int]:
-        if job < self._job:
-            raise ValueError(f"job {job} asked for after job {self._job}")
-        self._job = job
-        j = job - self._end  # the job's value as a negative index into the block
-        if j >= 0:
-            normals = self._normals = next(self._blocks)
-            self._converted.clear()
-            self._end += len(normals)
-            j -= len(normals)
+    def times(self, mean_ns: int, job: int) -> Iterator[int]:
+        return chain.from_iterable(self._conversions(mean_ns, job))
+
+    def _conversions(self, mean_ns: int, job: int) -> Iterator[list[int]]:
+        """One list per block, converted when reached: from job `job` to its block's end, then whole blocks."""
+        j = job - self._end  # the job's value as a negative index into the block last taken
+        while True:
             if j >= 0:
-                raise ValueError(f"job {job} lies past the next block")
-        times = self._converted.get(mean_ns)
-        if times is None:
-            times = self._converted[mean_ns] = self._sample(mean_ns, self._normals[j:], self._rel_std)
-        return times[j:]
+                normals = self._normals = next(self._blocks)
+                self._end += len(normals)
+                j -= len(normals)
+            if not -len(self._normals) <= j < 0:
+                raise ValueError(f"job {job} lies outside the block last taken and the next one")
+            yield self._sample(mean_ns, self._normals[j:], self._rel_std)
+            j = 0
 
 
 def measure_utilization(
@@ -293,10 +288,9 @@ class _TaskRuntime:
     head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
     head_remaining_ns: int = 0  # the started head job's remaining time, kept when a slice ends early
     # the end of the schedule span the last release entered (0 before the
-    # first) and its mean; releases only move forward from 0
+    # first); releases only move forward from 0
     span_end: float = 0
-    span_mean: int = 0
-    exec_times: Iterator[int] = iter(())  # the source's times not yet taken; emptied at span entry
+    exec_times: Iterator[int] = iter(())  # the times of the span's later jobs, replaced at span entry
     completed: int = 0
     missed: int = 0
     preemptions: int = 0
@@ -310,24 +304,25 @@ class _TaskRuntime:
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)
 StartHook = Callable[[str, int, int], bool | None]  # (task name, release_ns, start_ns); False opts the task out
 FinishHook = Callable[[JobRecord], None]
-ExecTimeSource = Callable[[int, int], Iterable[int]]  # (mean_ns, job) -> the times of that job and on
+ExecTimeSource = Callable[[int, int], Iterable[int]]  # (mean_ns, job) -> the times of that job and every later one
 ExecTimeFn = Callable[[TaskSpec], ExecTimeSource | None]  # spec -> the task's source, or None
 
 
 class Kernel:
     """Single-CPU fixed-priority preemptive kernel.
 
-    At each release the kernel finds the mean of the task's `exec_schedule`
-    in force, the one `mean_at` gives, looking the schedule up (`span_at`)
+    The kernel finds the mean of a task's `exec_schedule` in force at each
+    release, the one `mean_at` gives, looking the schedule up (`span_at`)
     only when the release enters a span past the last one's end.
     `exec_time_of` is called once per task, at construction, with its spec.
     The function it returns is that task's execution-time source (this is
-    where callers inject sampling noise): called with that mean and the
-    index of the job being released (from 0), it returns the times of that
-    job and of as many following jobs as it likes (at least one), all at
-    that mean, and the kernel asks again once they run out or a release
-    enters a new span. With no factory, or `None` from it, a job runs for
-    the mean itself.
+    where callers inject sampling noise): called when a release enters a
+    span, with the span's mean and the index of the job released (from 0),
+    it returns the times of that job and of every later job at that mean,
+    and each release in the span takes the next time. Each time must be a
+    positive int; a bad one, or a source that runs out, fails the release
+    that takes it, before the job is queued. With no factory, or `None`
+    from it, every job runs for the mean itself.
     `on_job_release` fires at the release instant (the time-triggered point
     where a control job latches its inputs), `on_job_start` the first time a
     job gets the CPU, `on_job_finish` when it completes. A start hook that
@@ -440,18 +435,13 @@ class Kernel:
                     if release_ns <= now:
                         period = rt.period_ns  # the period in force fixes deadline and successor
                         if release_ns >= rt.span_end:  # the release enters the schedule's next span
-                            rt.span_end, rt.span_mean = rt.spec.exec_schedule.span_at(release_ns)
-                            rt.exec_times = iter(())
-                        if rt.exec_time is None:
-                            exec_ns = rt.span_mean
-                        else:
-                            exec_ns = next(rt.exec_times, 0)
-                            if not exec_ns:  # the source's times are used up or dropped: ask again
-                                times = list(map(int, rt.exec_time(rt.span_mean, rt.completed + len(rt.queue))))
-                                if not times or min(times) <= 0:
-                                    raise ValueError(f"task {rt.name}: sampled execution time must be positive")
-                                rt.exec_times = times = iter(times)
-                                exec_ns = next(times)
+                            rt.span_end, mean = rt.spec.exec_schedule.span_at(release_ns)
+                            source = rt.exec_time
+                            job = rt.completed + len(rt.queue)
+                            rt.exec_times = repeat(mean) if source is None else iter(source(mean, job))
+                        exec_ns = next(rt.exec_times, 0)  # 0 once a source runs out
+                        if type(exec_ns) is not int or exec_ns <= 0:
+                            raise ValueError(f"task {rt.name}: execution time must be a positive int, got {exec_ns!r}")
                         rt.queue.append((release_ns, release_ns + period, exec_ns))
                         rt.pending_releases.append(release_ns)
                         rt.pending_execs.append(exec_ns)

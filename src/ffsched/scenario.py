@@ -141,7 +141,7 @@ def default_scenario() -> ScenarioConfig:
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops one leading byte-order mark
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise EmitError(f"cannot read scenario {path}: {exc}") from exc

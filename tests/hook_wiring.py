@@ -36,6 +36,7 @@ from ffsched.rtsim import (
 )
 from ffsched.scenario import SCHEDULER_TASK, ScenarioConfig, kernel_times
 from ffsched.schedulers import FuzzyFeedbackScheduler, apply_periods, ideal_eta
+from invariants import per_job
 
 
 def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
@@ -76,20 +77,19 @@ def run_with_job_hooks(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     util_normals = scalars(stream(len(cfg.tasks)))
 
     def exec_time_of(spec: TaskSpec):
-        """Every task's source, the scheduler's too: it hands out one job's
-        time per call, so the kernel asks it at every release. It checks the
-        mean the kernel found against a lookup of its own at the release and
-        the job index against the task's releases so far, then draws (or,
-        without noise, keeps the mean)."""
+        """Every task's source, the scheduler's too: at each release it
+        checks the mean the kernel found against a lookup of its own at the
+        release and the job index against the task's releases so far, then
+        draws that job's time alone (or, without noise, keeps the mean)."""
         draw = exec_draw.get(spec.name)  # None for the scheduler, whose cost is fixed by assumption
         mean_at = spec.exec_schedule.mean_at
 
-        def exec_time(mean_ns: int, job: int) -> list[int]:
+        def exec_time(mean_ns: int, job: int) -> int:
             assert mean_ns == mean_at(kernel.now_ns), (spec.name, kernel.now_ns, mean_ns)
             assert job == kernel.stats(spec.name).released, (spec.name, kernel.now_ns, job)
-            return draw(mean_ns, job)[:1] if draw is not None and exec_std else [mean_ns]
+            return next(draw(mean_ns, job)) if draw is not None and exec_std else mean_ns
 
-        return exec_time
+        return per_job(exec_time)
 
     path = ReferencePath(duration=cfg.ref_duration_s)
     # the path holds its end point from `duration` on; compared in float

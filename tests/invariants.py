@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import count, repeat
 
 import numpy as np
 
@@ -107,6 +108,12 @@ def check_control_invariants(cases: int, seed: int = 2002) -> int:
     return cases
 
 
+def per_job(time_of):
+    """An execution-time source that calls `time_of(mean_ns, job)` for each
+    job as the kernel releases it, so a test sees every release."""
+    return lambda mean_ns, job: map(time_of, repeat(mean_ns), count(job))
+
+
 class JobStreamKernel(Kernel):
     """A `Kernel` that keeps a copy of every job its window snapshots hand
     out. `job_stream()` takes a final snapshot and returns each task's
@@ -154,8 +161,8 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
 
         def exec_time_of(spec: TaskSpec):
             # every task's source draws one job's time at a time from the one
-            # shared rng, so the kernel asks it at every release, in release order
-            return lambda mean_ns, job: [max(1, int(mean_ns * rng.uniform(0.3, 1.5)))]
+            # shared rng, at each release, in release order
+            return per_job(lambda mean_ns, job: max(1, int(mean_ns * rng.uniform(0.3, 1.5))))
 
         kernel = JobStreamKernel(
             specs,

@@ -13,7 +13,7 @@ import pytest
 from ffsched.cli import EXIT_CODES, INTERNAL_EXIT, main
 from ffsched.errors import ScenarioSemanticError
 from ffsched.experiment import TraceRecord, summarize
-from ffsched.scenario import default_scenario
+from ffsched.scenario import default_scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +77,22 @@ class TestRun:
         scenario.write_text("[run]\nmode = open\n")
         assert main(["run", *FAST, "--scenario", str(scenario), "--mode", "ideal"]) == 0
         assert "mode = ideal" in capsys.readouterr().out
+
+    def test_scenario_file_with_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 file saved with a leading byte-order mark reads as the plain file
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        text = "[run]\nmode = open\n\n[noise]\nexec_std = 0.05\n"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_scenario(str(marked)) == load_scenario(str(plain))
+        outputs = []
+        for scenario in (plain, marked):
+            out_dir = tmp_path / scenario.stem
+            assert main(["run", *FAST, "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+            printed = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            outputs.append((printed, (out_dir / "trace.csv").read_bytes(), (out_dir / "summary.txt").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "mode = open" in outputs[0][0]
 
 
 class TestExitCodes:

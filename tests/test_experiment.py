@@ -390,23 +390,34 @@ class TestReplayMatchesJobHooks:
 
 class TestNoiseDraws:
     def _record_calls(self, cfg, monkeypatch):
-        """Run `cfg` at seed 1 and return each user task's `ExecDraws.times`
-        calls as (job, times), every task's execution times as the kernel
-        filed them, and the result."""
+        """Run `cfg` at seed 1 and return each user task's `ExecDraws`, with
+        its `times` calls as (job, the times taken from the call's iterator)
+        and the length of each `sample` call, every task's execution times as
+        the kernel filed them, and the result."""
         built, samples = [], {}
 
         class CountingDraws(ExecDraws):
-            __slots__ = ("calls",)
+            __slots__ = ("calls", "sizes")
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.calls = []
+            def __init__(self, blocks, rel_std, sample):
+                def counted(mean_ns, normals, rel_std):
+                    self.sizes.append(len(normals))
+                    return sample(mean_ns, normals, rel_std)
+
+                super().__init__(blocks, rel_std, counted)
+                self.calls, self.sizes = [], []
                 built.append(self)
 
             def times(self, mean_ns, job):
-                got = super().times(mean_ns, job)
-                self.calls.append((job, got))
-                return got
+                times, taken = super().times(mean_ns, job), []
+                self.calls.append((job, taken))
+
+                def recorded():
+                    for exec_ns in times:
+                        taken.append(exec_ns)
+                        yield exec_ns
+
+                return recorded()
 
         class RecordingKernel(Kernel):
             def __init__(self, *args, **kwargs):
@@ -425,52 +436,39 @@ class TestNoiseDraws:
         result = run_experiment(cfg, seed=1)
         (kernel,) = kernels
         kernel.window_snapshot(ExecSchedule.FOREVER)  # the jobs released after the last invocation
-        calls = {t.name: draws.calls for t, draws in zip(cfg.tasks, built)}
-        assert len(calls) == len(built)  # one per user task, or none
-        return calls, samples, result
+        draws = {t.name: draws for t, draws in zip(cfg.tasks, built)}
+        assert len(draws) == len(built)  # one per user task, or none
+        return draws, samples, result
 
     def test_one_draw_per_user_job(self, monkeypatch):
-        calls, samples, result = self._record_calls(replace(default_scenario(), horizon_s=0.5), monkeypatch)
+        draws, samples, result = self._record_calls(replace(default_scenario(), horizon_s=0.5), monkeypatch)
         stats = result.summary.task_stats
-        assert list(calls) == [name for name in stats if name != SCHEDULER_TASK]
-        for name, task_calls in calls.items():
+        assert list(draws) == [name for name in stats if name != SCHEDULER_TASK]
+        for name, task_draws in draws.items():
             released = stats[name].released
-            # the calls start at job 0 and skip none, and the last one's times reach the last job
-            jobs = [job for job, _ in task_calls] + [released]
-            assert jobs[0] == 0 and all(a < b <= a + len(times) for (a, times), b in zip(task_calls, jobs[1:]))
-            assert jobs[-2] + len(task_calls[-1][1]) >= released
-            # each job ran for the time at its index in the latest call's list
-            handed = [t for (job, times), end in zip(task_calls, jobs[1:]) for t in times[: end - job]]
+            # the calls start at job 0 and skip none: each is made at the job after the last one's times
+            jobs = [job for job, _ in task_draws.calls]
+            assert jobs == [sum(len(taken) for _, taken in task_draws.calls[:k]) for k in range(len(jobs))]
+            # each job ran for the next time of the latest call's iterator
+            handed = [t for _, taken in task_draws.calls for t in taken]
             assert handed == samples[name] and len(handed) == released
-            assert len(task_calls) < released / 10  # a block per call, not a job
+            assert len(jobs) < released / 10  # a call per span entered, not per job
 
-    def test_flickering_means_convert_once_per_block(self, monkeypatch):
-        # (task stream, block, mean) of every conversion
-        conversions = []
-
-        class CountingDraws(ExecDraws):
-            __slots__ = ("job",)
-
-            def __init__(self, blocks, rel_std, sample):
-                def counted(mean_ns, normals, rel_std):
-                    conversions.append((id(self), self.job // NOISE_BLOCK, mean_ns))
-                    return sample(mean_ns, normals, rel_std)
-
-                super().__init__(blocks, rel_std, counted)
-                self.job = -1
-
-            def times(self, mean_ns, job):
-                self.job = job
-                return super().times(mean_ns, job)
-
-        monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
-        run_experiment(_flickering_scenario(), seed=1)
-        # at most one conversion per distinct mean per block per task ...
-        assert len(conversions) == len(set(conversions))
-        # ... while the means do change inside blocks
-        blocks = {(stream, block) for stream, block, _ in conversions}
-        assert len(conversions) > len(blocks)
-        assert min(block for _, block, _ in conversions) == 0
+    @pytest.mark.parametrize("scenario", [default_scenario, _flickering_scenario], ids=["default", "flickering"])
+    def test_each_iterator_converts_the_blocks_it_reaches(self, monkeypatch, scenario):
+        draws, _, _ = self._record_calls(scenario(), monkeypatch)
+        for task_draws in draws.values():
+            # a call converts the rest of its job's block, then each later
+            # block when its iterator reaches it, and no block beyond
+            expected = []
+            for job, taken in task_draws.calls:
+                blocks_after = (job + len(taken) - 1) // NOISE_BLOCK - job // NOISE_BLOCK
+                expected += [NOISE_BLOCK - job % NOISE_BLOCK] + [NOISE_BLOCK] * blocks_after
+            assert task_draws.sizes == expected
+        calls = [call for task_draws in draws.values() for call in task_draws.calls]
+        assert any(job % NOISE_BLOCK for job, _ in calls)  # iterators start mid-block ...
+        if scenario is default_scenario:  # ... and, over the default's long spans, read on through refills
+            assert any((job + len(taken) - 1) // NOISE_BLOCK > job // NOISE_BLOCK for job, taken in calls)
 
     @pytest.mark.parametrize(
         "scenario, most_spans", [(default_scenario, 5), (_flickering_scenario, None)], ids=["default", "flickering"]
@@ -505,6 +503,6 @@ class TestNoiseDraws:
         cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)
         samples = []
         monkeypatch.setattr(experiment, "sample_execution_time", lambda *args: samples.append(args))
-        calls, _, _ = self._record_calls(cfg, monkeypatch)
-        assert calls == {}
+        draws, _, _ = self._record_calls(cfg, monkeypatch)
+        assert draws == {}
         assert samples == []  # no execution time is converted either

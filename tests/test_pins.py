@@ -111,8 +111,8 @@ def test_table_output_is_pinned(option, capsys):
 # and the sha256 of the sequence's repr. The calls are the noise layer's
 # numpy work, and the benchmark's tracer counts them as `rtsim.noise_draws`
 CONVERSION_PINS = {
-    "default": (19, "7534eeb90cdfac69525909890c90aeb04a5afdaff23db8e70601494413ea0b64"),
-    "flickering": (5, "6497cfb739681c9cb4fb85c871894042b4222e7198c02298d6727a136a313a85"),
+    "default": (25, "b1a7aab8ac1564f52f2e367be67366e1269a28504a301e74ddedd5526003b784"),
+    "flickering": (275, "34f73c216ae310cb5219eece06a3d27e3609edab694eda652b2def15e81974ed"),
 }
 
 

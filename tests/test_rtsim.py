@@ -4,7 +4,7 @@ import ast
 import inspect
 import math
 from dataclasses import replace
-from itertools import cycle
+from itertools import count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from ffsched.rtsim import (
     sample_execution_time,
 )
 from ffsched.scenario import default_scenario
+from invariants import per_job
 from reference_dispatch import Segment, dispatch
 
 MS = 1_000_000
@@ -328,8 +329,7 @@ class TestKernelTimeline:
 class TestExecTimeSource:
     """`exec_time_of` is a per-task factory; the source it returns is called
     with the mean the kernel found in force at a release and the job's index,
-    and a source that hands out one job's time per call is asked at every
-    release."""
+    and each release takes the next of its times."""
 
     def test_factory_called_once_per_task_at_construction(self):
         specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 4, 1)]
@@ -337,7 +337,7 @@ class TestExecTimeSource:
 
         def exec_time_of(spec):
             asked.append(spec)
-            return lambda mean_ns, job: [mean_ns]
+            return lambda mean_ns, job: repeat(mean_ns)
 
         kernel = Kernel(specs, exec_time_of=exec_time_of)
         assert asked == specs
@@ -347,16 +347,16 @@ class TestExecTimeSource:
         assert asked == specs
         assert kernel.stats("C").released > 10
 
-    def test_source_called_once_per_release_in_release_order(self):
+    def test_times_taken_once_per_release_in_release_order(self):
         calls, releases = [], []
 
         def exec_time_of(spec):
             def exec_time(mean_ns, job):
                 assert job == kernel.stats(spec.name).released  # the index of the job being released
                 calls.append((spec.name, kernel.now_ns, mean_ns))
-                return [2 * mean_ns]
+                return 2 * mean_ns
 
-            return exec_time
+            return per_job(exec_time)
 
         # C's mean steps from 1 to 2 ms at 23 ms, between two of its releases
         c_schedule = ExecSchedule(((0, 23 * MS, MS), (23 * MS, ExecSchedule.FOREVER, 2 * MS)))
@@ -371,29 +371,38 @@ class TestExecTimeSource:
         kernel.run(17 * MS)
         kernel.set_period("A", 7 * MS)
         kernel.run(60 * MS)
-        # each call is made at its release, with the mean in force there
+        # each time is taken at its release, with the mean in force there
         assert [(name, now_ns) for name, now_ns, _ in calls] == releases
         spec_of = {spec.name: spec for spec in specs}
         assert all(mean_ns == spec_of[name].exec_schedule.mean_at(now_ns) for name, now_ns, mean_ns in calls)
         assert [now_ns for _, now_ns, _ in calls] == sorted(now_ns for _, now_ns, _ in calls)
         for spec in specs:
             assert sum(name == spec.name for name, _, _ in calls) == kernel.stats(spec.name).released
-        # jobs released together are asked for in priority order
+        # jobs released together take their times in priority order
         assert calls[:3] == [("A", 0, 3 * MS), ("B", 0, 6 * MS), ("C", 0, MS)]
         assert {mean_ns for name, _, mean_ns in calls if name == "C"} == {MS, 2 * MS}
         # the job runs for what the source returned
         assert all(job.exec_ns == 2 * spec_of[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
 
     @pytest.mark.parametrize(
-        "times", [lambda mean: [0], lambda mean: [], lambda mean: [-1], lambda mean: [mean, mean, -mean]]
+        "times, got, released",
+        [
+            (lambda mean: repeat(0), "0", 0),
+            (lambda mean: repeat(-1), "-1", 0),
+            (lambda mean: repeat(2.7), "2.7", 0),  # never truncated to 2 ns
+            (lambda mean: repeat(True), "True", 0),
+            (lambda mean: [], "0", 0),
+            (lambda mean: [mean, mean], "0", 2),  # runs out at the third release
+            (lambda mean: [mean, mean, -mean], "-1000000", 2),
+        ],
     )
-    def test_source_result_is_checked(self, times):
-        # the whole list is checked when it is handed over, so a bad time for
-        # a later job fails at the first release already
+    def test_source_result_is_checked(self, times, got, released):
+        # each time is checked when its release takes it, before the job is
+        # queued, so the releases before a bad time stand
         kernel = Kernel([_task("t", 1, 10, 1)], exec_time_of=lambda spec: lambda mean_ns, job: times(mean_ns))
-        with pytest.raises(ValueError, match="task t: sampled execution time must be positive"):
-            kernel.run(MS)
-        assert kernel.stats("t").released == 0
+        with pytest.raises(ValueError, match=f"^task t: execution time must be a positive int, got {got}$"):
+            kernel.run(100 * MS)
+        assert kernel.stats("t").released == released
 
     @pytest.mark.parametrize("exec_std", [0.0, 0.1])
     def test_run_experiment_builds_draws_only_for_noisy_runs(self, monkeypatch, exec_std):
@@ -454,8 +463,7 @@ class TestScheduleCursor:
 
     def test_matches_per_release_mean_at(self):
         cursor = self._simulate(None)
-        assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns])
-        assert cursor == self._simulate(lambda spec: lambda mean_ns, job: [mean_ns] * 5)
+        assert cursor == self._simulate(lambda spec: lambda mean_ns, job: repeat(mean_ns))
         jobs, stats, windows = cursor
         assert all(job.exec_ns == self.SPECS[job.task].exec_schedule.mean_at(job.release_ns) for job in jobs)
         for _, samples, releases in windows:
@@ -559,52 +567,38 @@ class TestScheduleCursor:
             assert counting.asked == _span_entries(schedule, releases)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(case=_schedule_and_periods(), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8))
-    def test_chunking_does_not_matter(self, case, lengths):
-        """A source may hand out any number of jobs' times per call: lists
-        of the generated lengths in turn, some running past a span end (the
-        kernel drops their rest), must give the same jobs, windows and stats
-        as one-element lists, and every call gets the mean in force at the
-        release and the index of the job released."""
+    @given(case=_schedule_and_periods())
+    def test_source_called_once_per_span_entered(self, case):
+        """The kernel calls a source only when a release enters a span, with
+        the span's mean and the index of the job released, and each release
+        in the span takes the next of its times."""
         schedule, period_ns, stops = case
 
         def time_of(mean_ns, job):  # a pure function of the mean and the job
             return mean_ns * (1 + job % 3) + job
 
-        def simulate(lengths):
-            calls, jobs, windows = [], [], []
-            chunks = cycle(lengths)
+        calls = []
 
-            def exec_time_of(spec):
-                def exec_time(mean_ns, job):
-                    calls.append((spec.name, job, mean_ns))
-                    assert mean_ns == schedule.mean_at(kernel.now_ns)
-                    assert job == kernel.stats(spec.name).released
-                    return [time_of(mean_ns, j) for j in range(job, job + next(chunks))]
+        def exec_time_of(spec):
+            def exec_time(mean_ns, job):
+                calls.append((spec.name, kernel.now_ns, job, mean_ns))
+                return map(time_of, repeat(mean_ns), count(job))
 
-                return exec_time
+            return exec_time
 
-            # "u" is released between "t"'s releases and preempted by them
-            tasks = [TaskSpec("t", TaskKind.LOAD, 1, period_ns, schedule), TaskSpec("u", TaskKind.LOAD, 2, 5, schedule)]
-            kernel = Kernel(tasks, exec_time_of=exec_time_of, on_job_finish=jobs.append)
-            for until_ns, next_period_ns in stops:
-                kernel.run(until_ns)
-                kernel.set_period("t", next_period_ns)
-                windows.append(kernel.window_snapshot(until_ns))
-            windows.append(kernel.window_snapshot(ExecSchedule.FOREVER))  # every job released
-            return calls, (jobs, windows, [kernel.stats(name) for name in "tu"])
-
-        calls, chunked = simulate(lengths)
-        per_job_calls, per_job = simulate([1])
-        assert chunked == per_job
+        # "u" is released between "t"'s releases and preempted by them
+        tasks = [TaskSpec("t", TaskKind.LOAD, 1, period_ns, schedule), TaskSpec("u", TaskKind.LOAD, 2, 5, schedule)]
+        kernel = Kernel(tasks, exec_time_of=exec_time_of)
+        for until_ns, next_period_ns in stops:
+            kernel.run(until_ns)
+            kernel.set_period("t", next_period_ns)
+        window = kernel.window_snapshot(ExecSchedule.FOREVER)  # every job released
         for name in "tu":
-            released = [t for window in per_job[1] for t in window.releases[name]]
-            assert [(job, mean) for task, job, mean in per_job_calls if task == name] == [
-                (job, schedule.mean_at(t)) for job, t in enumerate(released)
+            released = window.releases[name]
+            assert [(t, job, mean) for task, t, job, mean in calls if task == name] == [
+                (t, released.index(t), schedule.mean_at(t)) for t in _span_entries(schedule, released)
             ]
-            samples = [x for window in per_job[1] for x in window.samples[name]]
-            assert samples == [time_of(schedule.mean_at(t), job) for job, t in enumerate(released)]
-        assert len(calls) <= len(per_job_calls)
+            assert window.samples[name] == [time_of(schedule.mean_at(t), job) for job, t in enumerate(released)]
 
 
 class TestKernelResume:
@@ -713,9 +707,9 @@ class TestWindowSnapshot:
             def exec_time(mean_ns, job):
                 exec_ns = max(1, int(mean_ns * rng.uniform(0.3, 1.5)))
                 execs[spec.name].append(exec_ns)
-                return [exec_ns]
+                return exec_ns
 
-            return exec_time
+            return per_job(exec_time)
 
         kernel = Kernel(
             specs,
@@ -780,25 +774,20 @@ class TestNoiseHelpers:
             1.0,
             lambda mean_ns, normals, rel_std: normals.tolist(),
         )
-        assert [passthrough.times(1, j)[0] for j in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
+        assert [next(passthrough.times(1, j)) for j in range(n)] == [float(scalar.standard_normal()) for _ in range(n)]
         scalar = np.random.default_rng(7)
         draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(1_000_000, float(scalar.standard_normal()), 0.1) for _ in range(n)]
-        assert [draws.times(1_000_000, j)[0] for j in range(n)] == expected
-        # asked at each block's first job, the times come a whole block at a time
+        assert [next(draws.times(1_000_000, j)) for j in range(n)] == expected
+        # one iterator from job 0 runs on through every refill
         draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
-        by_block = [draws.times(1_000_000, j) for j in range(0, n, size)]
-        assert all(len(times) == size for times in by_block)
-        assert [t for times in by_block for t in times][:n] == expected
-        # means that alternate mid-block reuse their conversions at later jobs
+        assert list(islice(draws.times(1_000_000, 0), n)) == expected
+        # means that alternate mid-block, a new iterator at every job
         means = [(1_000_000, 3_000_000)[k % 2] if k % 5 else 7_000_000 for k in range(n)]
         scalar = np.random.default_rng(7)
         draws = ExecDraws(_blocks(np.random.default_rng(7), size), 0.1, sample_execution_time)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), 0.1) for mean in means]
-        got = [draws.times(mean, j) for j, mean in enumerate(means)]
-        assert [times[0] for times in got] == expected
-        # each call hands over its job and the rest of the job's block
-        assert [len(times) for times in got] == [size - j % size for j in range(n)]
+        assert [next(draws.times(mean, j)) for j, mean in enumerate(means)] == expected
 
     def test_span_at_bounds_the_mean_at_lookup(self):
         schedule = ExecSchedule(((0, 5 * MS, 100), (5 * MS, 12 * MS, 200), (12 * MS, 13 * MS, 300)))
@@ -818,19 +807,21 @@ class TestNoiseHelpers:
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
         draws = ExecDraws(_blocks(rng), 0.0, sample_execution_time)
+        times = draws.times(1_000_000, 0)
         assert rng.bit_generator.state == state
-        assert draws.times(1_000_000, 0) == [1_000_000] * NOISE_BLOCK
+        assert list(islice(times, NOISE_BLOCK)) == [1_000_000] * NOISE_BLOCK
         assert rng.bit_generator.state != state  # the first time asked for refills
 
-    def test_exec_draws_refuse_an_earlier_job_or_one_past_the_next_block(self):
+    def test_exec_draws_refuse_a_job_outside_the_last_block_and_the_next(self):
         draws = ExecDraws(_blocks(np.random.default_rng(7), 5), 0.0, sample_execution_time)
-        assert draws.times(100, 3) == [100, 100]  # jobs 3 and 4 of the first block
-        assert draws.times(200, 3) == [200, 200]  # the same job again, at another mean
-        with pytest.raises(ValueError, match="job 2 asked for after job 3"):
-            draws.times(100, 2)
-        assert draws.times(100, 9) == [100]  # the next block's last job
-        with pytest.raises(ValueError, match="job 15 lies past the next block"):
-            draws.times(100, 15)  # jobs 10 to 14 would be skipped
+        assert list(islice(draws.times(100, 3), 2)) == [100, 100]  # jobs 3 and 4 of the first block
+        assert list(islice(draws.times(200, 3), 2)) == [200, 200]  # the same jobs again, at another mean
+        assert next(draws.times(100, 0)) == 100  # an earlier job of the block last taken
+        assert next(draws.times(100, 9)) == 100  # the next block's last job
+        with pytest.raises(ValueError, match="job 4 lies outside the block last taken and the next one"):
+            next(draws.times(100, 4))  # the block last taken holds jobs 5 to 9
+        with pytest.raises(ValueError, match="job 15 lies outside the block last taken and the next one"):
+            next(draws.times(100, 15))  # jobs 10 to 14 would be skipped
 
     @pytest.mark.parametrize("seed, stream", [(7, 0), (3, 4)])
     def test_normal_blocks_match_scalar_draws(self, seed, stream):
@@ -978,10 +969,10 @@ class TestBatchedSampler:
         # 2 * (1 + z) is 1.5, 2.5 and 3.5: round half to even gives 2, 2 and 4
         assert sample_execution_time(2, np.array([-0.25, 0.25, 0.75]), 1.0) == [2, 2, 4]
 
-    def _calls(self, seed, means, rel_std=0.2, size=NOISE_BLOCK):
-        """Times from `ExecDraws` over blocks of `size` for each mean in turn,
-        the scalar oracle's times over the same generator, and the sizes of
-        the `sample` calls."""
+    def _calls(self, seed, runs, rel_std=0.2, size=NOISE_BLOCK):
+        """Times from `ExecDraws` over blocks of `size`, one iterator per
+        `(mean, jobs)` run in turn, the scalar oracle's times over the same
+        generator, and the sizes of the `sample` calls."""
         sizes = []
 
         def sample(mean_ns, normals, rel_std):
@@ -989,25 +980,29 @@ class TestBatchedSampler:
             return sample_execution_time(mean_ns, normals, rel_std)
 
         draws = ExecDraws(_blocks(np.random.default_rng(seed), size), rel_std, sample)
-        got = [draws.times(mean, j)[0] for j, mean in enumerate(means)]
+        got, means = [], []
+        for mean, jobs in runs:
+            got += islice(draws.times(mean, len(means)), jobs)
+            means += [mean] * jobs
         scalar = np.random.default_rng(seed)
         expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in means]
         return got, expected, sizes
 
     def test_exec_draws_mean_changing_at_every_draw(self):
-        means = [1_000 + 7 * j for j in range(2 * NOISE_BLOCK + 17)]
-        got, expected, sizes = self._calls(3, means)
+        runs = [(1_000 + 7 * j, 1) for j in range(2 * NOISE_BLOCK + 17)]
+        got, expected, sizes = self._calls(3, runs)
         assert got == expected
-        assert len(sizes) == len(means)
+        assert len(sizes) == len(runs)
 
     @pytest.mark.parametrize("size", [NOISE_BLOCK, 5])  # the refill follows the block's own length
     def test_exec_draws_mean_changing_at_block_boundaries(self, size):
         n = 3 * size
         # a new mean exactly at the second refill, and one draw before the third
-        means = [600_000] * size + [1_200_000] * (size - 1) + [900_000] * (size + 1)
-        got, expected, sizes = self._calls(5, means, size=size)
+        runs = [(600_000, size), (1_200_000, size - 1), (900_000, size + 1)]
+        got, expected, sizes = self._calls(5, runs, size=size)
         assert got == expected and len(got) == n
-        assert sizes == [size, size, 1, size]  # only the rest of a block is redone
+        # an iterator converts the rest of its first job's block, then each block it reaches
+        assert sizes == [size, size, 1, size]
 
     def test_product_past_forever_raises(self):
         with pytest.raises(ValueError, match="past"):
