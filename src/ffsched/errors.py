@@ -1,28 +1,11 @@
-"""Exception hierarchy with stable error categories for the CLI."""
+"""The four failure categories a user can cause; `cli.EXIT_CODES` maps each to
+its exit code. A guard against a defect raises ValueError instead."""
 
 
 class FfschedError(Exception):
     """Base class; `category` is the machine-readable token printed by the CLI."""
 
     category = "internal"
-
-
-class OutOfRangeError(FfschedError):
-    """A quantized input fell outside its universe of discourse."""
-
-    category = "out-of-range"
-
-
-class DegenerateSetError(FfschedError):
-    """A fuzzy set with no support where positive mass is required."""
-
-    category = "degenerate-set"
-
-
-class TableError(FfschedError):
-    """A look-up table violating its range or monotonicity invariants."""
-
-    category = "bad-table"
 
 
 class InfeasibleLoadError(FfschedError):

@@ -105,7 +105,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     draws its execution-time noise from `normal_blocks(seed, i)` and the
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,
-    so a run with neither noise never imports `numpy.random`. The kernel
+    so a run with neither noise never imports numpy. The kernel
     finds each release's mean; when a release enters a span of the mean
     schedule, a noisy task's source, its `ExecDraws.times`, hands it an
     iterator over the times of every later job at that mean. A task without

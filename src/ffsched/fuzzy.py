@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSetError, OutOfRangeError, TableError
-
 
 def round_half_away(x: float) -> int:
     """Round to the nearest integer with ties going away from zero."""
@@ -62,9 +60,7 @@ class QuantizedUniverse:
 
     def check(self, x: float) -> None:
         if not -self.q_max <= x <= self.q_max:
-            raise OutOfRangeError(
-                f"level {x} outside universe -{self.q_max}..{self.q_max}"
-            )
+            raise ValueError(f"level {x} outside universe -{self.q_max}..{self.q_max}")
 
 
 # Utilization error and its increment share one input grid; the rescaling
@@ -116,7 +112,7 @@ def fuzzify(x: float, family: MembershipFamily) -> tuple[float, ...]:
     """Degrees of membership of `x` in every label of the family.
 
     `x` is a (possibly fractional) position on the family's level grid.
-    Raises OutOfRangeError when it falls outside the universe; the result
+    Raises ValueError when it falls outside the universe; the result
     always has at least one strictly positive entry.
     """
     family.universe.check(x)
@@ -189,7 +185,7 @@ def infer(
     pointwise maximum over the output level grid.
     """
     if not any(m > 0 for m in mu_error) or not any(m > 0 for m in mu_delta):
-        raise DegenerateSetError("membership vector has no support")
+        raise ValueError("membership vector has no support")
     levels = out_family.universe.levels
     agg = [0.0] * len(levels)
     for i, wi in enumerate(mu_error):
@@ -211,7 +207,7 @@ def defuzzify_centroid(aggregate: tuple[float, ...], out_family: MembershipFamil
     """Centre of gravity of the aggregate over the output levels."""
     total = sum(aggregate)
     if total <= 0.0:
-        raise DegenerateSetError("aggregate has zero mass")
+        raise ValueError("aggregate has zero mass")
     weighted = sum(level * m for level, m in zip(out_family.universe.levels, aggregate))
     return weighted / total
 
@@ -231,17 +227,17 @@ class LookupTable:
     def __post_init__(self):
         n = len(ERROR_UNIVERSE.levels)
         if len(self.cells) != n or any(len(row) != n for row in self.cells):
-            raise TableError(f"table must be {n}x{n}")
+            raise ValueError(f"table must be {n}x{n}")
         q = RESCALE_UNIVERSE.q_max
         for row in self.cells:
             for v in row:
                 if not -q <= v <= q:
-                    raise TableError(f"cell value {v} outside -{q}..{q}")
+                    raise ValueError(f"cell value {v} outside -{q}..{q}")
             if any(b > a for a, b in zip(row, row[1:])):
-                raise TableError("rows must be non-increasing in ec")
+                raise ValueError("rows must be non-increasing in ec")
         for col in zip(*self.cells):
             if any(b > a for a, b in zip(col, col[1:])):
-                raise TableError("columns must be non-increasing in e")
+                raise ValueError("columns must be non-increasing in e")
 
 
 # The paper's controller output table (rows e = -6..6, columns ec = -6..6);
@@ -270,9 +266,9 @@ def lookup(table: LookupTable, e_q: int, ec_q: int) -> int:
     """O(1) cell read; both indices must be quantized levels in -6..6."""
     q = ERROR_UNIVERSE.q_max
     if not -q <= e_q <= q:
-        raise OutOfRangeError(f"error level {e_q} outside -{q}..{q}")
+        raise ValueError(f"error level {e_q} outside -{q}..{q}")
     if not -q <= ec_q <= q:
-        raise OutOfRangeError(f"delta level {ec_q} outside -{q}..{q}")
+        raise ValueError(f"delta level {ec_q} outside -{q}..{q}")
     return table.cells[e_q + q][ec_q + q]
 
 

@@ -18,8 +18,6 @@ from itertools import chain, repeat
 from math import fsum, inf
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-import numpy as np
-
 
 NS = 1_000_000_000  # nanoseconds per second
 
@@ -168,10 +166,12 @@ def normal_blocks(seed: int, stream: int) -> Iterator[np.ndarray]:
     `NOISE_BLOCK` at a time. The blocks follow one another in the order that
     repeated scalar `standard_normal()` calls on that Generator yield.
 
-    This is the only place a run's random values are drawn. The Generator is
-    built at the first `next`, so a stream nobody reads never imports
-    `numpy.random`.
+    This is the only place a run's random values are drawn. numpy is
+    imported, and the Generator built, at the first `next`, so a run that
+    reads no stream never imports numpy.
     """
+
+    import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
     while True:
@@ -184,6 +184,8 @@ def sample_execution_time(mean_ns: int, normals: np.ndarray, rel_std: float) -> 
     to even as `round` does, with the floor `EXEC_FLOOR_FRAC * mean_ns` (at
     least 1 ns) so a job can never run backwards or for free.
     """
+
+    import numpy as np
 
     if mean_ns <= 0:
         raise ValueError("mean execution time must be positive")
@@ -218,7 +220,7 @@ class ExecDraws:
         self._blocks = blocks
         self._rel_std = rel_std
         self._sample = sample
-        self._normals = np.empty(0)  # the block last taken
+        self._normals = ()  # the block last taken
         self._end = 0  # the job after the block's last
 
     def times(self, mean_ns: int, job: int) -> Iterator[int]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ffsched.cli import EXIT_CODES, INTERNAL_EXIT, main
-from ffsched.errors import ScenarioSemanticError
+from ffsched.errors import FfschedError, ScenarioSemanticError
 from ffsched.experiment import TraceRecord, summarize
 from ffsched.scenario import default_scenario, load_scenario
 
@@ -104,6 +104,15 @@ class TestExitCodes:
             "io": 6,
         }
         assert INTERNAL_EXIT == 7
+
+    def test_every_error_category_has_an_exit_code(self):
+        # a category without a code would exit 7, as a defect does
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert {sub.category for sub in subclasses(FfschedError)} == EXIT_CODES.keys()
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as e:

@@ -302,24 +302,35 @@ class TestLazyNoise:
     RUN = """
 import sys
 import ffsched.cli
-rc = ffsched.cli.main(["run", "--scenario", sys.argv[1], "--horizon", "0.5"])
+rc = ffsched.cli.main(sys.argv[1:])
 assert "statistics" not in sys.modules  # nor decimal and fractions, which it imports
-print(rc, "numpy.random" in sys.modules)
+print(rc, "numpy.random" in sys.modules, "numpy" in sys.modules)
 """
 
-    @pytest.mark.parametrize("util_std, imported", [(0, False), (0.1, True)])
-    def test_noise_free_run_never_imports_numpy_random(self, tmp_path, util_std, imported):
-        scenario = tmp_path / "quiet.cfg"
-        scenario.write_text(f"[noise]\nexec_std = 0\nutil_std = {util_std}\n")
+    def _main(self, *argv):
+        """`rc numpy.random-loaded numpy-loaded` after `ffsched.cli.main(argv)` in a fresh process."""
         proc = subprocess.run(
-            [sys.executable, "-c", self.RUN, str(scenario)],
+            [sys.executable, "-c", self.RUN, *argv],
             env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")},
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"0 {imported}"
+        return proc.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("util_std, imported", [(0, False), (0.1, True)])
+    def test_noise_free_run_never_imports_numpy_random(self, tmp_path, util_std, imported):
+        scenario = tmp_path / "quiet.cfg"
+        scenario.write_text(f"[noise]\nexec_std = 0\nutil_std = {util_std}\n")
+        assert self._main("run", "--scenario", str(scenario), "--horizon", "0.5") == f"0 {imported} {imported}"
+
+    def test_table_and_rejected_scenario_never_import_numpy(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[scheduler]\ntarget = 2\n")
+        assert self._main("table") == "0 False False"
+        assert self._main("table", "--compile") == "0 False False"
+        assert self._main("run", "--scenario", str(bad)) == "4 False False"
 
 
 class TestReplayMatchesJobHooks:

@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 
 import pytest
 
-from ffsched.errors import OutOfRangeError
 from ffsched.fuzzy import (
     ERROR_UNIVERSE,
     INPUT_FAMILY,
@@ -77,9 +76,9 @@ class TestUniverses:
     def test_check_rejects_out_of_range_levels(self):
         ERROR_UNIVERSE.check(6.0)
         ERROR_UNIVERSE.check(-6.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^level 6\.001 outside universe -6\.\.6$"):
             ERROR_UNIVERSE.check(6.001)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^level -6\.001 outside universe -6\.\.6$"):
             ERROR_UNIVERSE.check(-6.001)
 
     def test_constructor_validation(self):
@@ -130,9 +129,9 @@ class TestMembership:
         assert mu == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_fuzzify_rejects_out_of_universe(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^level 6\.5 outside universe -6\.\.6$"):
             fuzzify(6.5, INPUT_FAMILY)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^level -7\.5 outside universe -7\.\.7$"):
             fuzzify(-7.5, OUTPUT_FAMILY)
 
     def test_family_validation(self):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from ffsched.errors import OutOfRangeError, TableError
 from ffsched.fuzzy import (
     LookupTable,
     compile_lookup_table,
@@ -46,9 +45,9 @@ class TestGoldenTable:
             assert lookup(golden, e_q, 0) == 0
 
     def test_lookup_rejects_bad_levels(self, golden):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^error level 7 outside -6\.\.6$"):
             lookup(golden, 7, 0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match=r"^delta level -7 outside -6\.\.6$"):
             lookup(golden, 0, -7)
 
 
@@ -114,19 +113,19 @@ class TestFormatAndChecks:
         assert tuple(tuple(int(tok) for tok in line.split()) for line in lines) == GOLDEN_CELLS
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(TableError):
+        with pytest.raises(ValueError, match="^table must be 13x13$"):
             LookupTable(cells=((1, 2, 3), (4, 5, 6)), provenance="golden")
 
     def test_out_of_range_cell_rejected(self):
         rows = _zero_rows()
         rows[0][0] = 8
-        with pytest.raises(TableError):
+        with pytest.raises(ValueError, match=r"^cell value 8 outside -7\.\.7$"):
             _table(rows)
 
     def test_monotonicity_violation_rejected(self):
         rows = _zero_rows()
         rows[6][7] = 1  # jumps up along the row
-        with pytest.raises(TableError):
+        with pytest.raises(ValueError, match="^rows must be non-increasing in ec$"):
             _table(rows)
 
 

@@ -859,6 +859,38 @@ class TestNoiseHelpers:
                     offenders.append(f"{path.relative_to(src)}:{node.lineno}: {name}")
         assert offenders == []
 
+    def test_only_the_stream_readers_import_numpy(self):
+        # numpy is imported at the first read of a stream, so `table`, a
+        # rejected scenario and a noise-free run never load it
+        src = Path(ffsched.__file__).parent
+        owners = {"normal_blocks", "sample_execution_time"}
+
+        def numpy_imports(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    yield node
+
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.relative_to(src).as_posix() == "rtsim.py":
+                functions = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in owners]
+                assert sorted(f.name for f in functions) == sorted(owners)
+                for function in functions:
+                    (node,) = numpy_imports(function)
+                    allowed.add(id(node))
+            for node in numpy_imports(tree):
+                if id(node) not in allowed:
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
+
     def test_sample_execution_time_validation(self):
         with pytest.raises(ValueError):
             sample_execution_time(0, np.zeros(1), 0.0)
