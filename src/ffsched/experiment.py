@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from math import cos, expm1, pi, sin
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -74,8 +73,7 @@ class TraceRecord(NamedTuple):
     err: float
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     mode: str
     seed: int
     horizon_s: float
@@ -88,8 +86,7 @@ class RunSummary:
     task_stats: Mapping[str, TaskStats]
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     control_names: tuple[str, str]
     records: tuple[TraceRecord, ...]
     summary: RunSummary

@@ -89,6 +89,8 @@ class ExecSchedule:
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A periodic task as the kernel schedules it: name, kind, fixed priority, period and execution-time means."""
+
     name: str
     kind: TaskKind
     priority: int  # lower number preempts higher
@@ -117,8 +119,7 @@ class JobRecord(NamedTuple):
     missed: bool
 
 
-@dataclass(frozen=True)
-class TaskStats:
+class TaskStats(NamedTuple):
     released: int
     completed: int
     missed: int
@@ -275,32 +276,40 @@ def measure_utilization(
     return tuple.__new__(UtilizationSample, (value, raw))  # skips UtilizationSample.__new__
 
 
-@dataclass(slots=True)
 class _TaskRuntime:
-    spec: TaskSpec
-    name: str
-    period_ns: int
-    exec_time: ExecTimeSource | None  # bound once per task; None: each job runs for the mean itself
-    on_job_start: StartHook | None  # None once the hook has opted the task out
-    next_release_ns: int = 0
-    # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
-    # complete FIFO, so the head's index is `completed`, and `released` is
-    # `completed + len(queue)`
-    queue: deque[tuple[int, int, int]] = field(default_factory=deque)
-    head_start_ns: int = -1  # the head job's first start, -1 until it gets the CPU
-    head_remaining_ns: int = 0  # the started head job's remaining time, kept when a slice ends early
-    # the end of the schedule span the last release entered (0 before the
-    # first); releases only move forward from 0
-    span_end: float = 0
-    exec_times: Iterator[int] = iter(())  # the times of the span's later jobs, replaced at span entry
-    completed: int = 0
-    missed: int = 0
-    preemptions: int = 0
-    # release instants and execution times of jobs, and completion instants,
-    # not yet taken by a window snapshot, in time order
-    pending_releases: list[int] = field(default_factory=list)
-    pending_execs: list[int] = field(default_factory=list)
-    pending_finishes: list[int] = field(default_factory=list)
+    """One task's state inside the kernel; the slots keep every attribute load off a `__dict__`."""
+
+    __slots__ = (
+        "spec", "name", "period_ns", "exec_time", "on_job_start", "next_release_ns", "queue", "head_start_ns",
+        "head_remaining_ns", "span_end", "exec_times", "completed", "missed", "preemptions", "pending_releases",
+        "pending_execs", "pending_finishes",
+    )
+
+    def __init__(self, spec: TaskSpec, name: str, period_ns: int, exec_time: ExecTimeSource | None, on_job_start):
+        self.spec = spec
+        self.name = name
+        self.period_ns = period_ns
+        self.exec_time = exec_time  # bound once per task; None: each job runs for the mean itself
+        self.on_job_start: StartHook | None = on_job_start  # None once the hook has opted the task out
+        self.next_release_ns = 0
+        # queued jobs, oldest first, as (release_ns, deadline_ns, exec_ns); jobs
+        # complete FIFO, so the head's index is `completed`, and `released` is
+        # `completed + len(queue)`
+        self.queue: deque[tuple[int, int, int]] = deque()
+        self.head_start_ns = -1  # the head job's first start, -1 until it gets the CPU
+        self.head_remaining_ns = 0  # the started head job's remaining time, kept when a slice ends early
+        # the end of the schedule span the last release entered (0 before the
+        # first); releases only move forward from 0
+        self.span_end: float = 0
+        self.exec_times: Iterator[int] = iter(())  # the times of the span's later jobs, replaced at span entry
+        self.completed = 0
+        self.missed = 0
+        self.preemptions = 0
+        # release instants and execution times of jobs, and completion instants,
+        # not yet taken by a window snapshot, in time order
+        self.pending_releases: list[int] = []
+        self.pending_execs: list[int] = []
+        self.pending_finishes: list[int] = []
 
 
 ReleaseHook = Callable[[str, int], None]  # (task name, release_ns)

@@ -68,6 +68,8 @@ _MODEL_SECTIONS = ("plant", "pid")
 
 @dataclass(frozen=True)
 class TaskConfig:
+    """One [task] section: its execution-time means are piecewise constant over `exec_segments`."""
+
     name: str
     kind: TaskKind
     priority: int
@@ -77,6 +79,8 @@ class TaskConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A whole scenario; `validate_scenario` checks its values, and `dataclasses.replace` derives variants."""
+
     mode: str
     horizon_s: float
     target: float

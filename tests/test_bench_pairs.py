@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the pair summary, on synthetic records; the benchmark
-itself never runs here."""
+"""tools/bench_pairs.py: the pair summary, on synthetic records, and one
+start-up pair of the working tree; the benchmark itself never runs here."""
 
 import importlib.util
 import os
@@ -130,3 +130,18 @@ def test_traced_report_prints_the_counts_that_differ():
         "horizon40 traced rtsim.Kernel.run.self_ms: 100 -> 90 ms raw, -10.0% scaled by host.ref_ms",
         "horizon40 traced rtsim.jobs_released: 27900 -> 27901",
     ]
+
+
+def test_startup_times_a_cold_import_pair_of_the_working_tree(tmp_path):
+    commands = {"import-cold": bench_pairs.STARTUP["import-cold"]}
+    trees = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
+    section = bench_pairs.startup(trees, str(tmp_path), pairs=1, commands=commands)
+    entry = section["import-cold"]
+    assert (entry["args"], entry["warm"]) == (["-c", "import ffsched.cli"], False)
+    (pair,) = entry["pairs"]
+    assert pair["order"] == ["parent", "change"]
+    summary = entry["summary"]
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    for name in ("wall_ms", "peak_rss_mb"):
+        assert summary[name]["pairs"] == 1
+        assert 0 < summary[name]["parent_median"] and 0 < summary[name]["change_median"], name

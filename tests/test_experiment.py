@@ -302,7 +302,10 @@ class TestLazyNoise:
     RUN = """
 import sys
 import ffsched.cli
-rc = ffsched.cli.main(sys.argv[1:])
+try:
+    rc = ffsched.cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits for --help and refused arguments
+    rc = exc.code
 assert "statistics" not in sys.modules  # nor decimal and fractions, which it imports
 print(rc, "numpy.random" in sys.modules, "numpy" in sys.modules)
 """
@@ -331,6 +334,13 @@ print(rc, "numpy.random" in sys.modules, "numpy" in sys.modules)
         assert self._main("table") == "0 False False"
         assert self._main("table", "--compile") == "0 False False"
         assert self._main("run", "--scenario", str(bad)) == "4 False False"
+
+    def test_help_and_refused_arguments_never_import_numpy(self, tmp_path):
+        malformed = tmp_path / "malformed.cfg"
+        malformed.write_text("[noise\nexec_std = 0\n")
+        assert self._main("--help") == "0 False False"
+        assert self._main("run", "--seed", "-1") == "2 False False"
+        assert self._main("run", "--scenario", str(malformed)) == "3 False False"
 
 
 class TestReplayMatchesJobHooks:

@@ -15,20 +15,33 @@ goes first (even pairs from 0 run the parent first), then one `--trace 1`
 pair. Every run's result file is kept whole in the output, which is written
 as one compact JSON line.
 
+Then it times whole start-up processes, `PAIRS` alternated pairs per command
+in `STARTUP`, each run's wall time and its peak RSS (`os.wait4`'s
+`ru_maxrss`). A run's environment is the caller's without its `PYTHON*`
+variables, plus `benchmark/run.py`'s `CHILD_ENV` and `PYTHONPATH` set to the
+side's `src`. Every run sets `PYTHONDONTWRITEBYTECODE=1`, as the benchmark's
+children run on its measurement host. A cold command finds no bytecode cache
+of ffsched (the extractions' `__pycache__` directories are removed first); a
+warm one reads every module's cache from a `PYTHONPYCACHEPREFIX` directory
+under the temporary directory, primed by one untimed run per side, so no run
+writes into a tree.
+
 The output has the keys `what`, `command`, `summary` (per workload and
 end-to-end metric: each side's median and inclusive quartiles, the pairs in
 which the change is better, ties and the pair count, plus failed calls per
-side), `pairs` and `traced`. It ends by printing one line per workload and
-end-to-end metric with the numbers a claim and a no-regression check are
-judged by, then one per workload and per-layer `*.self_ms` metric of the
-traced pair, compared after scaling by each run's own `host.ref_ms`, and one
-per per-layer count that differs between the traced pair's two sides.
-Standard library only.
+side), `pairs`, `traced` and `startup` (per command: its arguments, whether
+its cache is warm, its pairs and their `summary`). It ends by printing one
+line per workload and end-to-end metric with the numbers a claim and a
+no-regression check are judged by, the same per start-up command, then one
+per workload and per-layer `*.self_ms` metric of the traced pair, compared
+after scaling by each run's own `host.ref_ms`, and one per per-layer count
+that differs between the traced pair's two sides. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -43,7 +56,27 @@ from statistics import median, quantiles
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMPARED = ("benchmark", "BENCHMARK.json")  # must be identical on both sides
 SIDES = ("parent", "change")
-PAIRS = 10  # untraced pairs per workload
+PAIRS = 10  # untraced pairs per workload, and pairs per start-up command
+QUIET_SCENARIO = "[noise]\nexec_std = 0\nutil_std = 0\n"
+# start-up command -> (interpreter arguments, whether the bytecode cache is warm);
+# a `{quiet}` argument names a scenario file holding QUIET_SCENARIO
+STARTUP = {
+    "import-cold": (["-c", "import ffsched.cli"], False),
+    "import-warm": (["-c", "import ffsched.cli"], True),
+    "table": (["-m", "ffsched.cli", "table"], False),
+    "run-open-quiet": (["-m", "ffsched.cli", "run", "--mode", "open", "--horizon", "4", "--scenario", "{quiet}"],
+                       False),
+}
+STARTUP_BETTER = {"wall_ms": "lower", "peak_rss_mb": "lower"}
+# spawns argv[1:] with stdout discarded and prints its wall seconds, exit code and ru_maxrss (KiB)
+TIMER = """
+import os, sys, time
+start = time.perf_counter()
+discard_stdout = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=discard_stdout)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -171,6 +204,68 @@ def _pair(trees: dict, order: list[str], *run_args) -> dict:
     return pair
 
 
+def startup(trees: dict, tmp: str, pairs: int = PAIRS, commands: dict = STARTUP) -> dict:
+    """The output's `startup`: per command, `pairs` alternated pairs of
+    whole-process runs in `trees` (side -> checkout root), each recorded as
+    `summarize` reads a benchmark record, and their summary."""
+
+    quiet = os.path.join(tmp, "quiet.cfg")
+    with open(quiet, "w", encoding="utf-8") as fh:
+        fh.write(QUIET_SCENARIO)
+    with open(os.path.join(ROOT, "benchmark", "run.py"), encoding="utf-8") as fh:
+        child_env = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(fh.read()).body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CHILD_ENV"]
+        )
+    base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    base.update(child_env, PYTHONDONTWRITEBYTECODE="1")
+    section = {}
+    for name, (args, warm) in commands.items():
+        argv = [sys.executable, *(quiet if a == "{quiet}" else a for a in args)]
+        envs = {}
+        for side, tree in trees.items():
+            envs[side] = {**base, "PYTHONPATH": os.path.join(tree, "src")}
+            if warm:
+                envs[side]["PYTHONPYCACHEPREFIX"] = os.path.join(tmp, "pycache", side)
+                priming = {k: v for k, v in envs[side].items() if k != "PYTHONDONTWRITEBYTECODE"}
+                subprocess.run(argv, cwd=tree, env=priming, check=True, capture_output=True)
+        runs = []
+        for i in range(pairs):
+            order = list(SIDES) if i % 2 == 0 else list(reversed(SIDES))
+            runs.append({"order": order, **{side: _time_process(argv, trees[side], envs[side]) for side in order}})
+        section[name] = {"args": args, "warm": warm, "pairs": runs, "summary": summarize(runs, STARTUP_BETTER)}
+        print(f"startup {name}: {pairs} pairs", file=sys.stderr, flush=True)
+    return section
+
+
+def _time_process(argv: list[str], cwd: str, env: dict) -> dict:
+    """One run's wall time and peak RSS, as a benchmark record's metrics.
+
+    The run is spawned by `TIMER` in a bare interpreter, not by this script:
+    Linux keeps a process's RSS high-water mark across `exec`, so a child
+    spawned from this script would report at least this script's size.
+    """
+
+    timer = [sys.executable, "-I", "-S", "-c", TIMER, *argv]
+    proc = subprocess.run(timer, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    wall_s, code, maxrss_kib = proc.stdout.split()
+    if code != "0":
+        raise RuntimeError(f"{argv[1:]} in {cwd}: exit {code}\n{proc.stderr[-2000:]}")
+    metrics = {
+        "wall_ms": {"value": float(wall_s) * 1e3, "unit": "ms"},
+        "peak_rss_mb": {"value": int(maxrss_kib) * 1024 / 1e6, "unit": "MB"},
+    }
+    return {"result": {"failed": 0, "metrics": metrics}}
+
+
+def _drop_bytecode(tree: str) -> None:
+    for top, dirs, _ in os.walk(tree):
+        if "__pycache__" in dirs:
+            dirs.remove("__pycache__")
+            shutil.rmtree(os.path.join(top, "__pycache__"))
+
+
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV", help="the commit the change is measured against")
@@ -206,6 +301,9 @@ def main(argv=None) -> int:
             out["pairs"][workload] = {"seed": args.seed, "pairs": pairs}
             print(f"{workload} traced pair", file=sys.stderr, flush=True)
             out["traced"][workload] = [_pair(trees, list(SIDES), spec["command"], workload, args.seed, seconds, 1)]
+        for tree in trees.values():
+            _drop_bytecode(tree)  # a benchmark run may have cached bytecode in the tree
+        out["startup"] = startup(trees, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     host = f"{os.cpu_count()} cores, Python {platform.python_version()}"
@@ -228,7 +326,8 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
         fh.write("\n")
-    print("\n".join(report(document["summary"]) + traced_report(document["traced"])))
+    startup_lines = report({f"startup {name}": {"metrics": e["summary"]} for name, e in out["startup"].items()})
+    print("\n".join(report(document["summary"]) + startup_lines + traced_report(document["traced"])))
     return 0
 
 
