@@ -57,15 +57,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMPARED = ("benchmark", "BENCHMARK.json")  # must be identical on both sides
 SIDES = ("parent", "change")
 PAIRS = 10  # untraced pairs per workload, and pairs per start-up command
-QUIET_SCENARIO = "[noise]\nexec_std = 0\nutil_std = 0\n"
 # start-up command -> (interpreter arguments, whether the bytecode cache is warm);
-# a `{quiet}` argument names a scenario file holding QUIET_SCENARIO
+# a `{quiet}` argument names a file holding open-quiet40's noise-free scenario
 STARTUP = {
     "import-cold": (["-c", "import ffsched.cli"], False),
     "import-warm": (["-c", "import ffsched.cli"], True),
     "table": (["-m", "ffsched.cli", "table"], False),
-    "run-open-quiet": (["-m", "ffsched.cli", "run", "--mode", "open", "--horizon", "4", "--scenario", "{quiet}"],
-                       False),
+    "run-open-quiet": (
+        ["-m", "ffsched.cli", "run", "--mode", "open", "--horizon", "4", "--scenario", "{quiet}"],
+        False,
+    ),
 }
 STARTUP_BETTER = {"wall_ms": "lower", "peak_rss_mb": "lower"}
 # spawns argv[1:] with stdout discarded and prints its wall seconds, exit code and ru_maxrss (KiB)
@@ -211,15 +212,9 @@ def startup(trees: dict, tmp: str, pairs: int = PAIRS, commands: dict = STARTUP)
 
     quiet = os.path.join(tmp, "quiet.cfg")
     with open(quiet, "w", encoding="utf-8") as fh:
-        fh.write(QUIET_SCENARIO)
-    with open(os.path.join(ROOT, "benchmark", "run.py"), encoding="utf-8") as fh:
-        child_env = next(
-            ast.literal_eval(node.value)
-            for node in ast.parse(fh.read()).body
-            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CHILD_ENV"]
-        )
+        fh.write(_benchmark_literal("workloads.py", "QUIET_SCENARIO"))
     base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    base.update(child_env, PYTHONDONTWRITEBYTECODE="1")
+    base.update(_benchmark_literal("run.py", "CHILD_ENV"), PYTHONDONTWRITEBYTECODE="1")
     section = {}
     for name, (args, warm) in commands.items():
         argv = [sys.executable, *(quiet if a == "{quiet}" else a for a in args)]
@@ -237,6 +232,18 @@ def startup(trees: dict, tmp: str, pairs: int = PAIRS, commands: dict = STARTUP)
         section[name] = {"args": args, "warm": warm, "pairs": runs, "summary": summarize(runs, STARTUP_BETTER)}
         print(f"startup {name}: {pairs} pairs", file=sys.stderr, flush=True)
     return section
+
+
+def _benchmark_literal(module: str, name: str):
+    """The value of the module-level `name = <literal>` in `benchmark/<module>`, read without importing it."""
+
+    with open(os.path.join(ROOT, "benchmark", module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]
+    )
 
 
 def _time_process(argv: list[str], cwd: str, env: dict) -> dict:
