@@ -217,10 +217,19 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
     records: list[TraceRecord] = []
     # user task periods in `specs` order, kept in step with the kernel below
     periods_now = {name: spec.period_ns for name, spec in specs.items()}
+    # the control periods in seconds, rebuilt only when periods are applied,
+    # so the records of windows that keep them share this one tuple
+    periods_s = (periods_now[name_x] / NS, periods_now[name_y] / NS)
     new_tuple = tuple.__new__
 
     def schedule_step(name: str, release_ns: int, t_inv_ns: int) -> bool | None:
-        """The kernel's start hook: invokes the scheduler when its job starts."""
+        """The kernel's start hook: invokes the scheduler when its job starts.
+
+        A factor of 1 leaves the periods as they are: each already lies in
+        [h_min, h_max], the initial ones by validation and later ones by the
+        clamp in `apply_periods`, which would return them unchanged.
+        """
+        nonlocal periods_s
         if name != SCHEDULER_TASK:
             return False  # every other task opts out at its first job
         # the scheduler is released at 0 and, at priority 1, starts there; that
@@ -238,10 +247,12 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
             true_means = tuple(float(specs[name].exec_schedule.mean_at(t_inv_ns)) for name in ctrl_names)
             u_others = sum(specs[name].exec_schedule.mean_at(t_inv_ns) / periods_now[name] for name in load_names)
             eta = ideal_eta(true_means, tuple(float(h) for h in current), u_others, cfg.target)
-        periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
-        set_period(name_x, periods_ns[0])
-        set_period(name_y, periods_ns[1])
-        periods_now[name_x], periods_now[name_y] = periods_ns
+        if eta != 1.0:
+            periods_ns = apply_periods(eta, current, h_min_ns, h_max_ns)
+            set_period(name_x, periods_ns[0])
+            set_period(name_y, periods_ns[1])
+            periods_now[name_x], periods_now[name_y] = periods_ns
+            periods_s = (periods_ns[0] / NS, periods_ns[1] / NS)
         releases, finishes = window.releases, window.finishes
         act = (
             loop_x.send((releases[name_x], finishes[name_x], t_inv_ns)),
@@ -249,7 +260,7 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
         )
         t_s = t_inv_ns / NS
         ref = ref_end if t_s >= ref_duration_s else reference(path, t_s)
-        record = (t_s, u_meas, u_raw, eta, (periods_ns[0] / NS, periods_ns[1] / NS), ref, act, tracking_error(act, ref))
+        record = (t_s, u_meas, u_raw, eta, periods_s, ref, act, tracking_error(act, ref))
         records.append(new_tuple(TraceRecord, record))  # skips TraceRecord.__new__
 
     kernel = Kernel(task_specs, exec_time_of=exec_time_of, on_job_start=schedule_step)
@@ -316,13 +327,24 @@ def trace_lines(result: ExperimentResult) -> Iterator[str]:
     row per record, each cell the `repr` of its value. Written as they are
     formatted, the trace is never held whole in memory. `u_raw` is formatted
     only when it is not the `u_meas` object itself, which it is whenever the
-    measurement was not clamped; the test is identity, not equality, since
-    `0.0 == -0.0` while their reprs differ."""
+    measurement was not clamped. Likewise `eta`, the periods and the
+    reference are formatted only when they are not the previous row's
+    objects, which consecutive records share while the factor stays 1 and
+    the path holds its end point. Each test is identity, not equality,
+    since `0.0 == -0.0` while their reprs differ."""
     yield trace_header(result.control_names) + "\n"
-    for t_s, u_meas, u_raw, eta, (h_x, h_y), (x_ref, y_ref), (x_act, y_act), err in result.records:
+    unset = object()  # no record's value, so the first row formats every cell
+    last_eta = last_periods = last_ref = unset
+    for t_s, u_meas, u_raw, eta, periods, ref, (x_act, y_act), err in result.records:
         meas = repr(u_meas)
         raw = meas if u_raw is u_meas else repr(u_raw)
-        yield f"{t_s!r},{meas},{raw},{eta!r},{h_x!r},{h_y!r},{x_ref!r},{y_ref!r},{x_act!r},{y_act!r},{err!r}\n"
+        if eta is not last_eta:
+            last_eta, eta_cell = eta, repr(eta)
+        if periods is not last_periods:
+            last_periods, periods_cells = periods, f"{periods[0]!r},{periods[1]!r}"
+        if ref is not last_ref:
+            last_ref, ref_cells = ref, f"{ref[0]!r},{ref[1]!r}"
+        yield f"{t_s!r},{meas},{raw},{eta_cell},{periods_cells},{ref_cells},{x_act!r},{y_act!r},{err!r}\n"
 
 
 def format_summary(summary: RunSummary) -> str:

@@ -37,6 +37,11 @@ def apply_periods(
     return tuple(new_periods)
 
 
+# the factor of each output level, indexed [level + q_max], so that equal
+# factors are one object; not 1.0 + level / gain, which is 1 ulp lower at level -5
+_FACTORS = tuple(1.0 + level * (1.0 / RESCALE_UNIVERSE.gain) for level in RESCALE_UNIVERSE.levels)
+
+
 @dataclass
 class FuzzyFeedbackScheduler:
     """Feedback scheduler built on the quantized fuzzy look-up table.
@@ -64,8 +69,7 @@ class FuzzyFeedbackScheduler:
         ec_q = ERROR_UNIVERSE.quantize(delta)
         level = lookup(self.table, e_q, ec_q)
         self.prev_error = error
-        # not 1.0 + level / gain, which is 1 ulp lower at level -5
-        return 1.0 + level * (1.0 / RESCALE_UNIVERSE.gain)
+        return _FACTORS[level + RESCALE_UNIVERSE.q_max]
 
 
 def ideal_eta(

@@ -94,7 +94,23 @@ class TestTraceShape:
             # an unclamped measurement is one object in both cells; equal values need not be
             TraceRecord(0.04, u := 0.3, u, 1.0, (0.004, 0.005), (0.0, 0.0), (0.0, 0.0), 0.0),
             TraceRecord(0.06, 0.0, -0.0, 1.0, (0.004, 0.005), (0.0, 0.0), (0.0, 0.0), 0.0),
+            # consecutive rows may share one eta, periods tuple and reference
+            # tuple, whose cells are then formatted once
+            TraceRecord(0.08, 0.5, 0.5, eta := float("0.0"), h := (float("0.0"), 0.005), ref := (float("-0.0"), 1.0),
+                        (0.0, 0.0), 0.0),
+            TraceRecord(0.10, 0.5, 0.5, eta, h, ref, (0.0, 0.0), 0.0),
+            # equal values in distinct objects are formatted anew: a cell cache
+            # keyed on equality would repeat the previous row's 0.0 or -0.0
+            TraceRecord(0.12, 0.5, 0.5, float("-0.0"), (float("-0.0"), 0.005), (float("0.0"), 1.0), (0.0, 0.0), 0.0),
+            TraceRecord(0.14, 0.5, 0.5, float("-0.0"), (float("-0.0"), 0.005), (float("0.0"), 1.0), (0.0, 0.0), 0.0),
+            TraceRecord(0.16, 0.5, 0.5, float("1.0"), (float("0.004"), 0.005), (float("1.0"), 1.0), (0.0, 0.0), 0.0),
+            TraceRecord(0.18, 0.5, 0.5, float("1.0"), (float("0.004"), 0.005), (float("1.0"), 1.0), (0.0, 0.0), 0.0),
         )
+        prev, r = records[4:6]
+        assert prev.eta is r.eta and prev.periods_s is r.periods_s and prev.ref is r.ref
+        for prev, r in (records[5:7], records[6:8], records[8:10]):
+            assert prev.eta == r.eta and prev.periods_s == r.periods_s and prev.ref == r.ref
+            assert prev.eta is not r.eta and prev.periods_s is not r.periods_s and prev.ref is not r.ref
         result = ExperimentResult(control_names=("a", "b"), records=records, summary=None)
         lines = _trace_csv(result).splitlines()
         assert lines[0] == trace_header(("a", "b"))
@@ -166,6 +182,40 @@ class TestModeBehaviour:
         assert stats["sched"].released == 201  # one release lands exactly on the horizon
         assert stats["sched"].completed == 200
         assert stats["sched"].missed == 0
+
+
+class TestFactorOneKeepsThePeriods:
+    """An invocation whose factor is 1 does no period work, and its record
+    shares the previous one's periods tuple."""
+
+    @staticmethod
+    def _counted_run(monkeypatch, cfg):
+        calls = []
+        apply_periods = experiment.apply_periods
+
+        def counting(*args):
+            calls.append(args)
+            return apply_periods(*args)
+
+        monkeypatch.setattr(experiment, "apply_periods", counting)
+        return run_experiment(cfg, seed=1), len(calls)
+
+    def test_noise_free_open_run_applies_no_periods(self, monkeypatch):
+        cfg = replace(default_scenario(), mode="open", exec_std=0.0, util_std=0.0)
+        result, calls = self._counted_run(monkeypatch, cfg)
+        assert calls == 0
+        first = result.records[0].periods_s
+        assert first == (0.003, 0.004)
+        assert all(r.periods_s is first for r in result.records)
+
+    def test_fuzzy_run_applies_periods_only_at_other_factors(self, monkeypatch):
+        result, calls = self._counted_run(monkeypatch, default_scenario())
+        records = result.records
+        kept = sum(r.eta == 1.0 for r in records)
+        assert 0 < kept < len(records)
+        assert calls == len(records) - kept
+        for prev, r in zip(records, records[1:]):
+            assert (r.periods_s is prev.periods_s) == (r.eta == 1.0)
 
 
 class TestSummaryNumbers:

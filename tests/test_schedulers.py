@@ -55,7 +55,9 @@ class TestFuzzyFeedbackScheduler:
             assert 0.5 <= eta <= 1.5
 
     def test_every_table_cell_maps_to_its_factor_bit_for_bit(self):
-        # the trace pins depend on this exact expression, not on an equal-valued one
+        # the trace pins depend on this exact expression, not on an equal-valued
+        # one; cells of one level return one factor object
+        factor_of_level = {}
         for e_q in ERROR_UNIVERSE.levels:
             for ec_q in ERROR_UNIVERSE.levels:
                 fs = FuzzyFeedbackScheduler()
@@ -65,7 +67,9 @@ class TestFuzzyFeedbackScheduler:
                 assert ERROR_UNIVERSE.quantize(error) == e_q
                 assert ERROR_UNIVERSE.quantize(error - fs.prev_error) == ec_q
                 cell = GOLDEN_CELLS[e_q + 6][ec_q + 6]
-                assert fs.step(u) == 1.0 + cell * (1.0 / 14.0), (e_q, ec_q)
+                factor = fs.step(u)
+                assert factor == 1.0 + cell * (1.0 / 14.0), (e_q, ec_q)
+                assert factor_of_level.setdefault(cell, factor) is factor, (e_q, ec_q)
 
     def test_validation(self):
         with pytest.raises(ValueError):
