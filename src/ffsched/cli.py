@@ -14,7 +14,6 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .errors import FfschedError
 from .experiment import emit_traces, format_summary, run_experiment, trace_lines, write_lines
@@ -109,7 +108,7 @@ def _load_config(args) -> ScenarioConfig:
     flags = (("mode", "mode"), ("horizon", "horizon_s"), ("target", "target"), ("fs_period", "fs_period_s"))
     overrides = {field: value for flag, field in flags if (value := getattr(args, flag)) is not None}
     if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = cfg.replace(**overrides)
         validate_scenario(cfg)
     return cfg
 
@@ -134,7 +133,7 @@ def _cmd_sweep(args) -> int:
     )
     lines = [header]
     for level in args.noise:
-        level_cfg = replace(cfg, util_std=level)
+        level_cfg = cfg.replace(util_std=level)
         for seed in range(1, args.seeds + 1):
             summary = run_experiment(level_cfg, seed).summary
             missed = sum(s.missed for s in summary.task_stats.values())

@@ -8,20 +8,20 @@ exact closed-form solution, so step size never affects accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, expm1, hypot, inf, pi, sin
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class PlantParams:
+
+class PlantParams(Frozen):
     """position'' = -pole_rate * position' + input_gain * command"""
 
-    pole_rate: float = 2.0
-    input_gain: float = 2000.0
+    __slots__ = _fields = ("pole_rate", "input_gain")
 
-    def __post_init__(self):
-        if self.pole_rate <= 0:
+    def __init__(self, pole_rate: float = 2.0, input_gain: float = 2000.0):
+        if pole_rate <= 0:
             raise ValueError("pole_rate must be positive")
+        self._set(pole_rate, input_gain)
 
 
 def plant_step(
@@ -45,8 +45,7 @@ def plant_step(
     )
 
 
-@dataclass(frozen=True)
-class PidGains:
+class PidGains(Frozen):
     """Positional PID with a filtered derivative acting on the measurement.
 
     The defaults are tuned against the nominal plant sampled at 4 ms: the
@@ -57,27 +56,23 @@ class PidGains:
     modes stay comparable.
 
     `deriv_time_constant`, Td/N, the time constant of the derivative's
-    first-order filter, is computed once at construction and stored as a
-    plain attribute, not a field (so `==`, `hash`, `repr` and
-    `dataclasses.replace` see only the four gains). `pid_compute` reads the
-    gains once per control job; a lazily cached value would create the
-    instance `__dict__`, which takes every attribute load on the instance
-    off CPython's specialised path. When `kp * deriv_filter` underflows to 0
-    the value is +inf rather than a division error: `validate_scenario`
-    rejects that case when `kd > 0`, and `pid_compute` never reads the value
-    when `kd == 0`.
+    first-order filter, is computed once at construction and stored in a
+    slot that is not a field (so `==`, `hash` and `repr` see only the four
+    gains, and `replace` computes it again). `pid_compute` reads the gains
+    once per control job, each a slot load on CPython's specialised path.
+    When `kp * deriv_filter` underflows to 0 the value is +inf rather than a
+    division error: `validate_scenario` rejects that case when `kd > 0`, and
+    `pid_compute` never reads the value when `kd == 0`.
     """
 
-    kp: float = 1.3
-    ki: float = 3.0
-    kd: float = 0.035
-    deriv_filter: float = 25.0  # dimensionless filter ratio N
+    _fields = ("kp", "ki", "kd", "deriv_filter")  # deriv_filter: the dimensionless filter ratio N
+    __slots__ = (*_fields, "deriv_time_constant")
 
-    def __post_init__(self):
-        if self.deriv_filter <= 0:
+    def __init__(self, kp: float = 1.3, ki: float = 3.0, kd: float = 0.035, deriv_filter: float = 25.0):
+        if deriv_filter <= 0:
             raise ValueError("deriv_filter must be positive")
-        scale = (self.kp if self.kp > 0 else 1.0) * self.deriv_filter
-        object.__setattr__(self, "deriv_time_constant", self.kd / scale if scale else inf)
+        scale = (kp if kp > 0 else 1.0) * deriv_filter
+        self._set(kp, ki, kd, deriv_filter, deriv_time_constant=kd / scale if scale else inf)
 
 
 def pid_compute(
@@ -111,8 +106,7 @@ def pid_compute(
     return g.kp * error + integrator + deriv, integrator, deriv
 
 
-@dataclass(frozen=True)
-class ReferencePath:
+class ReferencePath(Frozen):
     """Half-circle swept at constant angular speed, flat side down.
 
     The target starts at (0, 0), rises over the upper arc and lands on
@@ -120,13 +114,14 @@ class ReferencePath:
     to the endpoints.
     """
 
+    __slots__ = _fields = ("duration",)
     centre = (1.0, 0.0)
     radius = 1.0
-    duration: float = 4.0
 
-    def __post_init__(self):
-        if self.duration <= 0:
+    def __init__(self, duration: float = 4.0):
+        if duration <= 0:
             raise ValueError("duration must be positive")
+        self._set(duration)
 
 
 def reference_at(path: ReferencePath, t: float) -> tuple[float, float]:

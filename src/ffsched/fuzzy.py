@@ -9,7 +9,8 @@ and membership shapes for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
 def round_half_away(x: float) -> int:
@@ -17,8 +18,7 @@ def round_half_away(x: float) -> int:
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
 
 
-@dataclass(frozen=True)
-class QuantizedUniverse:
+class QuantizedUniverse(Frozen):
     """Symmetric grid of integer levels -q_max..q_max over a real interval.
 
     The interval endpoints map onto the extreme levels, so `gain`, the
@@ -26,26 +26,24 @@ class QuantizedUniverse:
     The level count 2*q_max + 1 is odd by construction and level 0 sits at
     the interval centre.
 
-    `gain` is computed once at construction and stored as a plain
-    attribute, not a field (so `==`, `hash`, `repr` and
-    `dataclasses.replace` see only `q_max` and `span`). Every scheduler step
-    quantizes through it; a lazily cached value would create the instance
-    `__dict__`, which takes every attribute load on the instance off
-    CPython's specialised path.
+    `gain` is computed once at construction and stored in a slot that is
+    not a field (so `==`, `hash` and `repr` see only `q_max` and `span`, and
+    `replace` computes it again). Every scheduler step quantizes through it,
+    a slot load on CPython's specialised path.
     """
 
-    q_max: int
-    span: tuple[float, float]
+    _fields = ("q_max", "span")
+    __slots__ = (*_fields, "gain")
 
-    def __post_init__(self):
-        if self.q_max <= 0:
+    def __init__(self, q_max: int, span: tuple[float, float]):
+        if q_max <= 0:
             raise ValueError("q_max must be positive")
-        lo, hi = self.span
+        lo, hi = span
         if not hi > lo:
             raise ValueError("span must be a nonempty interval")
         # 2 * q_max / width rounds as q_max / (0.5 * width) does, and cannot
         # divide by zero when half a subnormal width rounds to 0
-        object.__setattr__(self, "gain", 2 * self.q_max / (hi - lo))
+        self._set(q_max, span, gain=2 * q_max / (hi - lo))
 
     @property
     def levels(self) -> range:
@@ -69,8 +67,7 @@ ERROR_UNIVERSE = QuantizedUniverse(6, (-0.3, 0.3))
 RESCALE_UNIVERSE = QuantizedUniverse(7, (0.5, 1.5))
 
 
-@dataclass(frozen=True)
-class MembershipFamily:
+class MembershipFamily(Frozen):
     """Triangular labels whose supports reach the neighbouring peaks.
 
     Adjacent labels overlap fully (memberships at any point sum to 1) and
@@ -78,20 +75,19 @@ class MembershipFamily:
     left uncovered.
     """
 
-    universe: QuantizedUniverse
-    labels: tuple[str, ...]
-    peaks: tuple[int, ...]
+    __slots__ = _fields = ("universe", "labels", "peaks")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.peaks):
+    def __init__(self, universe: QuantizedUniverse, labels: tuple[str, ...], peaks: tuple[int, ...]):
+        if len(labels) != len(peaks):
             raise ValueError("one peak per label required")
-        if len(self.labels) < 2:
+        if len(labels) < 2:
             raise ValueError("a family needs at least two labels")
-        if any(b <= a for a, b in zip(self.peaks, self.peaks[1:])):
+        if any(b <= a for a, b in zip(peaks, peaks[1:])):
             raise ValueError("peaks must be strictly ascending")
-        q = self.universe.q_max
-        if self.peaks[0] < -q or self.peaks[-1] > q:
+        q = universe.q_max
+        if peaks[0] < -q or peaks[-1] > q:
             raise ValueError("peaks must lie inside the universe")
+        self._set(universe, labels, peaks)
 
     def membership(self, label_index: int, x: float) -> float:
         p = self.peaks[label_index]
@@ -132,24 +128,28 @@ OUTPUT_FAMILY = MembershipFamily(
 )
 
 
-@dataclass(frozen=True)
-class RuleBase:
-    """Complete rule matrix: one output label per (error, delta-error) pair."""
+class RuleBase(Frozen):
+    """Complete rule matrix: one output label per (error, delta-error) pair,
+    `matrix[error][delta]`."""
 
-    error_labels: tuple[str, ...]
-    delta_labels: tuple[str, ...]
-    output_labels: tuple[str, ...]
-    matrix: tuple[tuple[str, ...], ...]  # matrix[error][delta] -> output label
+    __slots__ = _fields = ("error_labels", "delta_labels", "output_labels", "matrix")
 
-    def __post_init__(self):
-        if len(self.matrix) != len(self.error_labels):
+    def __init__(
+        self,
+        error_labels: tuple[str, ...],
+        delta_labels: tuple[str, ...],
+        output_labels: tuple[str, ...],
+        matrix: tuple[tuple[str, ...], ...],
+    ):
+        if len(matrix) != len(error_labels):
             raise ValueError("one matrix row per error label required")
-        for row in self.matrix:
-            if len(row) != len(self.delta_labels):
+        for row in matrix:
+            if len(row) != len(delta_labels):
                 raise ValueError("one matrix column per delta label required")
             for label in row:
-                if label not in self.output_labels:
+                if label not in output_labels:
                     raise ValueError(f"unknown output label {label!r}")
+        self._set(error_labels, delta_labels, output_labels, matrix)
 
     def consequent_index(self, error_index: int, delta_index: int) -> int:
         return self.output_labels.index(self.matrix[error_index][delta_index])
@@ -212,8 +212,7 @@ def defuzzify_centroid(aggregate: tuple[float, ...], out_family: MembershipFamil
     return weighted / total
 
 
-@dataclass(frozen=True)
-class LookupTable:
+class LookupTable(Frozen):
     """13x13 grid of output levels, indexed [e + 6][ec + 6].
 
     Cells are non-increasing along each row and down each column: a larger
@@ -221,27 +220,27 @@ class LookupTable:
     stretch.  Violations are rejected at construction time.
     """
 
-    cells: tuple[tuple[int, ...], ...]
-    provenance: str  # "golden" or "compiled"
+    __slots__ = _fields = ("cells", "provenance")
 
-    def __post_init__(self):
+    def __init__(self, cells: tuple[tuple[int, ...], ...], provenance: str):  # provenance: "golden" or "compiled"
         n = len(ERROR_UNIVERSE.levels)
-        if len(self.cells) != n or any(len(row) != n for row in self.cells):
+        if len(cells) != n or any(len(row) != n for row in cells):
             raise ValueError(f"table must be {n}x{n}")
         q = RESCALE_UNIVERSE.q_max
-        for row in self.cells:
+        for row in cells:
             for v in row:
                 if not -q <= v <= q:
                     raise ValueError(f"cell value {v} outside -{q}..{q}")
             if any(b > a for a, b in zip(row, row[1:])):
                 raise ValueError("rows must be non-increasing in ec")
-        for col in zip(*self.cells):
+        for col in zip(*cells):
             if any(b > a for a, b in zip(col, col[1:])):
                 raise ValueError("columns must be non-increasing in e")
+        self._set(cells, provenance)
 
 
 # The paper's controller output table (rows e = -6..6, columns ec = -6..6);
-# `__post_init__` checks it at import.
+# `LookupTable` checks it at import.
 _GOLDEN_TABLE = LookupTable(
     cells=(
         ( 6,  6,  6,  6,  6,  6,  6,  6,  6,  6,  5,  5,  5),

@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import fsum, inf
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+
+from .frozen import Frozen
 
 
 NS = 1_000_000_000  # nanoseconds per second
@@ -36,23 +37,21 @@ class TaskKind(enum.Enum):
     SCHEDULER = "scheduler"
 
 
-@dataclass(frozen=True)
-class ExecSchedule:
+class ExecSchedule(Frozen):
     """Piecewise-constant mean execution time over simulated time.
 
     Segments are (start_ns, end_ns, mean_ns), contiguous from t = 0. Releases
     past the final segment hold its value, and so do times before 0.
     """
 
-    segments: tuple[tuple[int, int, int], ...]
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _means: tuple[int, ...] = field(init=False, repr=False, compare=False)  # one per segment, then the last again
+    _fields = ("segments",)
+    __slots__ = (*_fields, "_ends", "_means")  # `_means`: one per segment, then the last again
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[tuple[int, int, int], ...]):
+        if not segments:
             raise ValueError("execution schedule needs at least one segment")
         expected_start = 0
-        for start, end, mean in self.segments:
+        for start, end, mean in segments:
             if type(start) is not int or type(end) is not int or type(mean) is not int:
                 raise ValueError(f"execution segments hold int nanoseconds, got {(start, end, mean)!r}")
             if start != expected_start:
@@ -62,8 +61,8 @@ class ExecSchedule:
             if mean <= 0:
                 raise ValueError("mean execution time must be positive")
             expected_start = end
-        object.__setattr__(self, "_ends", tuple(end for _, end, _ in self.segments))
-        object.__setattr__(self, "_means", tuple(mean for _, _, mean in self.segments) + (self.segments[-1][2],))
+        means = tuple(mean for _, _, mean in segments)
+        self._set(segments, _ends=tuple(end for _, end, _ in segments), _means=means + means[-1:])
 
     FOREVER = 2**63 - 1
 
@@ -87,23 +86,20 @@ class ExecSchedule:
         return (self._ends[k] if k < len(self._ends) else inf), self._means[k]
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A periodic task as the kernel schedules it: name, kind, fixed priority, period and execution-time means."""
+class TaskSpec(Frozen):
+    """A periodic task as the kernel schedules it: name, kind, fixed priority
+    (a lower number preempts a higher one), period and execution-time means."""
 
-    name: str
-    kind: TaskKind
-    priority: int  # lower number preempts higher
-    period_ns: int
-    exec_schedule: ExecSchedule
+    __slots__ = _fields = ("name", "kind", "priority", "period_ns", "exec_schedule")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, kind: TaskKind, priority: int, period_ns: int, exec_schedule: ExecSchedule):
+        if not name:
             raise ValueError("task name must be non-empty")
-        if type(self.period_ns) is not int or self.period_ns <= 0:
-            raise ValueError(f"task {self.name}: period must be a positive int of nanoseconds")
-        if type(self.priority) is not int or self.priority <= 0:
-            raise ValueError(f"task {self.name}: priority must be a positive integer")
+        if type(period_ns) is not int or period_ns <= 0:
+            raise ValueError(f"task {name}: period must be a positive int of nanoseconds")
+        if type(priority) is not int or priority <= 0:
+            raise ValueError(f"task {name}: priority must be a positive integer")
+        self._set(name, kind, priority, period_ns, exec_schedule)
 
 
 class JobRecord(NamedTuple):

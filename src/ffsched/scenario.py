@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 
 from .control import PidGains, PlantParams
 from .errors import EmitError, ScenarioSemanticError, ScenarioSyntaxError
+from .frozen import Frozen
 from .rtsim import NORMAL_BOUND, NS, ExecSchedule, TaskKind, TaskSpec, seconds_to_ns
 
 MODES = ("fuzzy", "ideal", "open")
@@ -66,34 +66,46 @@ _SECTION_KEYS = {
 _MODEL_SECTIONS = ("plant", "pid")
 
 
-@dataclass(frozen=True)
-class TaskConfig:
-    """One [task] section: its execution-time means are piecewise constant over `exec_segments`."""
+class TaskConfig(Frozen):
+    """One [task] section: its execution-time means are piecewise constant
+    over `exec_segments`, each `(start_s, end_s, mean_s)`."""
 
-    name: str
-    kind: TaskKind
-    priority: int
-    period_s: float
-    exec_segments: tuple[tuple[float, float, float], ...]  # (start_s, end_s, mean_s)
+    __slots__ = _fields = ("name", "kind", "priority", "period_s", "exec_segments")
+
+    def __init__(
+        self, name: str, kind: TaskKind, priority: int, period_s: float, exec_segments: tuple[tuple[float, float, float], ...]
+    ):
+        self._set(name, kind, priority, period_s, exec_segments)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A whole scenario; `validate_scenario` checks its values, and `dataclasses.replace` derives variants."""
+class ScenarioConfig(Frozen):
+    """A whole scenario; `validate_scenario` checks its values, and `replace` derives variants."""
 
-    mode: str
-    horizon_s: float
-    target: float
-    fs_period_s: float
-    fs_exec_s: float
-    h_min_s: float
-    h_max_s: float
-    exec_std: float
-    util_std: float
-    plant: PlantParams
-    pid: PidGains
-    ref_duration_s: float
-    tasks: tuple[TaskConfig, ...]
+    __slots__ = _fields = (
+        "mode", "horizon_s", "target", "fs_period_s", "fs_exec_s", "h_min_s", "h_max_s",
+        "exec_std", "util_std", "plant", "pid", "ref_duration_s", "tasks",
+    )
+
+    def __init__(
+        self,
+        mode: str,
+        horizon_s: float,
+        target: float,
+        fs_period_s: float,
+        fs_exec_s: float,
+        h_min_s: float,
+        h_max_s: float,
+        exec_std: float,
+        util_std: float,
+        plant: PlantParams,
+        pid: PidGains,
+        ref_duration_s: float,
+        tasks: tuple[TaskConfig, ...],
+    ):
+        self._set(
+            mode, horizon_s, target, fs_period_s, fs_exec_s, h_min_s, h_max_s,
+            exec_std, util_std, plant, pid, ref_duration_s, tasks,
+        )
 
     def control_tasks(self) -> tuple[TaskConfig, ...]:
         return tuple(t for t in self.tasks if t.kind is TaskKind.CONTROL)
@@ -227,8 +239,8 @@ def _build(sections) -> ScenarioConfig:
             fields.update(_read(section, plain.get(section, {})))
     try:
         for section in _MODEL_SECTIONS:
-            fields[section] = replace(getattr(base, section), **fields[section])
-        cfg = replace(base, **fields)
+            fields[section] = getattr(base, section).replace(**fields[section])
+        cfg = base.replace(**fields)
     except ValueError as exc:  # the models' own guards, kept for library callers
         raise ScenarioSemanticError(str(exc)) from None
     validate_scenario(cfg)

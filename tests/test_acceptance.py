@@ -6,7 +6,6 @@ print; without -s they still decide the pass/fail of each test.
 
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from statistics import fmean
 
 import pytest
@@ -42,7 +41,7 @@ def criterion(number: int, label: str, budget_s: float):
 
 
 def _noise_free(mode: str):
-    return replace(default_scenario(), mode=mode, exec_std=0.0, util_std=0.0)
+    return default_scenario().replace(mode=mode, exec_std=0.0, util_std=0.0)
 
 
 def _exec_mean_at(task, t_s: float) -> float:
@@ -139,8 +138,8 @@ def test_criterion_5_fuzzy_closed_loop():
     with criterion(5, "fuzzy closed loop", budget_s=5.0):
         cfg = default_scenario()  # measurement noise 0.1, default seed
         fuzzy = run_experiment(cfg, SEED)
-        ideal = run_experiment(replace(cfg, mode="ideal"), SEED)
-        open_loop = run_experiment(replace(cfg, mode="open"), SEED)
+        ideal = run_experiment(cfg.replace(mode="ideal"), SEED)
+        open_loop = run_experiment(cfg.replace(mode="open"), SEED)
 
         tail = [r.u_meas for r in fuzzy.records if r.t_s > cfg.horizon_s - 1.0]
         assert 0.78 <= fmean(tail) <= 0.92
@@ -175,7 +174,7 @@ def test_criterion_8_noise_robustness():
     with criterion(8, "noise robustness", budget_s=120.0):
         base = default_scenario()
         for noise in (0.0, 0.02, 0.05, 0.1):
-            cfg = replace(base, util_std=noise)
+            cfg = base.replace(util_std=noise)
             for seed in range(1, 11):
                 result = run_experiment(cfg, seed)
                 label = f"noise={noise} seed={seed}"

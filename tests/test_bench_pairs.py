@@ -3,6 +3,8 @@ start-up pair of the working tree; the benchmark itself never runs here."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -145,3 +147,12 @@ def test_startup_times_a_cold_import_pair_of_the_working_tree(tmp_path):
     for name in ("wall_ms", "peak_rss_mb"):
         assert summary[name]["pairs"] == 1
         assert 0 < summary[name]["parent_median"] and 0 < summary[name]["change_median"], name
+
+
+def test_setup_command_imports_numpy_before_ffsched_as_the_benchmark_child_does():
+    args, warm = bench_pairs.STARTUP["setup-numpy"]
+    code = args[args.index("-c") + 1]
+    assert not warm
+    assert code.index("import numpy") < code.index("import ffsched.cli") < code.index("default_scenario()")
+    env = {**os.environ, "PYTHONPATH": os.path.join(bench_pairs.ROOT, "src")}
+    subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True, timeout=60)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from collections import defaultdict, deque
-from dataclasses import replace
 
 import pytest
 
@@ -42,9 +41,9 @@ def fuzzy_result():
 
 @pytest.fixture(scope="module")
 def noise_free():
-    cfg = replace(default_scenario(), exec_std=0.0, util_std=0.0)
+    cfg = default_scenario().replace(exec_std=0.0, util_std=0.0)
     return {
-        mode: run_experiment(replace(cfg, mode=mode), seed=1)
+        mode: run_experiment(cfg.replace(mode=mode), seed=1)
         for mode in ("fuzzy", "ideal", "open")
     }
 
@@ -201,7 +200,7 @@ class TestFactorOneKeepsThePeriods:
         return run_experiment(cfg, seed=1), len(calls)
 
     def test_noise_free_open_run_applies_no_periods(self, monkeypatch):
-        cfg = replace(default_scenario(), mode="open", exec_std=0.0, util_std=0.0)
+        cfg = default_scenario().replace(mode="open", exec_std=0.0, util_std=0.0)
         result, calls = self._counted_run(monkeypatch, cfg)
         assert calls == 0
         first = result.records[0].periods_s
@@ -267,7 +266,7 @@ class TestReferenceEndPoint:
         monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
         monkeypatch.setattr(experiment, "pid_compute", recording_pid_compute)
         # open loop: tau2 keeps its 4 ms period, so it is released at 0.1 s itself
-        cfg = replace(default_scenario(), mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
+        cfg = default_scenario().replace(mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
         result = run_experiment(cfg, seed=1)
         assert result.control_names == control_names
         path = ReferencePath(duration=self.DURATION_S)
@@ -313,7 +312,7 @@ class TestKernelInvariantsInTheLoop:
 
         monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
         horizon_s = 0.5  # the check is O(segments x jobs)
-        run_experiment(replace(default_scenario(), mode=mode, horizon_s=horizon_s), seed=1)
+        run_experiment(default_scenario().replace(mode=mode, horizon_s=horizon_s), seed=1)
         (kernel,) = kernels
         _verify_case(kernel.specs, kernel, kernel.releases, kernel.finishes, seconds_to_ns(horizon_s))
         # a job's deadline is its release plus the period in force then, and a
@@ -340,7 +339,7 @@ class TestStartHookOptOut:
                 super().__init__(tasks, on_job_start=counted, **kwargs)
 
         monkeypatch.setattr(experiment, "Kernel", CountingKernel)
-        cfg = replace(default_scenario(), horizon_s=1.0)
+        cfg = default_scenario().replace(horizon_s=1.0)
         result = run_experiment(cfg, seed=1)
         # one scheduler start per record, plus the one at 0 that starts the first window
         assert calls.count(SCHEDULER_TASK) == result.summary.invocations + 1
@@ -411,7 +410,7 @@ class TestReplayMatchesJobHooks:
     @pytest.mark.parametrize("seed", [1, 2, 7])
     @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
     def test_default_scenario(self, mode, seed):
-        self._assert_identical(replace(default_scenario(), mode=mode), seed)
+        self._assert_identical(default_scenario().replace(mode=mode), seed)
 
     def test_flickering_means(self):
         self._assert_identical(_flickering_scenario(), 1)
@@ -422,14 +421,13 @@ class TestReplayMatchesJobHooks:
         # ends at 0.13 s, between the invocations at 0.12 s and 0.14 s; the
         # loop still settles on the end point
         base = default_scenario()
-        cfg = replace(
-            base,
+        cfg = base.replace(
             plant=PlantParams(pole_rate=10.0, input_gain=400.0),
-            pid=replace(base.pid, kd=0.0),
+            pid=base.pid.replace(kd=0.0),
             ref_duration_s=0.13,
         )
         if not noisy:
-            cfg = replace(cfg, exec_std=0.0, util_std=0.0)
+            cfg = cfg.replace(exec_std=0.0, util_std=0.0)
         records = self._assert_identical(cfg, 3).records
         end = reference_at(ReferencePath(duration=0.13), 0.13)
         before = [r.ref for r in records if r.t_s < 0.13]
@@ -448,7 +446,7 @@ class TestReplayMatchesJobHooks:
                 return windows[-1]
 
         monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
-        cfg = replace(default_scenario(), mode="open", exec_std=0.0, util_std=0.0)
+        cfg = default_scenario().replace(mode="open", exec_std=0.0, util_std=0.0)
         self._assert_identical(cfg, 1)
         invocations = {w.end_ns for w in windows}
 
@@ -512,7 +510,7 @@ class TestNoiseDraws:
         return draws, samples, result
 
     def test_one_draw_per_user_job(self, monkeypatch):
-        draws, samples, result = self._record_calls(replace(default_scenario(), horizon_s=0.5), monkeypatch)
+        draws, samples, result = self._record_calls(default_scenario().replace(horizon_s=0.5), monkeypatch)
         stats = result.summary.task_stats
         assert list(draws) == [name for name in stats if name != SCHEDULER_TASK]
         for name, task_draws in draws.items():
@@ -554,7 +552,7 @@ class TestNoiseDraws:
                 for spec in tasks:
                     counting = _CountingSchedule(spec.exec_schedule)
                     tallies[spec.name] = (spec.exec_schedule, [], counting.asked)
-                    counted.append(replace(spec, exec_schedule=counting))
+                    counted.append(spec.replace(exec_schedule=counting))
                 assert "on_job_release" not in hooks
                 super().__init__(counted, on_job_release=lambda name, t: tallies[name][1].append(t), **hooks)
 
@@ -571,7 +569,7 @@ class TestNoiseDraws:
                 assert len(asked) <= most_spans < len(releases)
 
     def test_noise_free_runs_draw_nothing(self, monkeypatch):
-        cfg = replace(default_scenario(), horizon_s=0.5, exec_std=0.0)
+        cfg = default_scenario().replace(horizon_s=0.5, exec_std=0.0)
         samples = []
         monkeypatch.setattr(experiment, "sample_execution_time", lambda *args: samples.append(args))
         draws, _, _ = self._record_calls(cfg, monkeypatch)

@@ -8,7 +8,6 @@ its horizon. A defect that breaks one of them can keep every pin.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +20,7 @@ SEEDS = (1, 2)
 
 
 def _run(seed, horizon_s=1.0, **changes):
-    return run_experiment(replace(default_scenario(), horizon_s=horizon_s, **changes), seed)
+    return run_experiment(default_scenario().replace(horizon_s=horizon_s, **changes), seed)
 
 
 def _schedule(result):
@@ -55,7 +54,7 @@ def test_open_and_ideal_ignore_util_std_outside_the_measurement(mode, seed):
 def test_doubling_kp_leaves_the_schedule(mode, seed):
     base = _run(seed, mode=mode)
     cfg_pid = default_scenario().pid
-    stiffer = _run(seed, mode=mode, pid=replace(cfg_pid, kp=2 * cfg_pid.kp))
+    stiffer = _run(seed, mode=mode, pid=cfg_pid.replace(kp=2 * cfg_pid.kp))
     assert _schedule(stiffer) == _schedule(base)
     assert [r.act for r in stiffer.records] != [r.act for r in base.records]
 
@@ -78,7 +77,7 @@ def test_open_mode_ignores_the_target():
 @pytest.mark.parametrize("mode", MODES)
 def test_order_preserving_priority_relabel_changes_nothing(mode):
     relabel = {2: 5, 3: 7, 4: 11}
-    tasks = tuple(replace(t, priority=relabel[t.priority]) for t in default_scenario().tasks)
+    tasks = tuple(t.replace(priority=relabel[t.priority]) for t in default_scenario().tasks)
     base = _run(3, horizon_s=2.0, mode=mode)
     relabelled = _run(3, horizon_s=2.0, mode=mode, tasks=tasks)
     assert relabelled.records == base.records

@@ -12,7 +12,6 @@ meant to alter the numbers re-takes these pins and says why.
 import hashlib
 import math
 import os
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -61,7 +60,7 @@ TABLE_PINS = {
 
 @pytest.mark.parametrize("mode", sorted(PINS))
 def test_default_scenario_outputs_are_pinned(mode, tmp_path):
-    result = run_experiment(replace(default_scenario(), mode=mode), seed=1)
+    result = run_experiment(default_scenario().replace(mode=mode), seed=1)
     paths = emit_traces(str(tmp_path), result)
     digests = {}
     for path in paths:
@@ -78,9 +77,9 @@ def _flickering_scenario():
     segments = tuple((k / 1000, (k + 1) / 1000, 0.0006 if k % 2 == 0 else 0.0012) for k in range(400))
     base = default_scenario()
     tasks = tuple(
-        replace(t, exec_segments=segments) if t.name in ("tau1", "tau3") else t for t in base.tasks
+        t.replace(exec_segments=segments) if t.name in ("tau1", "tau3") else t for t in base.tasks
     )
-    cfg = replace(base, horizon_s=0.4, exec_std=0.2, tasks=tasks)
+    cfg = base.replace(horizon_s=0.4, exec_std=0.2, tasks=tasks)
     validate_scenario(cfg)
     return cfg
 

@@ -3,7 +3,6 @@
 import ast
 import inspect
 import math
-from dataclasses import replace
 from itertools import count, islice, repeat
 from pathlib import Path
 
@@ -229,7 +228,7 @@ class TestKernelTimeline:
         # as above with B's exec one nanosecond longer: each B job now spills
         # past its deadline into A's next job, and the lag grows by 1 ns a job
         records = []
-        tasks = [_task("A", 1, 10, 4), replace(_task("B", 2, 10, 6), exec_schedule=ExecSchedule.constant(6 * MS + 1))]
+        tasks = [_task("A", 1, 10, 4), _task("B", 2, 10, 6).replace(exec_schedule=ExecSchedule.constant(6 * MS + 1))]
         kernel = Kernel(tasks, on_job_finish=records.append)
         kernel.run(30 * MS)
         b = kernel.stats("B")
@@ -360,7 +359,7 @@ class TestExecTimeSource:
 
         # C's mean steps from 1 to 2 ms at 23 ms, between two of its releases
         c_schedule = ExecSchedule(((0, 23 * MS, MS), (23 * MS, ExecSchedule.FOREVER, 2 * MS)))
-        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), replace(_task("C", 3, 5, 1), exec_schedule=c_schedule)]
+        specs = [_task("A", 1, 10, 3), _task("B", 2, 15, 6), _task("C", 3, 5, 1).replace(exec_schedule=c_schedule)]
         jobs = []
         kernel = Kernel(
             specs,
@@ -416,7 +415,7 @@ class TestExecTimeSource:
                 super().__init__(*args)
 
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
-        cfg = replace(default_scenario(), horizon_s=0.2, exec_std=exec_std)
+        cfg = default_scenario().replace(horizon_s=0.2, exec_std=exec_std)
         run_experiment(cfg, seed=1)
         # one per user task when noisy, none at all when noise-free
         assert len(built) == (len(cfg.tasks) if exec_std else 0)

@@ -3,7 +3,6 @@
 import ast
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -154,8 +153,8 @@ def _default_with(field, value):
     cfg = default_scenario()
     model, _, name = field.rpartition(".")
     if model:
-        return replace(cfg, **{model: replace(getattr(cfg, model), **{name: value})})
-    return replace(cfg, **{name: value})
+        return cfg.replace(**{model: getattr(cfg, model).replace(**{name: value})})
+    return cfg.replace(**{name: value})
 
 
 class TestEachKeySetsItsField:
@@ -350,10 +349,8 @@ class TestSemanticErrors:
             parse_scenario(THREE_TASKS.replace("exec = 0.0006", bad_exec))
 
     def test_validate_is_also_exported_for_built_configs(self):
-        from dataclasses import replace
-
         with pytest.raises(ScenarioSemanticError):
-            validate_scenario(replace(default_scenario(), target=0.0))
+            validate_scenario(default_scenario().replace(target=0.0))
 
     def test_syntax_errors_come_before_value_errors(self):
         # the parser only parses: a bad value elsewhere in the file does not mask malformed text
@@ -365,12 +362,12 @@ class TestSemanticErrors:
 def _with_task(i, **changes):
     cfg = default_scenario()
     tasks = list(cfg.tasks)
-    tasks[i] = replace(tasks[i], **changes)
-    return replace(cfg, tasks=tuple(tasks))
+    tasks[i] = tasks[i].replace(**changes)
+    return cfg.replace(tasks=tuple(tasks))
 
 
 def _with(**changes):
-    return replace(default_scenario(), **changes)
+    return default_scenario().replace(**changes)
 
 
 # configurations built in Python that break a value rule the parser used to
@@ -439,7 +436,7 @@ class TestKernelTimes:
         assert specs[2].exec_schedule.segments == ((0, 10**9, 600_000), (10**9, 2 * 10**9, 600_000))
 
     def test_run_experiment_rejects_an_unvalidated_config(self):
-        cfg = replace(default_scenario(), h_min_s=1e-10)  # rounds to 0 ns
+        cfg = default_scenario().replace(h_min_s=1e-10)  # rounds to 0 ns
         with pytest.raises(ScenarioSemanticError, match="h_min must be a finite time from 1 ns"):
             run_experiment(cfg, seed=1)
 

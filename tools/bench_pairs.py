@@ -58,10 +58,16 @@ COMPARED = ("benchmark", "BENCHMARK.json")  # must be identical on both sides
 SIDES = ("parent", "change")
 PAIRS = 10  # untraced pairs per workload, and pairs per start-up command
 # start-up command -> (interpreter arguments, whether the bytecode cache is warm);
-# a `{quiet}` argument names a file holding open-quiet40's noise-free scenario
+# a `{quiet}` argument names a file holding open-quiet40's noise-free scenario.
+# "setup-numpy" imports what `benchmark/child.py` imports before its `setup_s`
+# ends, in its order: numpy first, then the CLI, then the default scenario.
 STARTUP = {
     "import-cold": (["-c", "import ffsched.cli"], False),
     "import-warm": (["-c", "import ffsched.cli"], True),
+    "setup-numpy": (
+        ["-c", "import numpy; import ffsched.cli; from ffsched.scenario import default_scenario; default_scenario()"],
+        False,
+    ),
     "table": (["-m", "ffsched.cli", "table"], False),
     "run-open-quiet": (
         ["-m", "ffsched.cli", "run", "--mode", "open", "--horizon", "4", "--scenario", "{quiet}"],
