@@ -157,7 +157,10 @@ INPUTS = {
     ),
     ReferencePath: (dict(duration=2.0), dict(duration=4.0)),
     ExecSchedule: (dict(segments=((0, 5, 2), (5, 9, 3))), {}),
-    TaskSpec: (dict(name="a", kind=TaskKind.LOAD, priority=2, period_ns=10, exec_schedule=ExecSchedule.constant(3)), {}),
+    TaskSpec: (
+        dict(name="a", kind=TaskKind.LOAD, priority=2, period_ns=10, exec_schedule=ExecSchedule.constant(3)),
+        {},
+    ),
     TaskConfig: (
         dict(name="a", kind=TaskKind.CONTROL, priority=3, period_s=0.003, exec_segments=((0.0, 1.0, 0.0006),)),
         {},
@@ -183,7 +186,12 @@ INPUTS = {
     QuantizedUniverse: (dict(q_max=6, span=(-0.3, 0.3)), {}),
     MembershipFamily: (dict(universe=ERROR_UNIVERSE, labels=("N", "Z", "P"), peaks=(-6, 0, 6)), {}),
     RuleBase: (
-        dict(error_labels=("N", "P"), delta_labels=("N", "P"), output_labels=("N", "Z", "P"), matrix=(("P", "Z"), ("Z", "N"))),
+        dict(
+            error_labels=("N", "P"),
+            delta_labels=("N", "P"),
+            output_labels=("N", "Z", "P"),
+            matrix=(("P", "Z"), ("Z", "N")),
+        ),
         {},
     ),
     LookupTable: (dict(cells=_TABLE.cells, provenance="golden"), {}),
@@ -237,7 +245,10 @@ def test_input_fields_keep_their_names_order_and_defaults(cls):
         assert _fields_of(cls()) == defaults
 
 
-@pytest.mark.parametrize("cls, changes, message", GUARDS, ids=lambda v: v.__name__ if isinstance(v, type) else "")
+GUARD_IDS = [f"{cls.__name__}: {message}" for cls, _, message in GUARDS]
+
+
+@pytest.mark.parametrize("cls, changes, message", GUARDS, ids=GUARD_IDS)
 def test_input_guards_keep_their_messages_and_run_again_on_replace(cls, changes, message):
     values = INPUTS[cls][0]
     with pytest.raises(ValueError) as built:
@@ -248,7 +259,7 @@ def test_input_guards_keep_their_messages_and_run_again_on_replace(cls, changes,
     assert str(replaced.value) == message
 
 
-def test_every_guarded_input_has_its_guards_listed():
+def test_guards_cover_every_input_class_that_has_one():
     assert {cls for cls, _, _ in GUARDS} == set(INPUTS) - {TaskConfig, ScenarioConfig}
 
 
