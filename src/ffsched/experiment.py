@@ -97,8 +97,9 @@ def run_experiment(cfg: ScenarioConfig, seed: int) -> ExperimentResult:
 
     Each axis's loop state lives in the locals of its own `control_loop`
     generator (axis 0 = x, 1 = y), which calls `pid_compute` and evaluates the
-    plant's closed form and the reference path inline; `tests/hook_wiring.py`
-    checks it against the `control.py` formulas it copies. User task i
+    plant's closed form and the reference path inline; `tests/decision_model.py`,
+    a model of the run without a kernel, checks it against the `control.py`
+    formulas it copies. User task i
     draws its execution-time noise from `normal_blocks(seed, i)` and the
     measurement its noise from stream `len(cfg.tasks)`. A stream is read
     only while its noise is on, and builds its Generator at the first read,

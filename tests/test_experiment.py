@@ -22,8 +22,8 @@ from ffsched.experiment import (
 from ffsched.control import PlantParams, ReferencePath, reference_at
 from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, ExecSchedule, Kernel, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
-from hook_wiring import run_with_job_hooks
 from invariants import JobStreamKernel, _verify_case
+from test_decision_model import assert_matches_model
 from test_pins import _flickering_scenario
 from test_rtsim import _CountingSchedule, _span_entries
 
@@ -393,30 +393,23 @@ print(rc, "numpy.random" in sys.modules, "numpy" in sys.modules)
 
 
 class TestReplayMatchesJobHooks:
-    """`run_experiment` replays the control loops from each window's job
-    timeline; `run_with_job_hooks` drives them from per-job kernel hooks.
-    Both must give identical trace records and summaries. The hook wiring's
-    sources hand out one job's time per call, so the kernel asks them at
-    every release, while the run's hand out the rest of a noise block."""
-
-    @staticmethod
-    def _assert_identical(cfg, seed):
-        replayed, hooked = run_experiment(cfg, seed), run_with_job_hooks(cfg, seed)
-        assert replayed.records == hooked.records
-        assert _trace_csv(replayed) == _trace_csv(hooked)  # also tells -0.0 from 0.0
-        assert replayed.summary == hooked.summary
-        return replayed
+    """`run_experiment` replays the control loops once per window from the
+    kernel's timeline; `decision_model.run_model` computes every decision
+    without dispatching a job, dispatches the job lists with the reference
+    dispatcher and runs each loop job by job with the `control.py` formulas.
+    Both must give identical records, trace.csv text and summaries, and the
+    model's job lists must equal the run's job stream."""
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
-    def test_default_scenario(self, mode, seed):
-        self._assert_identical(default_scenario().replace(mode=mode), seed)
+    def test_default_scenario(self, mode, seed, monkeypatch):
+        assert_matches_model(monkeypatch, default_scenario().replace(mode=mode), seed)
 
-    def test_flickering_means(self):
-        self._assert_identical(_flickering_scenario(), 1)
+    def test_flickering_means(self, monkeypatch):
+        assert_matches_model(monkeypatch, _flickering_scenario(), 1)
 
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_non_default_plant_pid_and_path(self, noisy):
+    def test_non_default_plant_pid_and_path(self, noisy, monkeypatch):
         # a faster pole, a weaker input, no derivative term and a path that
         # ends at 0.13 s, between the invocations at 0.12 s and 0.14 s; the
         # loop still settles on the end point
@@ -428,7 +421,7 @@ class TestReplayMatchesJobHooks:
         )
         if not noisy:
             cfg = cfg.replace(exec_std=0.0, util_std=0.0)
-        records = self._assert_identical(cfg, 3).records
+        records = assert_matches_model(monkeypatch, cfg, 3)[0].records
         end = reference_at(ReferencePath(duration=0.13), 0.13)
         before = [r.ref for r in records if r.t_s < 0.13]
         assert len(before) == 6 and end not in before  # invocations at 0.02 s to 0.12 s
@@ -438,16 +431,8 @@ class TestReplayMatchesJobHooks:
     def test_events_on_invocation_instants(self, monkeypatch):
         # noise-free open loop: tau2 is released on every invocation instant,
         # and a few control jobs complete exactly on one
-        windows = []
-
-        class RecordingKernel(Kernel):
-            def window_snapshot(self, window_end_ns):
-                windows.append(super().window_snapshot(window_end_ns))
-                return windows[-1]
-
-        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
         cfg = default_scenario().replace(mode="open", exec_std=0.0, util_std=0.0)
-        self._assert_identical(cfg, 1)
+        windows = assert_matches_model(monkeypatch, cfg, 1)[1].windows
         invocations = {w.end_ns for w in windows}
 
         def on_invocation(timelines):
