@@ -19,8 +19,8 @@ decisions and loops depend on:
 Periods lie on a 1 ms grid, so control releases fall on invocation
 instants, and mean execution times on a 0.1 ms grid, so some jobs finish
 exactly on their deadline, which is not a miss. Loads may ask for more than
-an `ideal` target, which that mode refuses. Standard library only:
-`tools/same_outputs.py` imports it.
+an `ideal` target, which that mode refuses. Standard library only at
+import: `tools/same_outputs.py` imports it.
 """
 
 from __future__ import annotations
@@ -85,3 +85,18 @@ def cases(n: int) -> list[tuple[str, int]]:
 
     rng = random.Random(CORPUS_SEED)
     return [case(rng) for _ in range(n)]
+
+
+def flickering_scenario():
+    """The default tasks over 0.4 s, with tau1's and tau3's mean execution
+    times alternating 0.6 and 1.2 ms every 1 ms, shorter than any period, so
+    the mean changes between most consecutive jobs of those tasks."""
+
+    from ffsched.scenario import default_scenario, validate_scenario
+
+    segments = tuple((k / 1000, (k + 1) / 1000, 0.0006 if k % 2 == 0 else 0.0012) for k in range(400))
+    base = default_scenario()
+    tasks = tuple(t.replace(exec_segments=segments) if t.name in ("tau1", "tau3") else t for t in base.tasks)
+    cfg = base.replace(horizon_s=0.4, exec_std=0.2, tasks=tasks)
+    validate_scenario(cfg)
+    return cfg

@@ -26,9 +26,10 @@ from ffsched.fuzzy import (
     infer,
     load_golden_table,
 )
-from ffsched.rtsim import ExecSchedule, Kernel, TaskKind, TaskSpec
+from ffsched.rtsim import ExecSchedule, TaskKind, TaskSpec
 from ffsched.schedulers import FuzzyFeedbackScheduler
 from reference_dispatch import dispatch
+from run_probe import Probe
 
 MS = 1_000_000
 
@@ -114,25 +115,24 @@ def per_job(time_of):
     return lambda mean_ns, job: map(time_of, repeat(mean_ns), count(job))
 
 
-class JobStreamKernel(Kernel):
-    """A `Kernel` that keeps a copy of every job its window snapshots hand
-    out. `job_stream()` takes a final snapshot and returns each task's
-    `(release_ns, exec_ns)` pairs in release order, the input of
-    `reference_dispatch.dispatch`."""
+def span_entries(schedule: ExecSchedule, releases) -> list[int]:
+    """The releases that enter a span other than the previous release's,
+    where the spans are each segment and all of t >= the final segment end,
+    found by a linear scan; releases are never negative."""
 
-    def __init__(self, tasks, **kwargs):
-        self._jobs = defaultdict(list)
-        super().__init__(tasks, **kwargs)
+    def span_of(t_ns):
+        for k, (start, end, _) in enumerate(schedule.segments):
+            if start <= t_ns < end:
+                return k
+        return len(schedule.segments)
 
-    def window_snapshot(self, window_end_ns):
-        window = super().window_snapshot(window_end_ns)
-        for name, releases in window.releases.items():
-            self._jobs[name] += zip(releases, window.samples[name])
-        return window
-
-    def job_stream(self) -> dict[str, list[tuple[int, int]]]:
-        self.window_snapshot(ExecSchedule.FOREVER)
-        return dict(self._jobs)
+    entries, last = [], None
+    for t_ns in releases:
+        span = span_of(t_ns)
+        if span != last:
+            entries.append(t_ns)
+            last = span
+    return entries
 
 
 def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
@@ -164,7 +164,7 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
             # shared rng, at each release, in release order
             return per_job(lambda mean_ns, job: max(1, int(mean_ns * rng.uniform(0.3, 1.5))))
 
-        kernel = JobStreamKernel(
+        kernel = Probe(
             specs,
             exec_time_of=exec_time_of,
             on_job_release=lambda name, rel: releases[name].append(rel),
@@ -183,7 +183,7 @@ def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
 
 
 def _verify_case(specs, kernel, releases, finishes, horizon) -> None:
-    """Checks one run of a `JobStreamKernel` up to `horizon`; `releases` and
+    """Checks one run of a `run_probe.Probe` up to `horizon`; `releases` and
     `finishes` hold what its release and finish hooks got, per task."""
     prio = {s.name: s.priority for s in specs}
     jobs = kernel.job_stream()

@@ -1,65 +1,17 @@
 """`run_experiment` held to `decision_model.run_model` on generated scenarios,
-and the checks that keep the model independent of the run."""
+the checks that keep the model independent of the run, and the one seam
+through which tests watch a run."""
 
 import ast
 import os
 
 import decision_model
-import ffsched.experiment as experiment
 from corpus import cases
-from decision_model import run_model
-from ffsched.errors import InfeasibleLoadError
-from ffsched.experiment import run_experiment, trace_lines
 from ffsched.rtsim import NOISE_BLOCK
 from ffsched.scenario import parse_scenario
-from invariants import JobStreamKernel
+from run_probe import assert_matches_model
 
 CORPUS_CASES = 200
-
-
-def _outcome(run, cfg, seed):
-    """`run(cfg, seed)`, or the message of the InfeasibleLoadError it raised."""
-    try:
-        return run(cfg, seed), None
-    except InfeasibleLoadError as exc:
-        return None, str(exc)
-
-
-def assert_matches_model(monkeypatch, cfg, seed, text=None):
-    """Holds `run_experiment(cfg, seed)` to `run_model`: equal records,
-    trace.csv text and summary, and each task's job list equal to the run's
-    job stream; or, where `ideal_eta` refuses the load, the same message.
-    A failure names the seed and the scenario `text`, and shows the first
-    differing record. Returns the run's result (None when refused) and its
-    kernel, a `JobStreamKernel` that keeps its window snapshots in `windows`."""
-
-    kernels = []
-
-    class WindowKernel(JobStreamKernel):
-        def __init__(self, tasks, **kwargs):
-            super().__init__(tasks, **kwargs)
-            self.windows = []
-            kernels.append(self)
-
-        def window_snapshot(self, window_end_ns):
-            self.windows.append(super().window_snapshot(window_end_ns))
-            return self.windows[-1]
-
-    monkeypatch.setattr(experiment, "Kernel", WindowKernel)
-    where = f"seed {seed}" + (f", scenario:\n{text}" if text else "")
-    (run, refused), (modelled, model_refused) = _outcome(run_experiment, cfg, seed), _outcome(run_model, cfg, seed)
-    assert refused == model_refused, where
-    (kernel,) = kernels
-    if refused:
-        return None, kernel
-    model, jobs = modelled
-    first = next((i for i, (a, b) in enumerate(zip(run.records, model.records)) if a != b), None)
-    assert first is None, f"record {first} differs, {where}\nrun:   {run.records[first]}\nmodel: {model.records[first]}"
-    assert run.records == model.records, where
-    assert "".join(trace_lines(run)) == "".join(trace_lines(model)), where  # also tells -0.0 from 0.0
-    assert run.summary == model.summary, where
-    assert kernel.job_stream() == jobs, where
-    return run, kernel
 
 
 def test_generated_scenarios_match_the_model(monkeypatch):
@@ -104,3 +56,26 @@ def test_model_shares_no_machinery_with_the_run():
     assert draws == ["rng.standard_normal(BLOCK)"]
     assert decision_model.BLOCK != NOISE_BLOCK
 
+
+def test_one_seam_watches_the_run():
+    # only run_probe.py subclasses `Kernel` or puts anything in place of
+    # `ffsched.experiment.Kernel`; any test may build a `Kernel`, hooks and
+    # all. No test module imports another
+    tests = os.path.dirname(os.path.abspath(__file__))
+    seams, imports = set(), set()
+    replaced = ("Kernel", "ffsched.experiment.Kernel")  # as `setattr` and `monkeypatch.setattr` name it
+    for name in sorted(n for n in os.listdir(tests) if n.endswith(".py")):
+        with open(os.path.join(tests, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(b).endswith(("Kernel", "Probe")) for b in node.bases):
+                seams.add((name, f"class {node.name}"))
+            elif isinstance(node, ast.Call) and any(getattr(a, "value", 0) in replaced for a in node.args):
+                seams.add((name, ast.unparse(node)))
+            elif isinstance(node, ast.Assign) and any(getattr(t, "attr", None) == "Kernel" for t in node.targets):
+                seams.add((name, ast.unparse(node)))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                imports |= {(name, module) for module in modules if module.startswith("test_")}
+    assert {name for name, _ in seams} == {"run_probe.py"}, seams
+    assert not imports

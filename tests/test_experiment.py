@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import defaultdict, deque
+from collections import defaultdict
 
 import pytest
 
@@ -20,12 +20,11 @@ from ffsched.experiment import (
     trace_lines,
 )
 from ffsched.control import PlantParams, ReferencePath, reference_at
-from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, ExecSchedule, Kernel, seconds_to_ns
+from ffsched.rtsim import NOISE_BLOCK, NS, ExecDraws, ExecSchedule, seconds_to_ns
 from ffsched.scenario import SCHEDULER_TASK, default_scenario
-from invariants import JobStreamKernel, _verify_case
-from test_decision_model import assert_matches_model
-from test_pins import _flickering_scenario
-from test_rtsim import _CountingSchedule, _span_entries
+from corpus import flickering_scenario
+from invariants import _verify_case, span_entries
+from run_probe import assert_matches_model, watch
 
 H_MIN, H_MAX = 0.001, 0.007
 
@@ -243,32 +242,28 @@ class TestReferenceEndPoint:
 
     def test_every_reference_matches_the_path(self, monkeypatch):
         control_names = ("tau1", "tau2")
-        releases = defaultdict(list)
-        latched = defaultdict(list)
-        # the task of each PID update due in the window being replayed: the
-        # x axis's completions in time order, then the y axis's
-        completing = deque()
-
-        class RecordingKernel(Kernel):
-            def window_snapshot(self, window_end_ns):
-                window = super().window_snapshot(window_end_ns)
-                assert not completing  # every completion of the last window ran one update
-                for name in control_names:
-                    releases[name].extend(window.releases[name])
-                    completing.extend([name] * len(window.finishes[name]))
-                return window
+        updates = []  # each PID update's reference, and the windows taken when it ran
 
         def recording_pid_compute(gains, period, integrator, deriv, last_meas, ref, meas):
-            latched[completing.popleft()].append(ref)
+            updates.append((len(probes[0].windows), ref))
             return pid_compute(gains, period, integrator, deriv, last_meas, ref, meas)
 
         pid_compute = experiment.pid_compute
-        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+        probes = watch(monkeypatch)
         monkeypatch.setattr(experiment, "pid_compute", recording_pid_compute)
         # open loop: tau2 keeps its 4 ms period, so it is released at 0.1 s itself
         cfg = default_scenario().replace(mode="open", horizon_s=0.3, ref_duration_s=self.DURATION_S)
         result = run_experiment(cfg, seed=1)
         assert result.control_names == control_names
+        windows = probes[0].windows
+        # every completion of a window ran one update while that window was
+        # replayed: the x axis's completions in time order, then the y axis's
+        due = [(k, name) for k, w in enumerate(windows, 1) for name in control_names for _ in w.finishes[name]]
+        assert [k for k, _ in updates] == [k for k, _ in due]
+        latched = defaultdict(list)
+        for (_, name), (_, ref) in zip(due, updates):
+            latched[name].append(ref)
+        releases = {name: [t for w in windows for t in w.releases[name]] for name in control_names}
         path = ReferencePath(duration=self.DURATION_S)
         assert seconds_to_ns(self.DURATION_S) / NS == 0.1
         assert {r.t_s for r in result.records} >= {0.1, 0.12}
@@ -291,54 +286,33 @@ class TestKernelInvariantsInTheLoop:
 
     @pytest.mark.parametrize("mode", ["fuzzy", "ideal", "open"])
     def test_invariants_hold(self, mode, monkeypatch):
-        kernels = []
-
-        class RecordingKernel(JobStreamKernel):
-            def __init__(self, tasks, *, on_job_release=None, on_job_finish=None, **kwargs):
-                # the run replays its loops from window snapshots, not per-job hooks
-                assert on_job_release is None and on_job_finish is None
-                self.specs = list(tasks)
-                self.releases = defaultdict(list)
-                self.finishes = defaultdict(list)
-
-                def release(name, release_ns):
-                    self.releases[name].append(release_ns)
-
-                def finish(rec):
-                    self.finishes[rec.task].append(rec)
-
-                super().__init__(self.specs, on_job_release=release, on_job_finish=finish, **kwargs)
-                kernels.append(self)
-
-        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+        releases, finishes = defaultdict(list), defaultdict(list)
+        probes = watch(
+            monkeypatch,
+            on_job_release=lambda name, release_ns: releases[name].append(release_ns),
+            on_job_finish=lambda rec: finishes[rec.task].append(rec),
+        )
         horizon_s = 0.5  # the check is O(segments x jobs)
         run_experiment(default_scenario().replace(mode=mode, horizon_s=horizon_s), seed=1)
-        (kernel,) = kernels
-        _verify_case(kernel.specs, kernel, kernel.releases, kernel.finishes, seconds_to_ns(horizon_s))
+        (kernel,) = probes
+        # the run replays its loops from window snapshots, not per-job hooks
+        assert not kernel.given & {"on_job_release", "on_job_finish"}
+        _verify_case(kernel.specs, kernel, releases, finishes, seconds_to_ns(horizon_s))
         # a job's deadline is its release plus the period in force then, and a
         # period change moves only the releases after the next one
-        for name, recs in kernel.finishes.items():
-            rels = kernel.releases[name]
+        for name, recs in finishes.items():
+            rels = releases[name]
             for rec in recs[:-1]:  # the successor of the last one may lie past the horizon
                 assert rels[rec.index + 1] == rec.deadline_ns, (name, rec)
-        periods_seen = {r.deadline_ns - r.release_ns for r in kernel.finishes["tau1"]}
+        periods_seen = {r.deadline_ns - r.release_ns for r in finishes["tau1"]}
         assert (len(periods_seen) > 1) == (mode != "open")
 
 
 class TestStartHookOptOut:
     def test_hook_runs_for_scheduler_starts_and_one_first_job_per_other_task(self, monkeypatch):
         calls = []
-
-        class CountingKernel(Kernel):
-            # wraps the start hook as benchmark/tracing.py does, passing its return on
-            def __init__(self, tasks, *, on_job_start, **kwargs):
-                def counted(name, release_ns, start_ns):
-                    calls.append(name)
-                    return on_job_start(name, release_ns, start_ns)
-
-                super().__init__(tasks, on_job_start=counted, **kwargs)
-
-        monkeypatch.setattr(experiment, "Kernel", CountingKernel)
+        # chained before the run's start hook, whose return is passed on, as benchmark/tracing.py wraps it
+        watch(monkeypatch, on_job_start=lambda name, release_ns, start_ns: calls.append(name))
         cfg = default_scenario().replace(horizon_s=1.0)
         result = run_experiment(cfg, seed=1)
         # one scheduler start per record, plus the one at 0 that starts the first window
@@ -406,7 +380,7 @@ class TestReplayMatchesJobHooks:
         assert_matches_model(monkeypatch, default_scenario().replace(mode=mode), seed)
 
     def test_flickering_means(self, monkeypatch):
-        assert_matches_model(monkeypatch, _flickering_scenario(), 1)
+        assert_matches_model(monkeypatch, flickering_scenario(), 1)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_non_default_plant_pid_and_path(self, noisy, monkeypatch):
@@ -448,7 +422,7 @@ class TestNoiseDraws:
         its `times` calls as (job, the times taken from the call's iterator)
         and the length of each `sample` call, every task's execution times as
         the kernel filed them, and the result."""
-        built, samples = [], {}
+        built = []
 
         class CountingDraws(ExecDraws):
             __slots__ = ("calls", "sizes")
@@ -473,23 +447,11 @@ class TestNoiseDraws:
 
                 return recorded()
 
-        class RecordingKernel(Kernel):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                kernels.append(self)
-
-            def window_snapshot(self, window_end_ns):
-                window = super().window_snapshot(window_end_ns)
-                for name, execs in window.samples.items():
-                    samples.setdefault(name, []).extend(execs)
-                return window
-
-        kernels = []
+        probes = watch(monkeypatch)
         monkeypatch.setattr(experiment, "ExecDraws", CountingDraws)
-        monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
         result = run_experiment(cfg, seed=1)
-        (kernel,) = kernels
-        kernel.window_snapshot(ExecSchedule.FOREVER)  # the jobs released after the last invocation
+        # the job stream holds the jobs released after the last invocation too
+        samples = {name: [exec_ns for _, exec_ns in jobs] for name, jobs in probes[0].job_stream().items()}
         draws = {t.name: draws for t, draws in zip(cfg.tasks, built)}
         assert len(draws) == len(built)  # one per user task, or none
         return draws, samples, result
@@ -508,7 +470,7 @@ class TestNoiseDraws:
             assert handed == samples[name] and len(handed) == released
             assert len(jobs) < released / 10  # a call per span entered, not per job
 
-    @pytest.mark.parametrize("scenario", [default_scenario, _flickering_scenario], ids=["default", "flickering"])
+    @pytest.mark.parametrize("scenario", [default_scenario, flickering_scenario], ids=["default", "flickering"])
     def test_each_iterator_converts_the_blocks_it_reaches(self, monkeypatch, scenario):
         draws, _, _ = self._record_calls(scenario(), monkeypatch)
         for task_draws in draws.values():
@@ -525,31 +487,30 @@ class TestNoiseDraws:
             assert any((job + len(taken) - 1) // NOISE_BLOCK > job // NOISE_BLOCK for job, taken in calls)
 
     @pytest.mark.parametrize(
-        "scenario, most_spans", [(default_scenario, 5), (_flickering_scenario, None)], ids=["default", "flickering"]
+        "scenario, most_spans", [(default_scenario, 5), (flickering_scenario, None)], ids=["default", "flickering"]
     )
     def test_one_schedule_lookup_per_span_entered(self, monkeypatch, scenario, most_spans):
-        # per task: (schedule, releases, instants the kernel looked up)
-        tallies = {}
+        looked_up = []  # (schedule, instant) of every lookup
+        span_at = ExecSchedule.span_at
 
-        class CountingKernel(Kernel):
-            def __init__(self, tasks, **hooks):
-                counted = []
-                for spec in tasks:
-                    counting = _CountingSchedule(spec.exec_schedule)
-                    tallies[spec.name] = (spec.exec_schedule, [], counting.asked)
-                    counted.append(spec.replace(exec_schedule=counting))
-                assert "on_job_release" not in hooks
-                super().__init__(counted, on_job_release=lambda name, t: tallies[name][1].append(t), **hooks)
+        def counting(schedule, t_ns):
+            looked_up.append((schedule, t_ns))
+            return span_at(schedule, t_ns)
 
-        monkeypatch.setattr(experiment, "Kernel", CountingKernel)
+        probes = watch(monkeypatch)
+        monkeypatch.setattr(ExecSchedule, "span_at", counting)
         cfg = scenario()
         result = run_experiment(cfg, seed=1)
         assert cfg.exec_std > 0  # the noisy tasks' means come from the kernel too
-        assert list(tallies) == [t.name for t in cfg.tasks] + [SCHEDULER_TASK]
-        for name, (schedule, releases, asked) in tallies.items():
-            assert len(releases) == result.summary.task_stats[name].released
-            entries = _span_entries(schedule, releases)
-            assert asked == entries
+        (kernel,) = probes
+        assert "on_job_release" not in kernel.given
+        assert [spec.name for spec in kernel.specs] == [t.name for t in cfg.tasks] + [SCHEDULER_TASK]
+        stream = kernel.job_stream()
+        for spec in kernel.specs:
+            releases = [release_ns for release_ns, _ in stream[spec.name]]
+            assert len(releases) == result.summary.task_stats[spec.name].released
+            asked = [t_ns for schedule, t_ns in looked_up if schedule is spec.exec_schedule]
+            assert asked == span_entries(spec.exec_schedule, releases)
             if most_spans is not None:
                 assert len(asked) <= most_spans < len(releases)
 

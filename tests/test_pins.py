@@ -21,9 +21,10 @@ import ffsched.experiment as experiment
 from ffsched.cli import main
 from ffsched.experiment import emit_traces, run_experiment
 from ffsched.rtsim import normal_blocks, seconds_to_ns
-from ffsched.scenario import default_scenario, validate_scenario
-from invariants import JobStreamKernel
+from corpus import flickering_scenario
+from ffsched.scenario import default_scenario
 from reference_dispatch import dispatch
+from run_probe import watch
 
 PINS = {
     "fuzzy": {
@@ -40,7 +41,7 @@ PINS = {
     },
 }
 
-# fuzzy mode at seed 1 with `_flickering_scenario()`
+# fuzzy mode at seed 1 with `flickering_scenario()`
 FLICKER_PINS = {
     "trace.csv": "ba27a9d26a22088569a86d9b854411d2ead4d9fb6ce2d0cba832e67d6659da0c",
     "summary.txt": "8b906bc5a9c18ef8d9446effd04cb6fd1efe2eeb64cca4e712bf229ab9eb90dd",
@@ -69,23 +70,8 @@ def test_default_scenario_outputs_are_pinned(mode, tmp_path):
     assert digests == PINS[mode]
 
 
-def _flickering_scenario():
-    """The default tasks over 0.4 s, with tau1's and tau3's mean execution
-    times alternating 0.6 and 1.2 ms every 1 ms, shorter than any period, so
-    the mean changes between most consecutive jobs of those tasks."""
-
-    segments = tuple((k / 1000, (k + 1) / 1000, 0.0006 if k % 2 == 0 else 0.0012) for k in range(400))
-    base = default_scenario()
-    tasks = tuple(
-        t.replace(exec_segments=segments) if t.name in ("tau1", "tau3") else t for t in base.tasks
-    )
-    cfg = base.replace(horizon_s=0.4, exec_std=0.2, tasks=tasks)
-    validate_scenario(cfg)
-    return cfg
-
-
 def test_changing_means_outputs_are_pinned(tmp_path):
-    result = run_experiment(_flickering_scenario(), seed=1)
+    result = run_experiment(flickering_scenario(), seed=1)
     digests = {}
     for path in emit_traces(str(tmp_path), result):
         with open(path, "rb") as fh:
@@ -106,7 +92,7 @@ def test_table_output_is_pinned(option, capsys):
 
 
 # every `sample_execution_time` call of the default fuzzy run at seed 1 and
-# of `_flickering_scenario()`, as `(mean_ns, len(normals))`: the call count
+# of `flickering_scenario()`, as `(mean_ns, len(normals))`: the call count
 # and the sha256 of the sequence's repr. The calls are the noise layer's
 # numpy work, and the benchmark's tracer counts them as `rtsim.noise_draws`
 CONVERSION_PINS = {
@@ -125,7 +111,7 @@ def test_execution_time_conversions_are_pinned(monkeypatch, scenario):
         return sample(mean_ns, normals, rel_std)
 
     monkeypatch.setattr(experiment, "sample_execution_time", recording)
-    run_experiment(default_scenario() if scenario == "default" else _flickering_scenario(), seed=1)
+    run_experiment(default_scenario() if scenario == "default" else flickering_scenario(), seed=1)
     assert (len(calls), hashlib.sha256(repr(calls).encode()).hexdigest()) == CONVERSION_PINS[scenario]
 
 
@@ -140,27 +126,19 @@ JOB_STREAM_PINS = {
 
 
 def test_default_scenario_job_stream_is_pinned(monkeypatch):
-    kernels = []
-
-    class RecordingKernel(JobStreamKernel):
-        def __init__(self, tasks, **kwargs):
-            self.specs = list(tasks)
-            self.jobs = []
-            super().__init__(self.specs, on_job_finish=self.jobs.append, **kwargs)
-            kernels.append(self)
-
-    monkeypatch.setattr(experiment, "Kernel", RecordingKernel)
+    jobs = []
+    probes = watch(monkeypatch, on_job_finish=jobs.append)
     cfg = default_scenario()
     run_experiment(cfg, seed=1)
-    (kernel,) = kernels
+    (kernel,) = probes
     priorities = {spec.name: spec.priority for spec in kernel.specs}
     segments, completions, preemptions = dispatch(kernel.job_stream(), priorities, seconds_to_ns(cfg.horizon_s))
-    assert [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in kernel.jobs] == completions
+    assert [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in jobs] == completions
     assert preemptions == {name: kernel.stats(name).preemptions for name in priorities}
-    assert len(kernel.jobs) > 3000 and len(segments) > len(kernel.jobs)
-    assert any(r.missed for r in kernel.jobs) and any(r.start_ns > r.release_ns for r in kernel.jobs)
+    assert len(jobs) > 3000 and len(segments) > len(jobs)
+    assert any(r.missed for r in jobs) and any(r.start_ns > r.release_ns for r in jobs)
     digests = {
-        "jobs": hashlib.sha256(repr([tuple(r) for r in kernel.jobs]).encode()).hexdigest(),
+        "jobs": hashlib.sha256(repr([tuple(r) for r in jobs]).encode()).hexdigest(),
         "segments": hashlib.sha256(repr([tuple(s) for s in segments]).encode()).hexdigest(),
     }
     assert digests == JOB_STREAM_PINS

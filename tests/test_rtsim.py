@@ -27,7 +27,7 @@ from ffsched.rtsim import (
     sample_execution_time,
 )
 from ffsched.scenario import default_scenario
-from invariants import per_job
+from invariants import per_job, span_entries
 from reference_dispatch import Segment, dispatch
 
 MS = 1_000_000
@@ -65,26 +65,6 @@ class _CountingSchedule:
     def span_at(self, t_ns: int):
         self.asked.append(t_ns)
         return self.schedule.span_at(t_ns)
-
-
-def _span_entries(schedule: ExecSchedule, releases) -> list[int]:
-    """The releases that enter a span other than the previous release's,
-    where the spans are each segment and all of t >= the final segment end,
-    found by a linear scan; releases are never negative."""
-
-    def span_of(t_ns):
-        for k, (start, end, _) in enumerate(schedule.segments):
-            if start <= t_ns < end:
-                return k
-        return len(schedule.segments)
-
-    entries, last = [], None
-    for t_ns in releases:
-        span = span_of(t_ns)
-        if span != last:
-            entries.append(t_ns)
-            last = span
-    return entries
 
 
 def _scan_mean_at(schedule: ExecSchedule, t_ns: int) -> int:
@@ -563,7 +543,7 @@ class TestScheduleCursor:
                 scalar = np.random.default_rng(seed)
                 expected = [_scalar_time(mean, float(scalar.standard_normal()), rel_std) for mean in expected]
             assert window.samples["t"] == expected
-            assert counting.asked == _span_entries(schedule, releases)
+            assert counting.asked == span_entries(schedule, releases)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(case=_schedule_and_periods())
@@ -595,7 +575,7 @@ class TestScheduleCursor:
         for name in "tu":
             released = window.releases[name]
             assert [(t, job, mean) for task, t, job, mean in calls if task == name] == [
-                (t, released.index(t), schedule.mean_at(t)) for t in _span_entries(schedule, released)
+                (t, released.index(t), schedule.mean_at(t)) for t in span_entries(schedule, released)
             ]
             assert window.samples[name] == [time_of(schedule.mean_at(t), job) for job, t in enumerate(released)]
 
