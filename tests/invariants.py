@@ -2,9 +2,9 @@
 
 Each checker runs `cases` independent random trials and raises AssertionError
 with context on the first violation; it returns the number of trials so
-callers can assert the workload actually happened. The kernel checks read
-the schedule off `reference_dispatch.dispatch` fed with the kernel's own job
-stream, after holding the kernel's job records and preemption counts to it.
+callers can assert the workload actually happened. `check_dispatch` is the
+one harness that holds a kernel's run to `reference_dispatch.dispatch`, on
+job lists built from the task set and its period changes by `periodic_jobs`.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from ffsched.fuzzy import (
     infer,
     load_golden_table,
 )
-from ffsched.rtsim import ExecSchedule, TaskKind, TaskSpec
+from ffsched.rtsim import ExecSchedule, JobRecord, Kernel, TaskKind, TaskSpec
 from ffsched.schedulers import FuzzyFeedbackScheduler
 from reference_dispatch import dispatch
-from run_probe import Probe
 
 MS = 1_000_000
 
@@ -136,93 +135,122 @@ def span_entries(schedule: ExecSchedule, releases) -> list[int]:
 
 
 def check_rtsim_invariants(cases: int, seed: int = 3003) -> int:
-    """Agreement with the reference dispatcher, work conservation, priority
-    correctness and accounting on random task sets."""
+    """`check_dispatch` on random task sets, each run in chunks with up to
+    two period changes between them."""
 
     rng = np.random.default_rng(seed)
-    for _ in range(cases):
+    for case in range(cases):
         n_tasks = int(rng.integers(2, 5))
         periods = [int(rng.integers(2, 21)) * MS for _ in range(n_tasks)]
         prios = [int(p) + 1 for p in rng.permutation(n_tasks)]
+        means = [max(1, int(period * rng.uniform(0.1, 0.6))) for period in periods]
         specs = [
-            TaskSpec(
-                name=f"t{i}",
-                kind=TaskKind.LOAD,
-                priority=prios[i],
-                period_ns=periods[i],
-                exec_schedule=ExecSchedule.constant(max(1, int(periods[i] * rng.uniform(0.1, 0.6)))),
-            )
+            TaskSpec(f"t{i}", TaskKind.LOAD, prios[i], periods[i], ExecSchedule.constant(means[i]))
             for i in range(n_tasks)
         ]
         horizon = int(rng.integers(20, 41)) * MS
-
-        releases: dict[str, list[int]] = defaultdict(list)
-        finishes: dict[str, list] = defaultdict(list)
-
-        def exec_time_of(spec: TaskSpec):
-            # every task's source draws one job's time at a time from the one
-            # shared rng, at each release, in release order
-            return per_job(lambda mean_ns, job: max(1, int(mean_ns * rng.uniform(0.3, 1.5))))
-
-        kernel = Probe(
-            specs,
-            exec_time_of=exec_time_of,
-            on_job_release=lambda name, rel: releases[name].append(rel),
-            on_job_finish=lambda rec: finishes[rec.task].append(rec),
-        )
-        # run in chunks with period changes in between to exercise re-perioding
+        jobs = horizon // (2 * MS) + 1  # the most any task releases, at the shortest period
+        times = {f"t{i}": [max(1, int(mean * u)) for u in rng.uniform(0.3, 1.5, jobs)] for i, mean in enumerate(means)}
         boundaries = sorted(int(rng.integers(1, horizon)) for _ in range(int(rng.integers(0, 3))))
-        for b in boundaries:
-            kernel.run(b)
-            victim = specs[int(rng.integers(0, n_tasks))]
-            kernel.set_period(victim.name, int(rng.integers(2, 21)) * MS)
-        kernel.run(horizon)
-
-        _verify_case(specs, kernel, releases, finishes, horizon)
+        changes = [(b, specs[int(rng.integers(0, n_tasks))].name, int(rng.integers(2, 21)) * MS) for b in boundaries]
+        records, kernel = run_chunked(specs, times, changes, horizon)
+        check_dispatch(specs, records, kernel, times, changes, horizon, where=f"case {case}")
     return cases
 
 
-def _verify_case(specs, kernel, releases, finishes, horizon) -> None:
-    """Checks one run of a `run_probe.Probe` up to `horizon`; `releases` and
-    `finishes` hold what its release and finish hooks got, per task."""
-    prio = {s.name: s.priority for s in specs}
-    jobs = kernel.job_stream()
+def periodic_jobs(period_ns, changes, horizon_ns):
+    """The release instants up to the horizon of a task first run at
+    `period_ns`, with each job's deadline; `changes` are the task's
+    `(boundary_ns, period_ns)` period changes, each made after a run to its
+    boundary, in call order. A change reaches the releases after the
+    boundary, so the release it falls after keeps the old period, and its
+    successor stays put."""
+    releases, deadlines = [], []
+    t = 0
+    while t <= horizon_ns:
+        period = period_ns
+        for boundary, new_period in changes:
+            if boundary < t:
+                period = new_period
+        releases.append(t)
+        deadlines.append(t + period)
+        t += period
+    return releases, deadlines
+
+
+def run_chunked(specs, times, changes, horizon):
+    """A `Kernel` in which task `name` runs job k for `times[name][k]`, run
+    to each `(boundary_ns, task, period_ns)` change in turn, re-perioded
+    there, then to `horizon`. Returns the `JobRecord`s its finish hook got,
+    in completion order, and the kernel."""
+    records = []
+    kernel = Kernel(
+        specs, exec_time_of=lambda spec: lambda mean_ns, job: times[spec.name][job:], on_job_finish=records.append
+    )
+    for boundary, name, period_ns in changes:
+        kernel.run(boundary)
+        kernel.set_period(name, period_ns)
+    kernel.run(horizon)
+    return records, kernel
+
+
+def check_dispatch(specs, records, kernel, times, changes, horizon, where=""):
+    """Holds a kernel's run of `specs` to `horizon` to the reference
+    dispatcher: `records` are its finish hook's `JobRecord`s in completion
+    order, task `name` ran job k for `times[name][k]`, and `changes` are the
+    run's `(boundary_ns, task, period_ns)` period changes in call order, each
+    made at its boundary. Release instants and deadlines come from
+    `periodic_jobs`, never from the kernel. The records and every
+    `TaskStats` count must equal the reference's, and the reference's own
+    schedule must keep the invariants: no overlap, exact execution times,
+    priority order, work conservation and preemption accounting. `where`
+    prefixes each failure message."""
+
+    prio = {spec.name: spec.priority for spec in specs}
+    jobs, deadlines = {}, {}
+    for spec in specs:
+        task_changes = [(b, p) for b, name, p in changes if name == spec.name]
+        releases, deadlines[spec.name] = periodic_jobs(spec.period_ns, task_changes, horizon)
+        assert len(times[spec.name]) >= len(releases), f"{where}: task {spec.name} has too few execution times"
+        jobs[spec.name] = list(zip(releases, times[spec.name]))
     segs, completions, preemptions = dispatch(jobs, prio, horizon)
-    # the kernel dispatched its job stream as the reference does
-    for s_ in specs:
-        name = s_.name
-        assert [release_ns for release_ns, _ in jobs[name]] == releases[name], name
-        kernel_jobs = [(r.task, r.index, r.release_ns, r.exec_ns, r.start_ns, r.finish_ns) for r in finishes[name]]
-        assert kernel_jobs == [c for c in completions if c.task == name], name
-        assert kernel.stats(name).preemptions == preemptions[name], name
+    expected = [
+        JobRecord(task, index, release, deadlines[task][index], exec_ns, start, finish, finish > deadlines[task][index])
+        for task, index, release, exec_ns, start, finish in completions
+    ]
+    first = next((i for i, (a, b) in enumerate(zip(records, expected)) if a != b), min(len(records), len(expected)))
+    assert records == expected, f"{where}: record {first}: {records[first:first + 1]} != {expected[first:first + 1]}"
+    for spec in specs:
+        mine = [r for r in expected if r.task == spec.name]
+        counts = (len(jobs[spec.name]), len(mine), sum(r.missed for r in mine), preemptions[spec.name])
+        assert kernel.stats(spec.name) == counts, f"{where}, task {spec.name}"
 
     for a, b in zip(segs, segs[1:]):
-        assert a.end_ns <= b.start_ns, f"overlapping segments {a} {b}"
-        assert a.start_ns < a.end_ns
+        assert a.start_ns < a.end_ns <= b.start_ns, f"{where}: overlapping segments {a} {b}"
 
     # every completed job got exactly its execution time, never before release
     by_job: dict[tuple[str, int], list] = defaultdict(list)
     for s in segs:
         by_job[(s.task, s.index)].append(s)
-    for name, recs in finishes.items():
-        for rec in recs:
-            pieces = by_job[(name, rec.index)]
-            assert sum(p.end_ns - p.start_ns for p in pieces) == rec.exec_ns, rec
-            assert pieces[0].start_ns >= rec.release_ns
-            assert pieces[-1].end_ns == rec.finish_ns
+    for c in completions:
+        pieces = by_job[(c.task, c.index)]
+        assert sum(p.end_ns - p.start_ns for p in pieces) == c.exec_ns, f"{where}: {c}"
+        assert c.release_ns <= pieces[0].start_ns == c.start_ns, f"{where}: {c}"
+        assert pieces[-1].end_ns == c.finish_ns, f"{where}: {c}"
 
-    # job table with finish horizon-capped for the unfinished
-    jobs = []  # (name, release, finish, priority)
-    finish_of = {(n, r.index): r.finish_ns for n, recs in finishes.items() for r in recs}
-    for name, rels in releases.items():
-        for idx, rel in enumerate(rels):
-            jobs.append((name, rel, finish_of.get((name, idx), horizon), prio[name]))
+    # each job's pending interval, the unfinished ones' capped at the horizon
+    finish_of = {(c.task, c.index): c.finish_ns for c in completions}
+    pending = [
+        (name, release, finish_of.get((name, k), horizon), prio[name])
+        for name, task_jobs in jobs.items()
+        for k, (release, _) in enumerate(task_jobs)
+    ]
 
-    # priority correctness: no segment runs while a higher-priority job is pending
+    # priority order: no segment runs while a higher-priority job is pending
     for s in segs:
-        for name, rel, fin, p in jobs:
+        for name, rel, fin, p in pending:
             if p < prio[s.task] and rel < s.end_ns and fin > s.start_ns:
-                raise AssertionError(f"{name} (prio {p}) pending during segment {s}")
+                raise AssertionError(f"{where}: {name} (prio {p}) pending during segment {s}")
 
     # work conservation: the CPU is idle only when nothing is pending
     gaps = []
@@ -234,23 +262,12 @@ def _verify_case(specs, kernel, releases, finishes, horizon) -> None:
     if cursor < horizon:
         gaps.append((cursor, horizon))
     for g0, g1 in gaps:
-        for name, rel, fin, _ in jobs:
-            assert not (rel < g1 and fin > g0), f"{name} pending during idle [{g0}, {g1})"
+        for name, rel, fin, _ in pending:
+            assert not (rel < g1 and fin > g0), f"{where}: {name} pending during idle [{g0}, {g1})"
 
-    # accounting: hook counts, misses and preemptions all agree with stats()
-    for s_ in specs:
-        st = kernel.stats(s_.name)
-        assert st.released == len(releases[s_.name])
-        assert st.completed == len(finishes[s_.name])
-        assert st.missed == sum(1 for r in finishes[s_.name] if r.finish_ns > r.deadline_ns)
-        assert all(r.missed == (r.finish_ns > r.deadline_ns) for r in finishes[s_.name])
-        # each non-contiguous split is a displacement, plus one more for a job
-        # cut off unfinished before the horizon that never got the CPU back
-        expected_preemptions = 0
-        for (name, idx), pieces in by_job.items():
-            if name != s_.name:
-                continue
-            expected_preemptions += len(pieces) - 1
-            if (name, idx) not in finish_of and pieces[-1].end_ns < horizon:
-                expected_preemptions += 1
-        assert st.preemptions == expected_preemptions, s_.name
+    # each non-contiguous split is a displacement, plus one more for a job
+    # cut off unfinished before the horizon that never got the CPU back
+    displaced = dict.fromkeys(prio, 0)
+    for (name, k), pieces in by_job.items():
+        displaced[name] += len(pieces) - 1 + ((name, k) not in finish_of and pieces[-1].end_ns < horizon)
+    assert displaced == preemptions, f"{where}: {displaced} != {preemptions}"

@@ -58,9 +58,9 @@ def test_model_shares_no_machinery_with_the_run():
 
 
 def test_one_seam_watches_the_run():
-    # only run_probe.py subclasses `Kernel` or puts anything in place of
-    # `ffsched.experiment.Kernel`; any test may build a `Kernel`, hooks and
-    # all. No test module imports another
+    # only run_probe.py subclasses `Kernel`, puts anything in place of
+    # `ffsched.experiment.Kernel` or builds a `Probe`; any test may build a
+    # `Kernel`, hooks and all. No test module imports another
     tests = os.path.dirname(os.path.abspath(__file__))
     seams, imports = set(), set()
     replaced = ("Kernel", "ffsched.experiment.Kernel")  # as `setattr` and `monkeypatch.setattr` name it
@@ -70,7 +70,9 @@ def test_one_seam_watches_the_run():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(ast.unparse(b).endswith(("Kernel", "Probe")) for b in node.bases):
                 seams.add((name, f"class {node.name}"))
-            elif isinstance(node, ast.Call) and any(getattr(a, "value", 0) in replaced for a in node.args):
+            elif isinstance(node, ast.Call) and (
+                ast.unparse(node.func).endswith("Probe") or any(getattr(a, "value", 0) in replaced for a in node.args)
+            ):
                 seams.add((name, ast.unparse(node)))
             elif isinstance(node, ast.Assign) and any(getattr(t, "attr", None) == "Kernel" for t in node.targets):
                 seams.add((name, ast.unparse(node)))
